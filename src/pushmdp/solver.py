@@ -1,9 +1,12 @@
 """Exact average-cost solvers for the sleep/unicast/push decision process.
 
-Policy iteration with linear-system policy evaluation is the workhorse; a
-damped relative value iteration covers policies whose evaluation system is
-singular (reducible chains), and a brute-force policy enumerator serves as an
-independent oracle on tiny instances.
+Policy iteration is the workhorse.  Each evaluation factors the sparse
+bordered gain/bias system once with SuperLU and refines the solution by one
+residual correction.  A factor SuperLU finds exactly singular, non-finite
+values or an inconsistent residual mark a reducible chain and raise
+SingularPolicyError; a damped relative value iteration then evaluates the
+policy instead.  A brute-force policy enumerator serves as an independent
+oracle on tiny instances.
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import bmat, csr_matrix, diags, identity
+from scipy.sparse.linalg import splu
 
 from .model import NUM_ACTIONS, Action
 from .transition import TransitionKernel
@@ -93,31 +98,19 @@ class PolicyTable:
         return cls(np.zeros(num_states, dtype=np.int64))
 
     def validate(self, kernel: TransitionKernel) -> None:
-        """Raise if any entry is infeasible in its state."""
-        for s, a in enumerate(self.actions):
-            if (s, int(a)) not in kernel.rows:
-                raise ValueError(
-                    f"policy assigns infeasible action {Action(int(a)).name} "
-                    f"to state {s}"
-                )
-
-
-def _feasible_mask(kernel: TransitionKernel) -> np.ndarray:
-    mask = np.zeros((NUM_ACTIONS, kernel.num_states), dtype=bool)
-    for s, a in kernel.rows:
-        mask[a, s] = True
-    return mask
-
-
-def _policy_matrix(kernel: TransitionKernel, policy: PolicyTable) -> np.ndarray:
-    """Dense transition matrix of the chain induced by a fixed policy."""
-    n = kernel.num_states
-    p = np.zeros((n, n))
-    for a in range(NUM_ACTIONS):
-        states = np.flatnonzero(policy.actions == a)
-        if states.size:
-            p[states] = kernel.action_matrix(Action(a))[states].toarray()
-    return p
+        """Raise if the table does not fit the kernel or any entry is infeasible."""
+        if len(self.actions) != kernel.num_states:
+            raise ValueError(
+                f"policy has {len(self.actions)} entries for "
+                f"{kernel.num_states} states"
+            )
+        states = np.arange(kernel.num_states)
+        bad = np.flatnonzero(~kernel.feasible_mask()[self.actions, states])
+        if bad.size:
+            s = int(bad[0])
+            raise ValueError(
+                f"policy assigns infeasible action {self[s].name} to state {s}"
+            )
 
 
 def policy_evaluation(
@@ -130,25 +123,32 @@ def policy_evaluation(
 
     Unknowns are (gain, h); equations are
     gain + h(x) = g(x, u(x)) + sum_y p(y|x, u(x)) h(y) for every state plus
-    the normalization h(ref_state) = 0, solved as one dense square system.
-    A singular or numerically inconsistent system signals a reducible chain
-    and raises SingularPolicyError so the caller can fall back to value
-    iteration.
+    the normalization h(ref_state) = 0.  The bordered system
+    [[1, I - P_u], [0, e_ref]] is assembled sparse from the per-action CSR
+    rows, factored once by SuperLU and the solution refined by one residual
+    correction, which the bias h needs to reach double precision at a few
+    thousand states.  An exactly singular factor, non-finite values or an
+    inconsistent residual signal a reducible chain and raise
+    SingularPolicyError so the caller can fall back to value iteration.
     """
     policy.validate(kernel)
     n = kernel.num_states
-    p_pi = _policy_matrix(kernel, policy)
+    p_pi = sum(
+        diags((policy.actions == a).astype(float)) @ kernel.action_matrix(Action(a))
+        for a in np.unique(policy.actions)
+    )
     g_pi = costs[policy.actions, np.arange(n)]
 
-    a = np.zeros((n + 1, n + 1))
-    a[:n, 0] = 1.0
-    a[:n, 1:] = np.eye(n) - p_pi
-    a[n, 1 + ref_state] = 1.0
-    b = np.concatenate([g_pi, [0.0]])
+    ones = csr_matrix(np.ones((n, 1)))
+    border = csr_matrix(([1.0], ([0], [ref_state])), shape=(1, n))
+    a = bmat([[ones, identity(n) - p_pi], [None, border]], format="csc")
+    b = np.append(g_pi, 0.0)
     try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
+        lu = splu(a)
+    except RuntimeError as exc:
         raise SingularPolicyError(str(exc)) from exc
+    x = lu.solve(b)
+    x += lu.solve(b - a @ x)
     if not np.all(np.isfinite(x)):
         raise SingularPolicyError("evaluation produced non-finite values")
     residual = np.max(np.abs(a @ x - b))
@@ -165,7 +165,7 @@ def _q_values(kernel, costs, h):
     """Action-value table g + P h with +inf at infeasible pairs."""
     n = kernel.num_states
     q = np.full((NUM_ACTIONS, n), np.inf)
-    mask = _feasible_mask(kernel)
+    mask = kernel.feasible_mask()
     for a in range(NUM_ACTIONS):
         rows = mask[a]
         if rows.any():
@@ -351,10 +351,8 @@ def brute_force_oracle(
     n = kernel.num_states
     if n > max_states:
         raise ValueError(f"{n} states exceed the oracle guard of {max_states}")
-    feas = [
-        np.array([a for a in range(NUM_ACTIONS) if (s, a) in kernel.rows])
-        for s in range(n)
-    ]
+    mask = kernel.feasible_mask()
+    feas = [np.flatnonzero(mask[:, s]) for s in range(n)]
     radix = np.array([len(f) for f in feas])
     total = int(np.prod(radix.astype(object)))
     if total > max_policies:

@@ -160,6 +160,17 @@ class TransitionKernel:
     num_states: int
     rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     _matrices: dict[int, csr_matrix] = field(default_factory=dict, repr=False)
+    _mask: np.ndarray | None = field(default=None, repr=False)
+
+    def feasible_mask(self) -> np.ndarray:
+        """Read-only (action, state) table, True where the pair has a row."""
+        if self._mask is None:
+            mask = np.zeros((NUM_ACTIONS, self.num_states), dtype=bool)
+            for s, a in self.rows:
+                mask[a, s] = True
+            mask.setflags(write=False)
+            self._mask = mask
+        return self._mask
 
     def feasible_actions(self, state: int) -> tuple[Action, ...]:
         return tuple(

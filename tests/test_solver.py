@@ -41,6 +41,64 @@ def costs_for(n: int, per_action: dict[int, np.ndarray]) -> np.ndarray:
     return c
 
 
+def dense_policy_evaluation(policy, kernel, costs, ref_state=0):
+    """(gain, h) from the dense bordered solve that sparse evaluation replaced.
+
+    Reference for cross-checks only: it builds the (n+1)^2 system
+    [[1, I - P_u], [0, e_ref]] and solves it with LAPACK.
+    """
+    n = kernel.num_states
+    p_pi = np.zeros((n, n))
+    for a in range(NUM_ACTIONS):
+        states = np.flatnonzero(policy.actions == a)
+        if states.size:
+            p_pi[states] = kernel.action_matrix(Action(a))[states].toarray()
+    a = np.zeros((n + 1, n + 1))
+    a[:n, 0] = 1.0
+    a[:n, 1:] = np.eye(n) - p_pi
+    a[n, 1 + ref_state] = 1.0
+    b = np.concatenate([costs[policy.actions, np.arange(n)], [0.0]])
+    x = np.linalg.solve(a, b)
+    return float(x[0]), x[1:] - x[1 + ref_state]
+
+
+def policy_iterates(kernel, costs):
+    """Policies policy iteration visits from all-sleep, at most 50, in order."""
+    policy = PolicyTable.all_sleep(kernel.num_states)
+    visited = [policy]
+    while len(visited) < 50:
+        improved = policy_improvement(
+            policy_evaluation(policy, kernel, costs), kernel, costs
+        )
+        if improved == policy:
+            break
+        policy = improved
+        visited.append(policy)
+    return visited
+
+
+def assert_matches_dense(policy, kernel, costs):
+    sol = policy_evaluation(policy, kernel, costs)
+    gain, h = dense_policy_evaluation(policy, kernel, costs)
+    assert abs(sol.gain - gain) <= 1e-12
+    assert np.max(np.abs(sol.h - h)) <= 1e-10
+
+
+@st.composite
+def random_chains(draw, max_actions=2):
+    """Dense random chains on 2-5 states: every policy is unichain."""
+    n = draw(st.integers(2, 5))
+    n_actions = draw(st.integers(1, max_actions))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    mats = {
+        a: rng.dirichlet(np.ones(n), size=n) for a in range(n_actions)
+    }
+    kernel = dense_kernel(mats)
+    costs = costs_for(n, {a: rng.uniform(0.0, 1.0, n) for a in range(n_actions)})
+    return kernel, costs
+
+
 # two-state single-action chain: stationary (0.25, 0.75), so the average
 # cost of g = (0, 1) is 0.75 and the relative value of state 1 is 2.5
 TWO_STATE_P = np.array([[0.7, 0.3], [0.1, 0.9]])
@@ -78,6 +136,29 @@ class TestPolicyEvaluation:
         costs = costs_for(2, {0: np.array([0.0, 1.0])})
         with pytest.raises(SingularPolicyError):
             policy_evaluation(PolicyTable([0, 0]), kernel, costs)
+
+    def test_multichain_detected(self):
+        # two absorbing states with different costs and one transient state
+        # feeding both: two recurrent classes, so the gain is not unique
+        p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
+        kernel = dense_kernel({0: p})
+        costs = costs_for(3, {0: np.array([0.0, 1.0, 0.5])})
+        with pytest.raises(SingularPolicyError):
+            policy_evaluation(PolicyTable([0, 0, 0]), kernel, costs)
+
+    def test_matches_dense_on_default_iterates(self, default_instance):
+        _, _, _, _, kernel, costs = default_instance
+        iterates = policy_iterates(kernel, costs)
+        assert len(iterates) > 1
+        for policy in iterates:
+            assert_matches_dense(policy, kernel, costs)
+
+    def test_refined_to_double_precision_at_scale(self):
+        # without the refinement step the fixed-policy residual here is 1.8e-2
+        _, _, _, _, kernel, costs = make_instance(e_max=30, n_contents=40)
+        result = policy_iteration(kernel, costs)
+        sol = policy_evaluation(result.policy, kernel, costs)
+        assert bellman_residual(sol, kernel, costs, policy=result.policy) <= 1e-10
 
     def test_matches_simulated_average(self, default_instance, default_nonpush):
         # evaluation gain equals the long-run ratio the simulator measures
@@ -216,6 +297,16 @@ class TestPolicyIteration:
         assert result.values.gain == pytest.approx(0.0, abs=1e-9)
         assert np.all(result.policy.actions == 1)
 
+    def test_default_needs_no_fallback(self, monkeypatch, default_instance,
+                                       default_solution):
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("value-iteration fallback ran")
+
+        monkeypatch.setattr("pushmdp.solver.relative_value_iteration", no_fallback)
+        _, _, _, _, kernel, costs = default_instance
+        result = policy_iteration(kernel, costs)
+        assert result.policy == default_solution.policy
+
     def test_iteration_cap(self):
         p = np.array([[1.0]])
         kernel = dense_kernel({0: p, 1: p})
@@ -259,6 +350,10 @@ class TestPolicyTable:
         PolicyTable([0, 0]).validate(kernel)
         with pytest.raises(ValueError):
             PolicyTable([1, 0]).validate(kernel)
+        with pytest.raises(ValueError, match="PUSH to state 1"):
+            PolicyTable([0, 2, 1]).validate(dense_kernel({0: np.eye(3)}))
+        with pytest.raises(ValueError, match="entries"):
+            PolicyTable([0]).validate(kernel)
 
     def test_all_sleep(self):
         table = PolicyTable.all_sleep(4)
@@ -301,19 +396,38 @@ class TestBruteForceOracle:
         assert result.values.gain == pytest.approx(0.0, abs=1e-12)
 
 
-@given(data=st.data())
+@given(instance=random_chains())
 @settings(max_examples=20, deadline=None)
-def test_policy_iteration_equals_oracle_on_random_chains(data):
+def test_policy_iteration_equals_oracle_on_random_chains(instance):
     """Dense random chains with 1-2 actions: exhaustive minimum matches."""
-    n = data.draw(st.integers(2, 5))
-    n_actions = data.draw(st.integers(1, 2))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    mats = {
-        a: rng.dirichlet(np.ones(n), size=n) for a in range(n_actions)
-    }
-    kernel = dense_kernel(mats)
-    costs = costs_for(n, {a: rng.uniform(0.0, 1.0, n) for a in range(n_actions)})
+    kernel, costs = instance
     oracle = brute_force_oracle(kernel, costs)
     result = policy_iteration(kernel, costs)
     assert abs(oracle.gain - result.values.gain) <= 1e-9
+
+
+@given(instance=random_chains(max_actions=NUM_ACTIONS))
+@settings(max_examples=30, deadline=None)
+def test_sparse_evaluation_matches_dense_on_random_chains(instance):
+    kernel, costs = instance
+    for policy in policy_iterates(kernel, costs):
+        assert_matches_dense(policy, kernel, costs)
+
+
+# The ranges of test_kernel_rows_stochastic_on_random_instances, with p_c kept
+# off zero: a cache that never turns over makes some policies multichain, and
+# a singular system has no unique solution to compare.
+@given(
+    e_max=st.integers(0, 3),
+    n=st.integers(0, 3),
+    m=st.integers(1, 3),
+    p_c=st.floats(0.05, 1.0),
+    p_u=st.floats(0.0, 1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_sparse_evaluation_matches_dense_on_random_instances(e_max, n, m, p_c, p_u):
+    _, _, _, _, kernel, costs = make_instance(
+        e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
+    )
+    for policy in policy_iterates(kernel, costs):
+        assert_matches_dense(policy, kernel, costs)

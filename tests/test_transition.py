@@ -10,6 +10,7 @@ from pushmdp.model import (
     Action,
     SystemState,
     cumulative_popularity_table,
+    feasible_table,
     state_index,
     zipf_pmf,
 )
@@ -244,6 +245,19 @@ class TestBuildKernel:
         assert sub.num_states == kernel.num_states
         with pytest.raises(ValueError):
             kernel.restrict({Action.PUSH})
+
+    def test_feasible_mask(self, default_instance):
+        params, _, grid, _, kernel, _ = default_instance
+        mask = kernel.feasible_mask()
+        assert np.array_equal(mask, feasible_table(params, grid))
+        assert kernel.feasible_mask() is mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+        # a restricted kernel derives its own mask, not the parent's
+        sub = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        expect = mask.copy()
+        expect[int(Action.PUSH)] = False
+        assert np.array_equal(sub.feasible_mask(), expect)
 
     def test_action_matrix_rows(self, default_instance):
         _, _, _, _, kernel, _ = default_instance

@@ -2,11 +2,11 @@
 
 Policy iteration is the workhorse.  Each evaluation factors the sparse
 bordered gain/bias system once with SuperLU and refines the solution by one
-residual correction.  A factor SuperLU finds exactly singular, non-finite
-values or an inconsistent residual mark a reducible chain and raise
-SingularPolicyError; a damped relative value iteration then evaluates the
-policy instead.  A brute-force policy enumerator serves as an independent
-oracle on tiny instances.
+residual correction.  A chain with more than one closed class, checked
+before factoring, a factor SuperLU finds exactly singular, non-finite values
+or an inconsistent residual raise SingularPolicyError; a damped relative value
+iteration then evaluates the policy instead.  A brute-force policy enumerator
+serves as an independent oracle on tiny instances.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import bmat, csr_matrix, diags, identity
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .model import NUM_ACTIONS, Action
@@ -127,9 +128,9 @@ def policy_evaluation(
     [[1, I - P_u], [0, e_ref]] is assembled sparse from the per-action CSR
     rows, factored once by SuperLU and the solution refined by one residual
     correction, which the bias h needs to reach double precision at a few
-    thousand states.  An exactly singular factor, non-finite values or an
-    inconsistent residual signal a reducible chain and raise
-    SingularPolicyError so the caller can fall back to value iteration.
+    thousand states.  A chain with more than one closed class (multichain),
+    an exactly singular factor, non-finite values or an inconsistent residual
+    raise SingularPolicyError so the caller can fall back to value iteration.
     """
     policy.validate(kernel)
     n = kernel.num_states
@@ -137,6 +138,8 @@ def policy_evaluation(
         diags((policy.actions == a).astype(float)) @ kernel.action_matrix(Action(a))
         for a in np.unique(policy.actions)
     )
+    if (closed := _closed_classes(p_pi)) > 1:
+        raise SingularPolicyError(f"policy chain has {closed} closed classes")
     g_pi = costs[policy.actions, np.arange(n)]
 
     ones = csr_matrix(np.ones((n, 1)))
@@ -159,6 +162,14 @@ def policy_evaluation(
     h = x[1:]
     h = h - h[ref_state]
     return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
+
+
+def _closed_classes(p: csr_matrix) -> int:
+    """Classes of the chain p that no positive entry leaves (unichain: one)."""
+    p.eliminate_zeros()
+    n_comp, label = connected_components(p, connection="strong")
+    source = label[np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))]
+    return n_comp - np.unique(source[source != label[p.indices]]).size
 
 
 def _q_values(kernel, costs, h):
@@ -358,9 +369,7 @@ def brute_force_oracle(
     if total > max_policies:
         raise ValueError(f"{total} policies exceed the oracle guard of {max_policies}")
 
-    p_all = np.stack(
-        [kernel.action_matrix(Action(a)).toarray() for a in range(NUM_ACTIONS)]
-    )
+    p_all = np.stack([m.toarray() for m in kernel.matrices])
     chunk = max(16, int(5_000_000 // (n * n)))
     best_gain = np.inf
     best_code = -1

@@ -7,8 +7,11 @@ three independent pieces:
 * pushed count: one-step birth/death driven by content replacement and push,
 * request ring: fresh each period, thinned by cache hits on pushed contents.
 
-Each factor has a small dense row builder; the kernel builder takes their
-outer product per (state, action) pair and stores the sparse result.
+Each factor has a small dense row builder.  A kernel row depends on its
+(state, action) only through the post-spend battery level, the pushed count
+and whether the action pushes, so the kernel builder forms the outer product
+of the factor rows once per such case, as a template row, and gathers each
+action's CSR matrix from the templates of its feasible states.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .model import (
-    NUM_ACTIONS,
     Action,
     DistanceGrid,
     SystemParams,
@@ -151,88 +153,69 @@ def request_row(
 
 @dataclass
 class TransitionKernel:
-    """Sparse per-(state, action) transition rows.
+    """Per-action sparse transition matrices of the decision process.
 
-    ``rows[(s, a)]`` holds (next-state indices, probabilities) for every
-    feasible action a in state s; infeasible pairs are absent.
+    ``matrices[a]`` is the (num_states, num_states) CSR matrix of action a:
+    row s holds the next-state pmf of taking a in state s, with sorted column
+    indices, and is empty where a is infeasible in s.  The matrices are the
+    kernel's only data; rows, feasibility and the text dump are views of them.
     """
 
-    num_states: int
-    rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-    _matrices: dict[int, csr_matrix] = field(default_factory=dict, repr=False)
+    matrices: tuple[csr_matrix, ...]
     _mask: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def num_states(self) -> int:
+        return self.matrices[0].shape[0]
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only (action, state) table, True where the pair has a row."""
         if self._mask is None:
-            mask = np.zeros((NUM_ACTIONS, self.num_states), dtype=bool)
-            for s, a in self.rows:
-                mask[a, s] = True
+            mask = np.stack([np.diff(m.indptr) > 0 for m in self.matrices])
             mask.setflags(write=False)
             self._mask = mask
         return self._mask
 
     def feasible_actions(self, state: int) -> tuple[Action, ...]:
-        return tuple(
-            Action(a) for a in range(NUM_ACTIONS) if (state, a) in self.rows
-        )
+        return tuple(Action(a) for a in np.flatnonzero(self.feasible_mask()[:, state]))
 
     def row(self, state: int, action: Action) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            return self.rows[(state, int(action))]
-        except KeyError:
-            raise KeyError(
-                f"action {Action(action).name} infeasible in state {state}"
-            ) from None
+        """(next-state indices, probabilities) of one feasible (state, action)."""
+        m = self.matrices[int(action)]
+        lo, hi = m.indptr[state], m.indptr[state + 1]
+        if lo == hi:
+            raise KeyError(f"action {Action(action).name} infeasible in state {state}")
+        return m.indices[lo:hi], m.data[lo:hi]
 
     def action_matrix(self, action: Action) -> csr_matrix:
         """CSR matrix of the action's rows; infeasible rows are all-zero."""
-        a = int(action)
-        if a not in self._matrices:
-            indptr = [0]
-            indices = []
-            data = []
-            for s in range(self.num_states):
-                row = self.rows.get((s, a))
-                if row is not None:
-                    indices.append(row[0])
-                    data.append(row[1])
-                    indptr.append(indptr[-1] + len(row[0]))
-                else:
-                    indptr.append(indptr[-1])
-            if data:
-                indices_arr = np.concatenate(indices)
-                data_arr = np.concatenate(data)
-            else:
-                indices_arr = np.zeros(0, dtype=np.int64)
-                data_arr = np.zeros(0)
-            self._matrices[a] = csr_matrix(
-                (data_arr, indices_arr, np.asarray(indptr)),
-                shape=(self.num_states, self.num_states),
-            )
-        return self._matrices[a]
+        return self.matrices[int(action)]
 
     def restrict(self, allowed: set[Action] | frozenset[Action]) -> "TransitionKernel":
-        """Kernel with only the given actions kept (sleep must stay allowed)."""
+        """Kernel with only the given actions kept (sleep must stay allowed).
+
+        Kept actions share this kernel's matrices; dropped ones get empty ones.
+        """
         keep = {int(a) for a in allowed}
         if int(Action.SLEEP) not in keep:
             raise ValueError("restriction must keep SLEEP to stay well-defined")
-        rows = {sa: r for sa, r in self.rows.items() if sa[1] in keep}
-        return TransitionKernel(num_states=self.num_states, rows=rows)
+        return TransitionKernel(
+            tuple(
+                m if a in keep else csr_matrix(m.shape)
+                for a, m in enumerate(self.matrices)
+            )
+        )
 
     def union_matrix(self) -> csr_matrix:
-        """Support of all feasible transitions, as a 0/1-weighted CSR matrix."""
-        total = None
-        for a in range(NUM_ACTIONS):
-            m = self.action_matrix(Action(a))
-            total = m if total is None else total + m
-        return total
+        """Sum of the action matrices; its support is every feasible transition."""
+        return sum(self.matrices[1:], self.matrices[0])
 
     def to_text(self, limit: int | None = None) -> str:
         """Readable dump of the sparse rows, for debugging and CLI export."""
         lines = []
-        for (s, a) in sorted(self.rows):
-            idx, p = self.rows[(s, a)]
+        states, actions = np.nonzero(self.feasible_mask().T)
+        for s, a in zip(states.tolist(), actions.tolist()):
+            idx, p = (v.tolist() for v in self.row(s, Action(a)))
             entries = " ".join(f"{j}:{pj:.12g}" for j, pj in zip(idx, p))
             lines.append(f"{s} {Action(a).name} {entries}")
             if limit is not None and len(lines) >= limit:
@@ -247,56 +230,61 @@ def build_kernel(
     popularity: np.ndarray,
     arrival: ArrivalPmf,
 ) -> TransitionKernel:
-    """Assemble the sparse kernel from the three per-factor row builders."""
-    capacity = params.battery_levels
+    """Assemble the per-action CSR kernel from shared template rows.
+
+    A row depends on its (state, action) only through the post-spend battery
+    level b, the pushed count c and whether the action pushes; each such case
+    is one template row, the outer product of its three factor rows.
+    """
+    e1 = params.battery_levels + 1
     m1 = params.num_rings + 1
     n1 = params.num_contents + 1
     pop_cum = cumulative_popularity_table(popularity)
+    # energy[b, E'] is the battery row from post-spend level b (a sleep at b);
+    # request[C', Q'] is the request row given next period's pushed count.
+    energy = np.stack(
+        [energy_row(b, 0, Action.SLEEP, grid, arrival, e1 - 1) for b in range(e1)]
+    )
+    request = np.stack(
+        [request_row(c, pop_cum, grid, params.request_prob) for c in range(n1)]
+    )
+    # Content factor per (push, c) in two slots, the lower next count first;
+    # an absent slot has next count -1.  Push on a full cache is infeasible.
+    c_next = np.full((2, n1, 2), -1)
+    p_content = np.zeros((2, n1, 2))
+    for push, action in enumerate((Action.SLEEP, Action.PUSH)):
+        for c in range(n1 - push):
+            for nxt, prob in content_row(c, action, params).items():
+                c_next[push, c, nxt - c + 1 - push] = nxt
+                p_content[push, c, nxt - c + 1 - push] = prob
+
+    # Template t = (push*(E+1) + b)*(N+1) + c spans axes (push, b, c, E', Q',
+    # slot), which in C order run by next-state index (E'*(M+1) + Q')*(N+1) + C'.
+    # Entries are (content*energy)*request over nonzero factor entries; the extra
+    # last row is empty and serves infeasible pairs.
+    num_templates = 2 * e1 * n1
+    q = request[c_next].transpose(0, 1, 3, 2)[:, None, :, None, :, :]
+    keep = (
+        (c_next >= 0)[:, None, :, None, None, :]
+        & (energy != 0)[None, :, None, :, None, None]
+        & (q != 0)
+    )
+    pe = p_content[:, None, :, None, None, :] * energy[None, :, None, :, None, None]
+    index = (np.arange(e1)[:, None, None] * m1 + np.arange(m1)[:, None]) * n1
+    index = np.broadcast_to(index + c_next[:, None, :, None, None, :], keep.shape)
+    counts = keep.reshape(num_templates, -1).sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(counts), [counts.sum()]))
+    shape = (num_templates + 1, params.num_states)
+    templates = csr_matrix(((pe * q)[keep], index[keep], indptr), shape=shape)
+
     feasible = feasible_table(params, grid)
     e_all, q_all, c_all = state_table(params)
-
-    # Request rows depend only on next period's pushed count.
-    request_rows = np.stack(
-        [
-            request_row(c_next, pop_cum, grid, params.request_prob)
-            for c_next in range(n1)
-        ]
-    )
-    # Energy rows depend on the post-spend level only.
-    energy_by_base = {}
-    for base in range(capacity + 1):
-        row = np.zeros(capacity + 1)
-        for nxt in range(base, capacity):
-            row[nxt] = arrival.probs[nxt - base]
-        gap = capacity - base
-        row[capacity] = 1.0 if gap == 0 else max(0.0, 1.0 - arrival.prefix(gap - 1))
-        energy_by_base[base] = row
-
-    rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for s in range(params.num_states):
-        e, q, c = int(e_all[s]), int(q_all[s]), int(c_all[s])
-        for a in range(NUM_ACTIONS):
-            if not feasible[a, s]:
-                continue
-            action = Action(a)
-            e_row = energy_by_base[e - energy_spend(action, q, grid)]
-            c_row = content_row(c, action, params)
-            e_nz = np.flatnonzero(e_row)
-            idx_parts = []
-            prob_parts = []
-            for c_next, pc in c_row.items():
-                q_row = request_rows[c_next]
-                q_nz = np.flatnonzero(q_row)
-                # idx = (E'*(M+1) + Q')*(N+1) + C'
-                base_idx = (e_nz[:, None] * m1 + q_nz[None, :]) * n1 + c_next
-                probs = pc * e_row[e_nz][:, None] * q_row[q_nz][None, :]
-                idx_parts.append(base_idx.ravel())
-                prob_parts.append(probs.ravel())
-            idx = np.concatenate(idx_parts)
-            prob = np.concatenate(prob_parts)
-            order = np.argsort(idx, kind="stable")
-            rows[(s, a)] = (idx[order], prob[order])
-    return TransitionKernel(num_states=params.num_states, rows=rows)
+    matrices = []
+    for action in Action:
+        spend = np.array([energy_spend(action, r, grid) for r in range(m1)])
+        t = ((action == Action.PUSH) * e1 + e_all - spend[q_all]) * n1 + c_all
+        matrices.append(templates[np.where(feasible[action], t, num_templates)])
+    return TransitionKernel(tuple(matrices))
 
 
 @dataclass(frozen=True)
@@ -322,22 +310,22 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     any feasible action; they are transient decorations of the chain and a
     strong-component count above one is expected whenever they exist.
     """
-    max_dev = 0.0
-    negatives = 0
-    for idx, prob in kernel.rows.values():
-        max_dev = max(max_dev, abs(math.fsum(prob) - 1.0))
-        negatives += int(np.sum(prob < 0))
+    mask = kernel.feasible_mask()
+    mats = kernel.matrices
+    sums = np.concatenate(
+        [np.add.reduceat(m.data, m.indptr[:-1][rows]) for m, rows in zip(mats, mask)]
+    )
     union = kernel.union_matrix()
     n_comp, _ = connected_components(union, directed=True, connection="strong")
-    entered = union.copy()
-    entered.setdiag(0)
-    col_mass = np.asarray(entered.sum(axis=0)).ravel()
-    never = tuple(int(s) for s in np.flatnonzero(col_mass == 0))
+    # Column counts of the union's off-diagonal entries; the sum keeps no
+    # explicit zeros, so a nonzero diagonal value is a stored self-loop.
+    entries = np.bincount(union.indices, minlength=kernel.num_states)
+    entries -= union.diagonal() != 0
     return KernelReport(
         num_states=kernel.num_states,
-        num_rows=len(kernel.rows),
-        max_row_sum_deviation=max_dev,
-        negative_entries=negatives,
+        num_rows=int(mask.sum()),
+        max_row_sum_deviation=float(np.max(np.abs(sums - 1.0), initial=0.0)),
+        negative_entries=sum(int(np.count_nonzero(m.data < 0)) for m in mats),
         strong_components=n_comp,
-        never_entered=never,
+        never_entered=tuple(int(s) for s in np.flatnonzero(entries == 0)),
     )

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from pushmdp.model import NUM_ACTIONS, Action
 from pushmdp.solver import (
@@ -25,13 +26,9 @@ from conftest import make_instance
 def dense_kernel(mats: dict[int, np.ndarray]) -> TransitionKernel:
     """Hand-built kernel from dense per-action matrices (zero rows absent)."""
     n = next(iter(mats.values())).shape[0]
-    rows = {}
-    for a, p in mats.items():
-        for s in range(n):
-            nz = np.flatnonzero(p[s])
-            if nz.size:
-                rows[(s, a)] = (nz.astype(np.int64), p[s][nz])
-    return TransitionKernel(num_states=n, rows=rows)
+    return TransitionKernel(
+        tuple(csr_matrix(mats.get(a, np.zeros((n, n)))) for a in range(NUM_ACTIONS))
+    )
 
 
 def costs_for(n: int, per_action: dict[int, np.ndarray]) -> np.ndarray:
@@ -145,6 +142,31 @@ class TestPolicyEvaluation:
         costs = costs_for(3, {0: np.array([0.0, 1.0, 0.5])})
         with pytest.raises(SingularPolicyError):
             policy_evaluation(PolicyTable([0, 0, 0]), kernel, costs)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(e_max=2, n_contents=3, m_rings=1, p_c=0.0, p_u=0.7),
+            dict(e_max=3, n_contents=2, m_rings=2, p_c=0.0, p_u=0.0),
+        ],
+    )
+    def test_random_policies_solved_or_rejected(self, overrides, capfd):
+        # a cache that never turns over (p_c = 0) makes many policies
+        # multichain; without the closed-class check some were accepted with
+        # a huge h, and SuperLU's BLAS printed "illegal value" errors
+        _, _, _, _, kernel, costs = make_instance(**overrides)
+        mask = kernel.feasible_mask()
+        choices = [np.flatnonzero(mask[:, s]) for s in range(kernel.num_states)]
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            policy = PolicyTable([rng.choice(c) for c in choices])
+            try:
+                sol = policy_evaluation(policy, kernel, costs)
+            except SingularPolicyError:
+                continue
+            assert bellman_residual(sol, kernel, costs, policy=policy) <= 1e-9
+        captured = capfd.readouterr()
+        assert "illegal value" not in captured.out + captured.err
 
     def test_matches_dense_on_default_iterates(self, default_instance):
         _, _, _, _, kernel, costs = default_instance

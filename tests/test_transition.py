@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from pushmdp.model import (
+    NUM_ACTIONS,
     Action,
     SystemState,
     cumulative_popularity_table,
+    energy_spend,
     feasible_table,
     state_index,
+    state_table,
     zipf_pmf,
 )
 from pushmdp.transition import (
@@ -30,6 +34,117 @@ from conftest import make_instance, make_scenario
 # e^{-0.8} and 0.8 e^{-0.8}, evaluated independently
 P0_08 = 0.44932896411722156
 P1_08 = 0.35946317129377725
+
+
+def reference_rows(params, grid, popularity, arrival):
+    """{(s, a): (indices, probs)} from the per-(state, action) loop.
+
+    Reference for cross-checks only: the kernel builder replaced this loop
+    with shared template rows and must reproduce it bit for bit.
+    """
+    capacity = params.battery_levels
+    m1 = params.num_rings + 1
+    n1 = params.num_contents + 1
+    pop_cum = cumulative_popularity_table(popularity)
+    feasible = feasible_table(params, grid)
+    e_all, q_all, c_all = state_table(params)
+    request_rows = np.stack(
+        [request_row(c, pop_cum, grid, params.request_prob) for c in range(n1)]
+    )
+    energy_by_base = {}
+    for base in range(capacity + 1):
+        row = np.zeros(capacity + 1)
+        for nxt in range(base, capacity):
+            row[nxt] = arrival.probs[nxt - base]
+        gap = capacity - base
+        row[capacity] = 1.0 if gap == 0 else max(0.0, 1.0 - arrival.prefix(gap - 1))
+        energy_by_base[base] = row
+
+    rows = {}
+    for s in range(params.num_states):
+        e, q, c = int(e_all[s]), int(q_all[s]), int(c_all[s])
+        for a in range(NUM_ACTIONS):
+            if not feasible[a, s]:
+                continue
+            action = Action(a)
+            e_row = energy_by_base[e - energy_spend(action, q, grid)]
+            c_row = content_row(c, action, params)
+            e_nz = np.flatnonzero(e_row)
+            idx_parts = []
+            prob_parts = []
+            for c_next, pc in c_row.items():
+                q_row = request_rows[c_next]
+                q_nz = np.flatnonzero(q_row)
+                base_idx = (e_nz[:, None] * m1 + q_nz[None, :]) * n1 + c_next
+                probs = pc * e_row[e_nz][:, None] * q_row[q_nz][None, :]
+                idx_parts.append(base_idx.ravel())
+                prob_parts.append(probs.ravel())
+            idx = np.concatenate(idx_parts)
+            prob = np.concatenate(prob_parts)
+            order = np.argsort(idx, kind="stable")
+            rows[(s, a)] = (idx[order], prob[order])
+    return rows
+
+
+def reference_matrices(rows, num_states):
+    """Per-action CSR matrices assembled row by row from reference rows."""
+    matrices = []
+    for a in range(NUM_ACTIONS):
+        indptr = [0]
+        indices = [np.zeros(0, dtype=np.int64)]
+        data = [np.zeros(0)]
+        for s in range(num_states):
+            row = rows.get((s, a))
+            if row is not None:
+                indices.append(row[0])
+                data.append(row[1])
+            indptr.append(indptr[-1] + (0 if row is None else len(row[0])))
+        matrices.append(
+            csr_matrix(
+                (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)),
+                shape=(num_states, num_states),
+            )
+        )
+    return matrices
+
+
+def reference_text(rows):
+    """The kernel text dump written from reference rows."""
+    lines = []
+    for s, a in sorted(rows):
+        idx, p = rows[(s, a)]
+        entries = " ".join(f"{j}:{pj:.12g}" for j, pj in zip(idx, p))
+        lines.append(f"{s} {Action(a).name} {entries}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches_reference(**overrides):
+    params, _, grid, popularity = make_scenario(**overrides)
+    arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
+    kernel = build_kernel(params, grid, popularity, arrival)
+    rows = reference_rows(params, grid, popularity, arrival)
+    for a, expect in enumerate(reference_matrices(rows, params.num_states)):
+        got = kernel.action_matrix(Action(a))
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(got, name), getattr(expect, name)
+            assert x.dtype == y.dtype, (Action(a).name, name)
+            assert np.array_equal(x, y), (Action(a).name, name)
+    return kernel, rows
+
+
+def kernel_rows(kernel):
+    """(indices, probs) of every feasible (state, action) pair of a kernel."""
+    states, actions = np.nonzero(kernel.feasible_mask().T)
+    return [kernel.row(s, Action(a)) for s, a in zip(states, actions)]
+
+
+def tampered(kernel, action, edit):
+    """Copy of kernel whose action matrix has edit applied to row 0's data."""
+    matrices = list(kernel.matrices)
+    m = matrices[action].copy()
+    edit(m.data[m.indptr[0] : m.indptr[1]])
+    matrices[action] = m
+    return TransitionKernel(tuple(matrices))
 
 
 class TestPoissonPmf:
@@ -180,7 +295,7 @@ class TestBuildKernel:
     def test_default_rows_stochastic(self, default_instance):
         _, _, _, _, kernel, _ = default_instance
         assert kernel.num_states == 1680
-        for idx, prob in kernel.rows.values():
+        for idx, prob in kernel_rows(kernel):
             assert math.fsum(prob) == pytest.approx(1.0, abs=1e-12)
             assert np.all(prob > 0.0)
             assert np.all(np.diff(idx) > 0)
@@ -241,10 +356,26 @@ class TestBuildKernel:
     def test_restrict_drops_push(self, default_instance):
         _, _, _, _, kernel, _ = default_instance
         sub = kernel.restrict({Action.SLEEP, Action.UNICAST})
-        assert all(a != int(Action.PUSH) for _, a in sub.rows)
+        assert sub.action_matrix(Action.PUSH).nnz == 0
+        assert not sub.feasible_mask()[int(Action.PUSH)].any()
         assert sub.num_states == kernel.num_states
         with pytest.raises(ValueError):
             kernel.restrict({Action.PUSH})
+
+    def test_restrict_shares_kept_matrices(self, default_instance):
+        _, _, _, _, kernel, _ = default_instance
+        sub = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        for action in (Action.SLEEP, Action.UNICAST):
+            assert sub.action_matrix(action) is kernel.action_matrix(action)
+        assert sub.action_matrix(Action.PUSH).shape == (1680, 1680)
+
+    def test_matches_reference_on_default(self):
+        kernel, rows = assert_matches_reference()
+        # validate --dump-kernel writes this text
+        assert kernel.to_text() == reference_text(rows)
+
+    def test_matches_reference_at_scale(self):
+        assert_matches_reference(e_max=30, n_contents=40)
 
     def test_feasible_mask(self, default_instance):
         params, _, grid, _, kernel, _ = default_instance
@@ -286,22 +417,30 @@ class TestValidateKernel:
 
     def test_corrupted_row_flagged(self, default_instance):
         _, _, _, _, kernel, _ = default_instance
-        rows = dict(kernel.rows)
-        idx, prob = rows[(0, 0)]
-        rows[(0, 0)] = (idx, prob * 1.01)
-        bad = TransitionKernel(num_states=kernel.num_states, rows=rows)
-        report = validate_kernel(bad)
+
+        def scale(prob):
+            prob *= 1.01
+
+        report = validate_kernel(tampered(kernel, Action.SLEEP, scale))
         assert report.max_row_sum_deviation > 1e-3
 
     def test_negative_entry_flagged(self, default_instance):
         _, _, _, _, kernel, _ = default_instance
-        rows = dict(kernel.rows)
-        idx, prob = rows[(0, 0)]
-        tampered = prob.copy()
-        tampered[0] *= -1.0
-        rows[(0, 0)] = (idx, tampered)
-        bad = TransitionKernel(num_states=kernel.num_states, rows=rows)
+
+        def negate_first(prob):
+            prob[0] *= -1.0
+
+        bad = tampered(kernel, Action.SLEEP, negate_first)
         assert validate_kernel(bad).negative_entries == 1
+
+    def test_self_loop_does_not_count_as_entry(self):
+        # state 2 keeps itself by a self-loop but no other state leads to it
+        p = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
+        zero = csr_matrix((3, 3))
+        report = validate_kernel(TransitionKernel((csr_matrix(p), zero, zero)))
+        assert report.never_entered == (2,)
+        assert report.num_rows == 3
+        assert report.strong_components == 2
 
 
 @given(
@@ -316,7 +455,25 @@ def test_kernel_rows_stochastic_on_random_instances(e_max, n, m, p_c, p_u):
     _, _, _, _, kernel, _ = make_instance(
         e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
     )
-    for idx, prob in kernel.rows.values():
+    for idx, prob in kernel_rows(kernel):
         assert math.fsum(prob) == pytest.approx(1.0, abs=1e-12)
         assert np.all(prob >= 0.0)
         assert np.all(idx >= 0) and np.all(idx < kernel.num_states)
+
+
+# The ranges of test_kernel_rows_stochastic_on_random_instances, with the
+# boundary probabilities 0 and 1 drawn on purpose: they empty or fill a
+# content or request factor, which changes a template row's support.
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(
+    e_max=st.integers(0, 3),
+    n=st.integers(0, 3),
+    m=st.integers(1, 3),
+    p_c=PROBABILITY,
+    p_u=PROBABILITY,
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_on_random_instances(e_max, n, m, p_c, p_u):
+    assert_matches_reference(e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u)

@@ -31,6 +31,7 @@ from .solver import (
     ValueSolution,
     bellman_residual,
     brute_force_oracle,
+    evaluate_with_fallback,
     policy_evaluation,
     policy_improvement,
     policy_iteration,
@@ -73,6 +74,7 @@ __all__ = [
     "cumulative_popularity",
     "non_push_optimal",
     "policy_evaluation",
+    "evaluate_with_fallback",
     "policy_improvement",
     "policy_iteration",
     "relative_value_iteration",

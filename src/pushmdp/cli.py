@@ -36,13 +36,12 @@ from .sim import (
 )
 from .solver import (
     ConvergenceError,
-    SingularPolicyError,
     bellman_residual,
     brute_force_oracle,
-    policy_evaluation,
+    evaluate_with_fallback,
     policy_iteration,
-    relative_value_iteration,
 )
+from .solver import policy_evaluation  # noqa: F401  bench/selftest.py looks it up here
 from .transition import ArrivalPmf, build_kernel, validate_kernel
 
 __all__ = ["main", "load_settings", "build_scenario", "ConfigError", "DEFAULTS"]
@@ -240,6 +239,7 @@ def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> i
         "energy_overflow_units",
     ):
         lines.append(f"# {field} = {getattr(metrics, field)}")
+    lines.append(f"# periods_per_s = {metrics.periods_per_s:.4g}")
     lines.append("policy p_u p_c a_bar ratio se K seed")
     lines.append(
         f"{policy_name} {params.request_prob:.17g} {params.content_replace_prob:.17g} "
@@ -347,10 +347,7 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
 
     nonpush = non_push_optimal(kernel, costs)
     greedy = unicast_priority_table(params, grid)
-    try:
-        greedy_gain = policy_evaluation(greedy, kernel, costs).gain
-    except SingularPolicyError:
-        greedy_gain = relative_value_iteration(kernel, costs, policy=greedy).gain
+    greedy_gain = evaluate_with_fallback(greedy, kernel, costs).gain
     named = [
         ("optimal-push", result.policy, result.values.gain),
         ("non-push", nonpush.policy, nonpush.values.gain),

@@ -7,6 +7,16 @@ averages.  Per period: observe the state, apply the policy, accrue the
 macro-handling cost, then sample harvest arrivals, content replacement and
 the next request.
 
+Draws come in blocks of ``_BLOCK`` periods, six arrays per block in a fixed
+order (arrivals, replacement, eviction, request, hit, ring), so a seed fixes
+every trajectory.  Each block is first reduced, vectorized, to per-period
+integer thresholds on the pushed count (see ``_Draws``): evict iff
+c >= drop_min, hit iff c' >= hit_min, else observe ring miss_q.  Per-state
+tables built once per run give the post-spend battery and the post-push count
+under the policy, so the Python loop is only the recurrence s -> s' on plain
+ints.  Counters, recorded arrays and the feasibility check are computed per
+chunk of visited states afterwards.
+
 Requests generated at the end of period k are observed (and possibly
 handed to the macro cell) in period k+1; counters attribute them to the
 observation period so that macro_handled <= requests_generated holds within
@@ -14,8 +24,9 @@ any measurement window.
 """
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +37,14 @@ from .model import (
     SystemState,
     cumulative_popularity_table,
     energy_spend,
+    feasible_actions,
+    feasible_table,
     stage_cost_table,
+    state_table,
 )
 from .policies import non_push_optimal, unicast_priority_table
-from .solver import (
-    PolicyTable,
-    SingularPolicyError,
-    policy_evaluation,
-    policy_iteration,
-    relative_value_iteration,
-)
+from .solver import PolicyTable, evaluate_with_fallback, policy_iteration
+from .solver import policy_evaluation  # noqa: F401  bench/selftest.py looks it up here
 from .transition import ArrivalPmf, build_kernel
 
 __all__ = [
@@ -50,6 +59,8 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 18
+# periods per list conversion: bounds the Python ints alive at once
+_CHUNK = 1 << 13
 
 BASELINE_NAMES = ("optimal-push", "non-push", "unicast-priority")
 
@@ -84,6 +95,8 @@ class SimMetrics:
 
     Rates are per measured period; standard errors come from batch means,
     which absorb the serial correlation of the underlying chain.
+    ``periods_per_s`` is the run's simulated periods per wall-clock second;
+    it varies between identical runs, so equality ignores it.
     """
 
     total_periods: int
@@ -102,6 +115,7 @@ class SimMetrics:
     overflow_rate_se: float
     seed: int
     warmup: int
+    periods_per_s: float = field(compare=False)
 
 
 def _batch_se(series: np.ndarray, batches: int) -> float:
@@ -132,6 +146,47 @@ def _resolve_policy(
     raise ValueError(f"unknown policy name {policy!r}; known: {BASELINE_NAMES}")
 
 
+class _Draws(NamedTuple):
+    """One run of periods reduced to integer thresholds on the pushed count.
+
+    A pushed content is evicted iff the current count c >= ``drop_min``; a
+    request is a cache hit iff next period's count c' >= ``hit_min``;
+    ``miss_q`` is the ring observed on a miss (0 when nothing is requested).
+    """
+
+    arrivals: np.ndarray
+    requested: np.ndarray
+    drop_min: np.ndarray
+    hit_min: np.ndarray
+    miss_q: np.ndarray
+
+
+def _draw(rng, count: int, params: SystemParams, grid: DistanceGrid, pop_cum) -> _Draws:
+    """Take ``count`` periods of draws, in the fixed order, as thresholds.
+
+    The eviction table c/N is nondecreasing.  The popularity table is too up
+    to its first share that rounds to 1 or above, and every later entry is at
+    least 1, above any uniform draw in [0, 1).  So for every draw the test is
+    monotone in the count: ``c >= drop_min`` is exactly ``evict < c/N`` and
+    ``c' >= hit_min`` exactly ``hitu < pop_cum[c']``.
+    """
+    n = params.num_contents
+    evict_thresh = np.arange(n + 1) / n if n else np.zeros(1)
+    # each draw is reduced in place as soon as it is taken; the order is fixed
+    arr = rng.poisson(params.mean_arrival, count)
+    replaced = rng.random(count) < params.content_replace_prob
+    drop_min = np.searchsorted(evict_thresh, rng.random(count), side="right")
+    drop_min[~replaced] = n + 1
+    requested = rng.random(count) < params.request_prob
+    hit_min = np.searchsorted(pop_cum, rng.random(count), side="right")
+    ring_cum = np.cumsum(grid.ring_probs)
+    miss_q = np.searchsorted(ring_cum, rng.random(count), side="right")
+    np.minimum(miss_q, grid.num_rings - 1, out=miss_q)
+    miss_q += 1
+    miss_q[~requested] = 0
+    return _Draws(arr, requested, drop_min, hit_min, miss_q)
+
+
 def simulate(
     config: SimConfig,
     params: SystemParams,
@@ -148,6 +203,7 @@ def simulate(
     table = _resolve_policy(config.policy, params, grid, popularity)
     if len(table) != params.num_states:
         raise ValueError("policy table size does not match the state space")
+    start = time.perf_counter()
     actions = table.actions
     horizon, warmup = config.horizon, config.warmup
     n_meas = horizon - warmup
@@ -155,92 +211,89 @@ def simulate(
     m1 = params.num_rings + 1
     n1 = params.num_contents + 1
     cap = params.battery_levels
-    n_cont = params.num_contents
-    p_c = params.content_replace_prob
-    p_u = params.request_prob
-    l_cost = grid.unicast_costs
-    l_push = grid.push_cost
     pop_cum = cumulative_popularity_table(popularity)
-    ring_cum = np.cumsum(grid.ring_probs).tolist()
-    m_rings = grid.num_rings
-    # eviction threshold: replacement removes a pushed content w.p. C/N
-    evict_thresh = [c / n_cont if n_cont else 0.0 for c in range(n_cont + 1)]
+
+    # Per-state tables under the policy.  An infeasible state steps like a
+    # sleep so the loop stays inside the state space; the chunk check raises
+    # at its first visit.
+    e_tab, q_tab, c_tab = state_table(params)
+    states = np.arange(params.num_states)
+    feasible = feasible_table(params, grid)[actions, states]
+    spend = np.array([[energy_spend(a, r, grid) for r in range(m1)] for a in Action])
+    spent = np.where(feasible, spend[actions, q_tab], 0)
+    pushed_next = c_tab + (feasible & (actions == Action.PUSH))
+    post_spend = e_tab - spent
+    macro_tab = stage_cost_table(params)[actions, states].astype(np.uint8)
+    # battery terms are pre-scaled by the index stride of E, so the loop forms
+    # s' = E'*stride + Q'*(N+1) + C' without multiplying
+    stride = m1 * n1
+    bw_list = (post_spend * stride).tolist()
+    c_list = c_tab.tolist()
+    c1_list = pushed_next.tolist()
+    cap_w = cap * stride
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
 
     macro_ind = np.zeros(n_meas, dtype=np.uint8)
     req_ind = np.zeros(n_meas, dtype=np.uint8)
     hit_ind = np.zeros(n_meas, dtype=np.uint8)
-    over_ind = np.zeros(n_meas, dtype=np.int16)
+    over_ind = np.zeros(n_meas, dtype=np.int32)
     if record:
         rec_states = np.zeros(horizon, dtype=np.int32)
         rec_actions = np.zeros(horizon, dtype=np.int8)
 
-    e = q = c = 0
-    req_flag = hit_flag = False
-    sleep, unicast, push = int(Action.SLEEP), int(Action.UNICAST), int(Action.PUSH)
-
-    k = 0
-    while k < horizon:
+    s = 0
+    req_prev = False
+    for k in range(0, horizon, _BLOCK):
         blk = min(_BLOCK, horizon - k)
-        arr_blk = rng.poisson(params.mean_arrival, blk)
-        repl_blk = rng.random(blk)
-        evict_blk = rng.random(blk)
-        requ_blk = rng.random(blk)
-        hitu_blk = rng.random(blk)
-        ringu_blk = rng.random(blk)
-        for i in range(blk):
-            kk = k + i
-            j = kk - warmup
-            if j >= 0:
-                if req_flag:
-                    req_ind[j] = 1
-                    if hit_flag:
-                        hit_ind[j] = 1
-            a = actions[(e * m1 + q) * n1 + c]
-            if a == unicast:
-                if q < 1 or l_cost[q] > e:
-                    raise SimulationError(
-                        f"period {kk}: unicast infeasible in state ({e},{q},{c})"
-                    )
-                spent = l_cost[q]
-            elif a == push:
-                if l_push > e or c >= n_cont:
-                    raise SimulationError(
-                        f"period {kk}: push infeasible in state ({e},{q},{c})"
-                    )
-                spent = l_push
-            else:
-                spent = 0
-            if record:
-                rec_states[kk] = (e * m1 + q) * n1 + c
-                rec_actions[kk] = a
-            if q > 0 and a != unicast and j >= 0:
-                macro_ind[j] = 1
-
-            dropped = repl_blk[i] < p_c and evict_blk[i] < evict_thresh[c]
-            c_next = c + (1 if a == push else 0) - (1 if dropped else 0)
-            raw = e - spent + int(arr_blk[i])
-            e_next = raw if raw < cap else cap
-            if j >= 0:
-                over_ind[j] = raw - e_next
-            if requ_blk[i] < p_u:
-                req_flag = True
-                if hitu_blk[i] < pop_cum[c_next]:
-                    hit_flag = True
-                    q_next = 0
-                else:
-                    hit_flag = False
-                    ring = bisect.bisect_right(ring_cum, ringu_blk[i])
-                    q_next = (ring if ring < m_rings else m_rings - 1) + 1
-            else:
-                req_flag = hit_flag = False
-                q_next = 0
+        d = _draw(rng, blk, params, grid, pop_cum)
+        for lo in range(0, blk, _CHUNK):
+            hi = min(lo + _CHUNK, blk)
+            visited = []
+            visit = visited.append
+            for aw, dmin, hmin, mw in zip(
+                (d.arrivals[lo:hi] * stride).tolist(),
+                d.drop_min[lo:hi].tolist(),
+                d.hit_min[lo:hi].tolist(),
+                (d.miss_q[lo:hi] * n1).tolist(),
+            ):
+                visit(s)
+                cn = c1_list[s] - (c_list[s] >= dmin)
+                ew = bw_list[s] + aw
+                if ew > cap_w:
+                    ew = cap_w
+                s = ew + cn if cn >= hmin else ew + cn + mw
+            st = np.array(visited)
+            k0 = k + lo
+            bad = ~feasible[st]
+            if bad.any():
+                i = int(np.argmax(bad))
+                x = st[i]
+                raise SimulationError(
+                    f"period {k0 + i}: {Action(actions[x]).name.lower()} infeasible "
+                    f"in state ({e_tab[x]},{q_tab[x]},{c_tab[x]})"
+                )
             if config.debug:
-                assert 0 <= e_next <= cap and 0 <= c_next <= n_cont
-                assert 0 <= q_next <= m_rings
-            e, q, c = e_next, q_next, c_next
-        k += blk
+                _check_bounds(st, k0, params, e_tab, q_tab, c_tab)
+            if record:
+                rec_states[k0 : k0 + len(st)] = st
+                rec_actions[k0 : k0 + len(st)] = actions[st]
+            # requests drawn in period k are observed in period k + 1
+            req_obs = np.concatenate(([req_prev], d.requested[lo : hi - 1]))
+            req_prev = bool(d.requested[hi - 1])
+            skip = max(warmup - k0, 0)
+            if skip < len(st):
+                j = slice(k0 + skip - warmup, k0 + len(st) - warmup)
+                st_m = st[skip:]
+                req_m = req_obs[skip:]
+                macro_ind[j] = macro_tab[st_m]
+                req_ind[j] = req_m
+                # a miss always leaves a request ring, so Q = 0 means a hit
+                hit_ind[j] = req_m & (q_tab[st_m] == 0)
+                over_ind[j] = np.maximum(
+                    post_spend[st_m] + d.arrivals[lo + skip : hi] - cap, 0
+                )
+        del d  # free this block's draws before the next block is taken
 
     metrics = SimMetrics(
         total_periods=horizon,
@@ -259,10 +312,30 @@ def simulate(
         overflow_rate_se=_batch_se(over_ind, config.batches),
         seed=config.seed,
         warmup=warmup,
+        periods_per_s=horizon / (time.perf_counter() - start),
     )
     if record:
         return metrics, (rec_states, rec_actions)
     return metrics
+
+
+def _check_bounds(st, k0, params, e_tab, q_tab, c_tab) -> None:
+    """Debug check: every visited state decodes to components in range."""
+    inside = (st >= 0) & (st < params.num_states)
+    x = np.where(inside, st, 0)
+    e, q, c = e_tab[x], q_tab[x], c_tab[x]
+    bad = (
+        ~inside
+        | (e < 0) | (e > params.battery_levels)
+        | (q < 0) | (q > params.num_rings)
+        | (c < 0) | (c > params.num_contents)
+    )
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SimulationError(
+            f"period {k0 + i}: state {st[i]} decodes to ({e[i]},{q[i]},{c[i]}), "
+            "outside the state space"
+        )
 
 
 def sample_transitions(
@@ -276,37 +349,18 @@ def sample_transitions(
 ) -> np.ndarray:
     """Sample next-state indices of one fixed (state, action) pair.
 
-    Uses the same generative draws as the trajectory simulator, vectorized;
-    this is the independent check against the analytic kernel rows.
+    Uses the same generative draws and thresholds as the trajectory
+    simulator, vectorized; this is the independent check against the
+    analytic kernel rows.
     """
-    spent = energy_spend(action, state.request, grid)
-    if spent > state.battery:
+    if action not in feasible_actions(state, grid, params):
         raise SimulationError(f"{action.name} infeasible in {state}")
-    if action == Action.PUSH and state.pushed >= params.num_contents:
-        raise SimulationError(f"push infeasible in {state}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    cap = params.battery_levels
-    n_cont = params.num_contents
-    pop_cum = cumulative_popularity_table(popularity)
-    ring_cum = np.cumsum(grid.ring_probs)
-
-    arr = rng.poisson(params.mean_arrival, count)
-    repl = rng.random(count)
-    evict = rng.random(count)
-    requ = rng.random(count)
-    hitu = rng.random(count)
-    ringu = rng.random(count)
-
-    thresh = state.pushed / n_cont if n_cont else 0.0
-    dropped = (repl < params.content_replace_prob) & (evict < thresh)
-    c_next = state.pushed + (1 if action == Action.PUSH else 0) - dropped.astype(int)
-    e_next = np.minimum(cap, state.battery - spent + arr)
-    hit = hitu < pop_cum[c_next]
-    req = requ < params.request_prob
-    ring = np.minimum(
-        np.searchsorted(ring_cum, ringu, side="right"), grid.num_rings - 1
-    ) + 1
-    q_next = np.where(req & ~hit, ring, 0)
+    d = _draw(rng, count, params, grid, cumulative_popularity_table(popularity))
+    spent = energy_spend(action, state.request, grid)
+    c_next = state.pushed + (action == Action.PUSH) - (state.pushed >= d.drop_min)
+    e_next = np.minimum(params.battery_levels, state.battery - spent + d.arrivals)
+    q_next = np.where(c_next >= d.hit_min, 0, d.miss_q)
     m1 = params.num_rings + 1
     n1 = params.num_contents + 1
     return ((e_next * m1 + q_next) * n1 + c_next).astype(np.int64)
@@ -325,13 +379,6 @@ class SweepRow:
     ratio_solver: float
     horizon: int
     seed: int
-
-
-def _policy_gain(kernel, costs, table: PolicyTable) -> float:
-    try:
-        return policy_evaluation(table, kernel, costs).gain
-    except SingularPolicyError:
-        return relative_value_iteration(kernel, costs, policy=table).gain
 
 
 def sweep(
@@ -375,7 +422,8 @@ def sweep(
                 tables[name], gains[name] = res.policy, res.values.gain
             elif name == "unicast-priority":
                 t = unicast_priority_table(pp, grid)
-                tables[name], gains[name] = t, _policy_gain(kernel, costs, t)
+                tables[name] = t
+                gains[name] = evaluate_with_fallback(t, kernel, costs).gain
             else:
                 raise ValueError(
                     f"unknown policy name {name!r}; known: {BASELINE_NAMES}"

@@ -27,6 +27,7 @@ __all__ = [
     "SingularPolicyError",
     "ConvergenceError",
     "policy_evaluation",
+    "evaluate_with_fallback",
     "policy_improvement",
     "policy_iteration",
     "PolicyIterationResult",
@@ -164,6 +165,27 @@ def policy_evaluation(
     return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
 
 
+def evaluate_with_fallback(
+    policy: PolicyTable,
+    kernel: TransitionKernel,
+    costs: np.ndarray,
+    ref_state: int = 0,
+) -> ValueSolution:
+    """Gain and values of a fixed policy.
+
+    Runs policy_evaluation and, when it raises SingularPolicyError, damped
+    relative value iteration restricted to the policy instead; that still
+    raises ConvergenceError when closed classes of the chain differ in gain.
+    """
+    try:
+        return policy_evaluation(policy, kernel, costs, ref_state)
+    except SingularPolicyError:
+        return relative_value_iteration(
+            kernel, costs, tol=1e-10, max_iter=500_000,
+            ref_state=ref_state, policy=policy,
+        )
+
+
 def _closed_classes(p: csr_matrix) -> int:
     """Classes of the chain p that no positive entry leaves (unichain: one)."""
     p.eliminate_zeros()
@@ -220,13 +242,7 @@ def policy_iteration(
     trace: list[float] = []
     prev_gain = None
     for _ in range(max_iter):
-        try:
-            sol = policy_evaluation(policy, kernel, costs, ref_state)
-        except SingularPolicyError:
-            sol = relative_value_iteration(
-                kernel, costs, tol=1e-10, max_iter=500_000,
-                ref_state=ref_state, policy=policy,
-            )
+        sol = evaluate_with_fallback(policy, kernel, costs, ref_state)
         trace.append(sol.gain)
         improved = policy_improvement(sol, kernel, costs)
         if improved == policy:

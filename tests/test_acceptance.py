@@ -20,12 +20,10 @@ from pushmdp.policies import (
 )
 from pushmdp.sim import SimConfig, simulate
 from pushmdp.solver import (
-    SingularPolicyError,
     bellman_residual,
     brute_force_oracle,
-    policy_evaluation,
+    evaluate_with_fallback,
     policy_iteration,
-    relative_value_iteration,
 )
 from pushmdp.transition import validate_kernel
 
@@ -34,13 +32,6 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def _policy_gain(table, kernel, costs) -> float:
-    try:
-        return policy_evaluation(table, kernel, costs).gain
-    except SingularPolicyError:
-        return relative_value_iteration(kernel, costs, policy=table).gain
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +80,13 @@ def test_criterion_2_reduction_at_full_load(capsys, high_load):
 def test_criterion_3_greedy_baseline_ordering(capsys, low_load, high_load):
     params_lo, _, grid_lo, _, kernel_lo, costs_lo = low_load
     opt_lo = policy_iteration(kernel_lo, costs_lo).values.gain
-    greedy_lo = _policy_gain(
+    greedy_lo = evaluate_with_fallback(
         unicast_priority_table(params_lo, grid_lo), kernel_lo, costs_lo
-    )
+    ).gain
     params_hi, _, grid_hi, _, kernel_hi, costs_hi = high_load
-    greedy_hi = _policy_gain(
+    greedy_hi = evaluate_with_fallback(
         unicast_priority_table(params_hi, grid_hi), kernel_hi, costs_hi
-    )
+    ).gain
     nonpush_hi = non_push_optimal(kernel_hi, costs_hi).values.gain
     near_optimal = greedy_lo <= 1.10 * opt_lo
     worse_than_nonpush = greedy_hi > nonpush_hi
@@ -139,7 +130,11 @@ def test_criterion_5_solver_simulator_agreement(
     named = [
         ("optimal-push", default_solution.policy, default_solution.values.gain),
         ("non-push", default_nonpush.policy, default_nonpush.values.gain),
-        ("unicast-priority", default_greedy, _policy_gain(default_greedy, kernel, costs)),
+        (
+            "unicast-priority",
+            default_greedy,
+            evaluate_with_fallback(default_greedy, kernel, costs).gain,
+        ),
     ]
     parts = []
     ok = True

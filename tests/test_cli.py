@@ -137,6 +137,7 @@ class TestSimulateCommand:
         assert code == 0
         text = (out / "metrics.txt").read_text()
         assert "policy p_u p_c a_bar ratio se K seed" in text
+        assert float(text.split("# periods_per_s = ")[1].split()[0]) > 0
         row = text.strip().splitlines()[-1].split()
         assert row[0] == "unicast-priority"
         assert row[-1] == "5"

@@ -1,12 +1,28 @@
 """Trajectory simulation: determinism, agreement with the kernel, sweeps."""
+import bisect
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from pushmdp.model import Action, SystemState, state_index
+from pushmdp import sim
+from pushmdp.model import (
+    Action,
+    SystemState,
+    cumulative_popularity_table,
+    energy_spend,
+    feasible_table,
+    state_index,
+)
+from pushmdp.policies import unicast_priority_table
 from pushmdp.sim import (
     SimConfig,
+    SimMetrics,
     SimulationError,
+    _batch_se,
     sample_transitions,
     simulate,
     sweep,
@@ -14,6 +30,181 @@ from pushmdp.sim import (
 from pushmdp.solver import PolicyTable
 
 from conftest import make_instance, make_scenario
+
+REFERENCE_BLOCK = 1 << 18
+
+
+def reference_simulate(config, params, grid, popularity, record=False):
+    """The per-period loop that the table-driven simulator replaced.
+
+    Reference for cross-checks only: it draws the same blocks in the same
+    order and steps one period at a time with scalar reads, ``bisect`` and
+    inline feasibility checks.  ``config.policy`` must be a PolicyTable.
+    """
+    actions = config.policy.actions
+    horizon, warmup = config.horizon, config.warmup
+    n_meas = horizon - warmup
+
+    m1 = params.num_rings + 1
+    n1 = params.num_contents + 1
+    cap = params.battery_levels
+    n_cont = params.num_contents
+    p_c = params.content_replace_prob
+    p_u = params.request_prob
+    l_cost = grid.unicast_costs
+    l_push = grid.push_cost
+    pop_cum = cumulative_popularity_table(popularity)
+    ring_cum = np.cumsum(grid.ring_probs).tolist()
+    m_rings = grid.num_rings
+    evict_thresh = [c / n_cont if n_cont else 0.0 for c in range(n_cont + 1)]
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+
+    macro_ind = np.zeros(n_meas, dtype=np.uint8)
+    req_ind = np.zeros(n_meas, dtype=np.uint8)
+    hit_ind = np.zeros(n_meas, dtype=np.uint8)
+    over_ind = np.zeros(n_meas, dtype=np.int16)
+    rec_states = np.zeros(horizon, dtype=np.int32)
+    rec_actions = np.zeros(horizon, dtype=np.int8)
+
+    e = q = c = 0
+    req_flag = hit_flag = False
+    unicast, push = int(Action.UNICAST), int(Action.PUSH)
+
+    k = 0
+    while k < horizon:
+        blk = min(REFERENCE_BLOCK, horizon - k)
+        arr_blk = rng.poisson(params.mean_arrival, blk)
+        repl_blk = rng.random(blk)
+        evict_blk = rng.random(blk)
+        requ_blk = rng.random(blk)
+        hitu_blk = rng.random(blk)
+        ringu_blk = rng.random(blk)
+        for i in range(blk):
+            kk = k + i
+            j = kk - warmup
+            if j >= 0:
+                if req_flag:
+                    req_ind[j] = 1
+                    if hit_flag:
+                        hit_ind[j] = 1
+            a = actions[(e * m1 + q) * n1 + c]
+            if a == unicast:
+                if q < 1 or l_cost[q] > e:
+                    raise SimulationError(
+                        f"period {kk}: unicast infeasible in state ({e},{q},{c})"
+                    )
+                spent = l_cost[q]
+            elif a == push:
+                if l_push > e or c >= n_cont:
+                    raise SimulationError(
+                        f"period {kk}: push infeasible in state ({e},{q},{c})"
+                    )
+                spent = l_push
+            else:
+                spent = 0
+            rec_states[kk] = (e * m1 + q) * n1 + c
+            rec_actions[kk] = a
+            if q > 0 and a != unicast and j >= 0:
+                macro_ind[j] = 1
+
+            dropped = repl_blk[i] < p_c and evict_blk[i] < evict_thresh[c]
+            c_next = c + (1 if a == push else 0) - (1 if dropped else 0)
+            raw = e - spent + int(arr_blk[i])
+            e_next = raw if raw < cap else cap
+            if j >= 0:
+                over_ind[j] = raw - e_next
+            if requ_blk[i] < p_u:
+                req_flag = True
+                if hitu_blk[i] < pop_cum[c_next]:
+                    hit_flag = True
+                    q_next = 0
+                else:
+                    hit_flag = False
+                    ring = bisect.bisect_right(ring_cum, ringu_blk[i])
+                    q_next = (ring if ring < m_rings else m_rings - 1) + 1
+            else:
+                req_flag = hit_flag = False
+                q_next = 0
+            e, q, c = e_next, q_next, c_next
+        k += blk
+
+    metrics = SimMetrics(
+        total_periods=horizon,
+        measured_periods=n_meas,
+        requests_generated=int(req_ind.sum()),
+        macro_handled=int(macro_ind.sum()),
+        cache_hits=int(hit_ind.sum()),
+        energy_overflow_units=int(over_ind.sum()),
+        macro_ratio=float(macro_ind.mean()),
+        macro_ratio_se=_batch_se(macro_ind, config.batches),
+        request_rate=float(req_ind.mean()),
+        request_rate_se=_batch_se(req_ind, config.batches),
+        hit_rate=float(hit_ind.mean()),
+        hit_rate_se=_batch_se(hit_ind, config.batches),
+        overflow_rate=float(over_ind.mean()),
+        overflow_rate_se=_batch_se(over_ind, config.batches),
+        seed=config.seed,
+        warmup=warmup,
+        periods_per_s=float("nan"),
+    )
+    if record:
+        return metrics, (rec_states, rec_actions)
+    return metrics
+
+
+def reference_sample_transitions(state, action, count, params, grid, popularity,
+                                 seed=0):
+    """Next-state sampler with the inline comparisons the thresholds replaced."""
+    spent = energy_spend(action, state.request, grid)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    cap = params.battery_levels
+    n_cont = params.num_contents
+    pop_cum = cumulative_popularity_table(popularity)
+    ring_cum = np.cumsum(grid.ring_probs)
+
+    arr = rng.poisson(params.mean_arrival, count)
+    repl = rng.random(count)
+    evict = rng.random(count)
+    requ = rng.random(count)
+    hitu = rng.random(count)
+    ringu = rng.random(count)
+
+    thresh = state.pushed / n_cont if n_cont else 0.0
+    dropped = (repl < params.content_replace_prob) & (evict < thresh)
+    c_next = state.pushed + (1 if action == Action.PUSH else 0) - dropped.astype(int)
+    e_next = np.minimum(cap, state.battery - spent + arr)
+    hit = hitu < pop_cum[c_next]
+    req = requ < params.request_prob
+    ring = np.minimum(
+        np.searchsorted(ring_cum, ringu, side="right"), grid.num_rings - 1
+    ) + 1
+    q_next = np.where(req & ~hit, ring, 0)
+    m1 = params.num_rings + 1
+    n1 = params.num_contents + 1
+    return ((e_next * m1 + q_next) * n1 + c_next).astype(np.int64)
+
+
+def random_feasible_policy(params, grid, seed) -> PolicyTable:
+    mask = feasible_table(params, grid)
+    rng = np.random.default_rng(seed)
+    return PolicyTable(
+        [rng.choice(np.flatnonzero(mask[:, s])) for s in range(params.num_states)]
+    )
+
+
+def assert_matches_reference(config, params, grid, pop):
+    metrics, (states, actions) = simulate(config, params, grid, pop, record=True)
+    ref, (ref_states, ref_actions) = reference_simulate(
+        config, params, grid, pop, record=True
+    )
+    # repr tells apart 0.0 and -0.0, and Python from numpy scalars
+    for f in fields(SimMetrics):
+        if f.compare:
+            assert repr(getattr(metrics, f.name)) == repr(getattr(ref, f.name)), f.name
+    np.testing.assert_array_equal(states, ref_states)
+    np.testing.assert_array_equal(actions, ref_actions)
+    assert states.dtype == ref_states.dtype and actions.dtype == ref_actions.dtype
 
 
 class TestSimConfigValidation:
@@ -98,6 +289,38 @@ class TestSimulate:
             params, grid, pop,
         )
 
+    def test_debug_check_fires_on_tampered_table(self, monkeypatch, default_scenario,
+                                                  default_greedy):
+        params, _, grid, pop = default_scenario
+        state_table = sim.state_table
+
+        def tampered(p):
+            e, q, c = state_table(p)
+            return e + p.battery_levels + 1, q, c
+
+        monkeypatch.setattr("pushmdp.sim.state_table", tampered)
+        config = SimConfig(policy=default_greedy, horizon=5_000, warmup=100)
+        simulate(config, params, grid, pop)
+        with pytest.raises(SimulationError, match="period 0: .*outside the state"):
+            simulate(replace(config, debug=True), params, grid, pop)
+
+    def test_large_overflow_counted(self):
+        # about 40,000 units spill per period, beyond a 16-bit counter
+        params, _, grid, pop = make_scenario(a_bar=40_000.0)
+        m = simulate(
+            SimConfig(policy="unicast-priority", horizon=2_000, warmup=10),
+            params, grid, pop,
+        )
+        assert m.overflow_rate > 39_000
+
+    def test_reports_throughput(self, default_scenario, default_greedy):
+        params, _, grid, pop = default_scenario
+        m = simulate(
+            SimConfig(policy=default_greedy, horizon=20_000, warmup=500),
+            params, grid, pop,
+        )
+        assert np.isfinite(m.periods_per_s) and m.periods_per_s > 0
+
     def test_named_policy_matches_table(self, default_scenario, default_greedy):
         params, _, grid, pop = default_scenario
         by_name = simulate(
@@ -129,6 +352,109 @@ class TestSimulate:
         assert set(np.unique(actions)) <= {0, 1, 2}
 
 
+# Edge scenarios: boundary probabilities, no catalog, an empty battery, one
+# ring, a scenario large enough for several pushed-count thresholds, and a
+# Zipf catalog whose cumulative shares round above 1 before the last content.
+EDGE_SCENARIOS = [
+    dict(p_c=0.0),
+    dict(p_c=1.0),
+    dict(p_u=0.0),
+    dict(p_u=1.0),
+    dict(n_contents=0),
+    dict(e_max=0),
+    dict(m_rings=1),
+    dict(e_max=3, n_contents=2, m_rings=1),
+    dict(e_max=30, n_contents=40),
+    dict(n_contents=86, zipf_skew=7.95),
+]
+
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestMatchesReferenceLoop:
+    def test_default_policies(self, default_scenario, default_solution,
+                              default_nonpush, default_greedy):
+        params, _, grid, pop = default_scenario
+        for table in (default_solution.policy, default_nonpush.policy,
+                      default_greedy):
+            config = SimConfig(policy=table, horizon=70_000, seed=3, warmup=0)
+            assert_matches_reference(config, params, grid, pop)
+
+    # horizons and warm-ups on and next to the draw-block boundary (2^18)
+    @pytest.mark.parametrize(
+        "horizon, warmup",
+        [
+            (1_000_000, 10_000),
+            (600_000, 1),
+            (300_000, 262_144),
+            (524_289, 262_145),
+        ],
+    )
+    def test_block_boundaries(self, default_scenario, default_solution,
+                              horizon, warmup):
+        params, _, grid, pop = default_scenario
+        config = SimConfig(
+            policy=default_solution.policy, horizon=horizon, seed=8, warmup=warmup
+        )
+        assert_matches_reference(config, params, grid, pop)
+
+    @pytest.mark.parametrize("overrides", EDGE_SCENARIOS)
+    def test_edge_scenarios(self, overrides):
+        params, _, grid, pop = make_scenario(**overrides)
+        for table in (unicast_priority_table(params, grid),
+                      random_feasible_policy(params, grid, seed=1)):
+            config = SimConfig(policy=table, horizon=20_000, seed=6, warmup=300)
+            assert_matches_reference(config, params, grid, pop)
+
+    @given(
+        e_max=st.integers(0, 6),
+        n=st.integers(0, 5),
+        m=st.integers(1, 3),
+        p_c=PROBABILITY,
+        p_u=PROBABILITY,
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1_000, 20_000),
+        warmup=st.integers(0, 999),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_instances(self, e_max, n, m, p_c, p_u, seed, horizon, warmup):
+        params, _, grid, pop = make_scenario(
+            e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
+        )
+        config = SimConfig(
+            policy=random_feasible_policy(params, grid, seed),
+            horizon=horizon,
+            seed=seed,
+            warmup=warmup,
+        )
+        assert_matches_reference(config, params, grid, pop)
+
+    def test_same_error_mid_trajectory(self, default_scenario, default_greedy):
+        params, _, grid, pop = default_scenario
+        _, (states, _) = simulate(
+            SimConfig(policy=default_greedy, horizon=100_000, seed=4, warmup=0),
+            params, grid, pop, record=True,
+        )
+        # the first state first visited after period 50,000 that has an
+        # infeasible action gets that action
+        mask = feasible_table(params, grid)
+        visited, first = np.unique(states, return_index=True)
+        late = [(k, s) for s, k in zip(visited, first)
+                if k > 50_000 and not mask[:, s].all()]
+        period, state = min(late)
+        actions = default_greedy.actions.copy()
+        actions[state] = np.flatnonzero(~mask[:, state])[0]
+        config = SimConfig(
+            policy=PolicyTable(actions), horizon=100_000, seed=4, warmup=0
+        )
+        with pytest.raises(SimulationError) as new:
+            simulate(config, params, grid, pop)
+        with pytest.raises(SimulationError) as ref:
+            reference_simulate(config, params, grid, pop)
+        assert str(new.value) == str(ref.value)
+        assert str(new.value).startswith(f"period {period}: ")
+
+
 class TestAgreementWithKernel:
     def test_sampled_transitions_match_rows(self, default_instance):
         params, _, grid, pop, kernel, _ = default_instance
@@ -141,6 +467,12 @@ class TestAgreementWithKernel:
         for state, action in cases:
             samples = sample_transitions(
                 state, action, n, params, grid, pop, seed=77
+            )
+            np.testing.assert_array_equal(
+                samples,
+                reference_sample_transitions(
+                    state, action, n, params, grid, pop, seed=77
+                ),
             )
             counts = np.bincount(samples, minlength=params.num_states)
             idx, prob = kernel.row(state_index(state, params), action)

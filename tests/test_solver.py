@@ -13,6 +13,7 @@ from pushmdp.solver import (
     ValueSolution,
     bellman_residual,
     brute_force_oracle,
+    evaluate_with_fallback,
     policy_evaluation,
     policy_improvement,
     policy_iteration,
@@ -310,6 +311,21 @@ class TestPolicyIteration:
         # evaluated gain is the request probability itself
         assert default_solution.trace[0] == pytest.approx(
             params.request_prob, abs=1e-10
+        )
+
+    def test_fixed_policy_falls_back_to_value_iteration(self):
+        # two closed classes with equal costs: singular system, gain 1
+        kernel = dense_kernel({0: np.eye(2)})
+        costs = costs_for(2, {0: np.ones(2)})
+        policy = PolicyTable([0, 0])
+        with pytest.raises(SingularPolicyError):
+            policy_evaluation(policy, kernel, costs)
+        sol = evaluate_with_fallback(policy, kernel, costs)
+        assert sol.gain == pytest.approx(1.0, abs=1e-10)
+        kernel = dense_kernel({0: TWO_STATE_P})
+        costs = costs_for(2, {0: TWO_STATE_G})
+        assert evaluate_with_fallback(PolicyTable([0, 0]), kernel, costs).gain == (
+            policy_evaluation(PolicyTable([0, 0]), kernel, costs).gain
         )
 
     def test_reducible_start_falls_back(self):

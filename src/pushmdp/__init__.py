@@ -24,6 +24,7 @@ from .policies import (
 from .sim import SimConfig, SimMetrics, SimulationError, simulate, sweep
 from .solver import (
     ConvergenceError,
+    IterationRecord,
     OracleResult,
     PolicyIterationResult,
     PolicyTable,
@@ -53,6 +54,7 @@ __all__ = [
     "CalibrationError",
     "ConvergenceError",
     "DistanceGrid",
+    "IterationRecord",
     "KernelReport",
     "OracleResult",
     "PolicyIterationResult",

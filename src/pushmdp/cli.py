@@ -14,11 +14,12 @@ import sys
 import numpy as np
 
 from .model import (
+    Action,
     RadioParams,
     SystemParams,
     calibrate_radio,
-    index_state,
     stage_cost_table,
+    state_table,
     zipf_pmf,
 )
 from .policies import (
@@ -195,16 +196,17 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
     result = policy_iteration(kernel, costs)
     lines = _header("solve", settings, seed)
     lines.append("E Q C action h")
-    for s in range(params.num_states):
-        st = index_state(s, params)
-        act = result.policy[s]
-        lines.append(
-            f"{st.battery} {st.request} {st.pushed} {act.name} "
-            f"{result.values.h[s]:.17g}"
-        )
+    names = np.array([a.name for a in Action])[result.policy.actions]
+    columns = (*state_table(params), names, result.values.h)
+    lines += [
+        f"{e} {q} {c} {name} {h:.17g}"
+        for e, q, c, name, h in zip(*(col.tolist() for col in columns))
+    ]
     lines.append(f"lambda {result.values.gain:.17g}")
     lines += [
-        f"# iter {j + 1} lambda {g:.17g}" for j, g in enumerate(result.trace)
+        f"# iter {j + 1} lambda {r.gain:.17g} changed {r.changed} "
+        f"route {r.route} post_decision_states {r.post_decision_states}"
+        for j, r in enumerate(result.iterations)
     ]
     _write(out_dir, "solution.txt", lines)
 

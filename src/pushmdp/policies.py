@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     Action,
     DistanceGrid,
     SystemParams,
     SystemState,
-    index_state,
-    state_index,
+    feasible_table,
+    state_table,
 )
 from .solver import PolicyIterationResult, PolicyTable, policy_iteration
 from .transition import TransitionKernel
@@ -68,10 +70,10 @@ def unicast_priority(
 
 def unicast_priority_table(params: SystemParams, grid: DistanceGrid) -> PolicyTable:
     """Greedy rule tabulated over the whole state space."""
-    actions = [0] * params.num_states
-    for s in range(params.num_states):
-        actions[s] = int(unicast_priority(index_state(s, params), grid, params))
-    return PolicyTable(actions)
+    feasible = feasible_table(params, grid)
+    _, q, _ = state_table(params)
+    idle = np.where(feasible[Action.PUSH] & (q == 0), Action.PUSH, Action.SLEEP)
+    return PolicyTable(np.where(feasible[Action.UNICAST], Action.UNICAST, idle))
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,12 @@ class ThresholdProfile:
         return tuple(k for k, s in sorted(self.slices.items()) if not s.clean)
 
 
+def _battery_slices(policy: PolicyTable, params: SystemParams) -> np.ndarray:
+    """Action codes as an (E+1, M+1, N+1) array over (battery, request, pushed)."""
+    shape = (params.battery_levels + 1, params.num_rings + 1, params.num_contents + 1)
+    return policy.actions.reshape(shape)
+
+
 def threshold_profile(policy: PolicyTable, params: SystemParams) -> ThresholdProfile:
     """Classify every (request, pushed) slice of a policy.
 
@@ -110,20 +118,20 @@ def threshold_profile(policy: PolicyTable, params: SystemParams) -> ThresholdPro
     acts at that level and above (the all-sleep slice is clean with no
     threshold).
     """
-    slices = {}
-    for q in range(params.num_rings + 1):
-        for c in range(params.num_contents + 1):
-            acts = tuple(
-                policy[state_index(SystemState(e, q, c), params)]
-                for e in range(params.battery_levels + 1)
-            )
-            awake = [e for e, a in enumerate(acts) if a != Action.SLEEP]
-            if not awake:
-                slices[(q, c)] = SliceThreshold(None, True, acts)
-                continue
-            t = awake[0]
-            clean = len(awake) == params.battery_levels + 1 - t
-            slices[(q, c)] = SliceThreshold(t, clean, acts)
+    acts = _battery_slices(policy, params)
+    awake = acts != Action.SLEEP
+    acting = awake.any(axis=0)
+    first = awake.argmax(axis=0)
+    clean = ~acting | (awake.sum(axis=0) == awake.shape[0] - first)
+    members = list(Action)
+    slices = {
+        (q, c): SliceThreshold(
+            int(first[q, c]) if acting[q, c] else None,
+            bool(clean[q, c]),
+            tuple(members[a] for a in acts[:, q, c].tolist()),
+        )
+        for q, c in np.ndindex(acts.shape[1:])
+    }
     return ThresholdProfile(slices=slices)
 
 
@@ -131,12 +139,11 @@ def format_threshold_grid(
     policy: PolicyTable, params: SystemParams, pushed: int
 ) -> str:
     """One slice of a policy as a text grid: rows battery, columns request."""
+    if not 0 <= pushed <= params.num_contents:
+        raise ValueError(f"pushed {pushed} outside [0, {params.num_contents}]")
+    letters = np.array([a.name[0] for a in Action])
+    cells = letters[_battery_slices(policy, params)[:, :, pushed]]
     header = "E\\Q " + " ".join(str(q) for q in range(params.num_rings + 1))
     lines = [header]
-    for e in range(params.battery_levels + 1):
-        cells = []
-        for q in range(params.num_rings + 1):
-            a = policy[state_index(SystemState(e, q, pushed), params)]
-            cells.append(a.name[0])
-        lines.append(f"{e:3d} " + " ".join(cells))
+    lines += [f"{e:3d} " + " ".join(row) for e, row in enumerate(cells.tolist())]
     return "\n".join(lines) + "\n"

@@ -1,20 +1,24 @@
 """Exact average-cost solvers for the sleep/unicast/push decision process.
 
-Policy iteration is the workhorse.  Each evaluation factors the sparse
-bordered gain/bias system once with SuperLU and refines the solution by one
-residual correction.  A chain with more than one closed class, checked
-before factoring, a factor SuperLU finds exactly singular, non-finite values
-or an inconsistent residual raise SingularPolicyError; a damped relative value
-iteration then evaluates the policy instead.  A brute-force policy enumerator
-serves as an independent oracle on tiny instances.
+Policy iteration is the workhorse.  Each evaluation solves the gain/bias
+equations on the policy's post-decision chain: the request is drawn fresh
+after each decision, so a row depends on its state only through the
+post-decision state, and one unknown per post-decision state the policy
+visits suffices.  The sparse bordered system is factored once with SuperLU
+and the solution refined by one residual correction.  A chain with more than
+one closed class, checked before factoring, a factor SuperLU finds exactly
+singular, non-finite values or an inconsistent residual raise
+SingularPolicyError; a damped relative value iteration then evaluates the
+policy instead.  A brute-force policy enumerator serves as an independent
+oracle on tiny instances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, diags, identity
+from scipy.sparse import bmat, csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -31,6 +35,7 @@ __all__ = [
     "policy_improvement",
     "policy_iteration",
     "PolicyIterationResult",
+    "IterationRecord",
     "relative_value_iteration",
     "bellman_residual",
     "brute_force_oracle",
@@ -123,30 +128,34 @@ def policy_evaluation(
 ) -> ValueSolution:
     """Solve the gain/differential-value equations of a fixed policy.
 
-    Unknowns are (gain, h); equations are
-    gain + h(x) = g(x, u(x)) + sum_y p(y|x, u(x)) h(y) for every state plus
-    the normalization h(ref_state) = 0.  The bordered system
-    [[1, I - P_u], [0, e_ref]] is assembled sparse from the per-action CSR
-    rows, factored once by SuperLU and the solution refined by one residual
-    correction, which the bias h needs to reach double precision at a few
-    thousand states.  A chain with more than one closed class (multichain),
-    an exactly singular factor, non-finite values or an inconsistent residual
-    raise SingularPolicyError so the caller can fall back to value iteration.
+    The equations are gain + h(x) = g(x, u(x)) + sum_y p(y|x, u(x)) h(y) for
+    every state, with h(ref_state) = 0.  The policy's transition matrix
+    factors as P_u = S T: T holds the k distinct rows of its post-decision
+    states and S maps each state to its post-decision state t(x).  So
+    y = T h solves the k-state bordered system
+    [[1, I - T S], [0, e_t(ref)]] (gain, y) = (T g_u, 0), and
+    h(x) = g(x, u(x)) - gain + y(t(x)), shifted to vanish at ref_state.  The
+    system is factored once by SuperLU and the solution refined by one
+    residual correction, which the bias needs to reach double precision.  A
+    post-decision chain with more than one closed class (multichain; T S has
+    as many as S T), an exactly singular factor, non-finite values or an
+    inconsistent residual raise SingularPolicyError so the caller can fall
+    back to value iteration.
     """
     policy.validate(kernel)
     n = kernel.num_states
-    p_pi = sum(
-        diags((policy.actions == a).astype(float)) @ kernel.action_matrix(Action(a))
-        for a in np.unique(policy.actions)
-    )
-    if (closed := _closed_classes(p_pi)) > 1:
+    states = np.arange(n)
+    rows, post = kernel.post_decision_rows(policy.actions, states)
+    k = rows.shape[0]
+    chain = rows @ csr_matrix((np.ones(n), (states, post)), shape=(n, k))
+    if (closed := _closed_classes(chain)) > 1:
         raise SingularPolicyError(f"policy chain has {closed} closed classes")
-    g_pi = costs[policy.actions, np.arange(n)]
+    g_pi = costs[policy.actions, states]
 
-    ones = csr_matrix(np.ones((n, 1)))
-    border = csr_matrix(([1.0], ([0], [ref_state])), shape=(1, n))
-    a = bmat([[ones, identity(n) - p_pi], [None, border]], format="csc")
-    b = np.append(g_pi, 0.0)
+    ones = csr_matrix(np.ones((k, 1)))
+    border = csr_matrix(([1.0], ([0], [post[ref_state]])), shape=(1, k))
+    a = bmat([[ones, identity(k) - chain], [None, border]], format="csc")
+    b = np.append(rows @ g_pi, 0.0)
     try:
         lu = splu(a)
     except RuntimeError as exc:
@@ -160,9 +169,21 @@ def policy_evaluation(
         raise SingularPolicyError(
             f"evaluation residual {residual:.3g} indicates a singular system"
         )
-    h = x[1:]
+    h = g_pi - x[0] + x[1:][post]
     h = h - h[ref_state]
     return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
+
+
+def _evaluate(policy, kernel, costs, ref_state) -> tuple[ValueSolution, str]:
+    """evaluate_with_fallback's solution and the route that produced it."""
+    try:
+        return policy_evaluation(policy, kernel, costs, ref_state), "direct"
+    except SingularPolicyError:
+        sol = relative_value_iteration(
+            kernel, costs, tol=1e-10, max_iter=500_000,
+            ref_state=ref_state, policy=policy,
+        )
+        return sol, "value-iteration"
 
 
 def evaluate_with_fallback(
@@ -177,13 +198,7 @@ def evaluate_with_fallback(
     relative value iteration restricted to the policy instead; that still
     raises ConvergenceError when closed classes of the chain differ in gain.
     """
-    try:
-        return policy_evaluation(policy, kernel, costs, ref_state)
-    except SingularPolicyError:
-        return relative_value_iteration(
-            kernel, costs, tol=1e-10, max_iter=500_000,
-            ref_state=ref_state, policy=policy,
-        )
+    return _evaluate(policy, kernel, costs, ref_state)[0]
 
 
 def _closed_classes(p: csr_matrix) -> int:
@@ -215,10 +230,35 @@ def policy_improvement(
     return PolicyTable(np.argmin(q, axis=0))
 
 
-class PolicyIterationResult(NamedTuple):
+class IterationRecord(NamedTuple):
+    """What one policy-iteration step did.
+
+    ``changed`` counts the states whose action the improvement step changed
+    (0 at a fixed point); ``route`` is "direct" for the post-decision solve or
+    "value-iteration" for the fallback; ``post_decision_states`` is the size k
+    of the evaluated policy's post-decision chain.
+    """
+
+    gain: float
+    changed: int
+    route: str
+    post_decision_states: int
+
+
+@dataclass(frozen=True)
+class PolicyIterationResult:
+    """Final policy and values, the gain per iteration and per-step records.
+
+    Unpacks as (policy, values, trace); ``iterations`` is read by name.
+    """
+
     policy: PolicyTable
     values: ValueSolution
     trace: tuple[float, ...]
+    iterations: tuple[IterationRecord, ...]
+
+    def __iter__(self) -> Iterator:
+        return iter((self.policy, self.values, self.trace))
 
 
 def policy_iteration(
@@ -239,17 +279,24 @@ def policy_iteration(
     if init_policy is None:
         init_policy = PolicyTable.all_sleep(kernel.num_states)
     policy = init_policy
-    trace: list[float] = []
-    prev_gain = None
+    states = np.arange(kernel.num_states)
+    records: list[IterationRecord] = []
     for _ in range(max_iter):
-        sol = evaluate_with_fallback(policy, kernel, costs, ref_state)
-        trace.append(sol.gain)
+        sol, route = _evaluate(policy, kernel, costs, ref_state)
         improved = policy_improvement(sol, kernel, costs)
-        if improved == policy:
-            return PolicyIterationResult(policy, sol, tuple(trace))
-        if prev_gain is not None and abs(prev_gain - sol.gain) < gain_tol:
-            return PolicyIterationResult(policy, sol, tuple(trace))
-        prev_gain = sol.gain
+        records.append(
+            IterationRecord(
+                sol.gain,
+                int(np.count_nonzero(improved.actions != policy.actions)),
+                route,
+                np.unique(kernel.labels[policy.actions, states]).size,
+            )
+        )
+        if improved == policy or (
+            len(records) > 1 and abs(records[-2].gain - sol.gain) < gain_tol
+        ):
+            trace = tuple(r.gain for r in records)
+            return PolicyIterationResult(policy, sol, trace, tuple(records))
         policy = improved
     raise ConvergenceError(f"no fixed point within {max_iter} iterations")
 

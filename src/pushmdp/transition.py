@@ -8,10 +8,12 @@ three independent pieces:
 * request ring: fresh each period, thinned by cache hits on pushed contents.
 
 Each factor has a small dense row builder.  A kernel row depends on its
-(state, action) only through the post-spend battery level, the pushed count
-and whether the action pushes, so the kernel builder forms the outer product
-of the factor rows once per such case, as a template row, and gathers each
-action's CSR matrix from the templates of its feasible states.
+(state, action) only through the post-decision state: the post-spend battery
+level, the pushed count and whether the action pushes.  The kernel builder
+forms the outer product of the factor rows once per post-decision state, as a
+template row, gathers each action's CSR matrix from the templates of its
+feasible states, and keeps each pair's template number as its post-decision
+label.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 from scipy.sparse.csgraph import connected_components
 
 from .model import (
@@ -158,11 +160,23 @@ class TransitionKernel:
     ``matrices[a]`` is the (num_states, num_states) CSR matrix of action a:
     row s holds the next-state pmf of taking a in state s, with sorted column
     indices, and is empty where a is infeasible in s.  The matrices are the
-    kernel's only data; rows, feasibility and the text dump are views of them.
+    kernel's only transition data; rows, feasibility and the text dump are
+    views of them.
+
+    ``labels[a, s]`` is the post-decision label of the pair (s, a): feasible
+    pairs with equal labels have bit-identical rows, in any action.  Without
+    labels every pair gets its own, so each row is its own post-decision state.
     """
 
     matrices: tuple[csr_matrix, ...]
+    labels: np.ndarray | None = None
     _mask: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.labels is None:
+            n = self.num_states
+            self.labels = np.arange(len(self.matrices) * n).reshape(-1, n)
+        self.labels.setflags(write=False)
 
     @property
     def num_states(self) -> int:
@@ -203,8 +217,31 @@ class TransitionKernel:
             tuple(
                 m if a in keep else csr_matrix(m.shape)
                 for a, m in enumerate(self.matrices)
-            )
+            ),
+            self.labels,
         )
+
+    def post_decision_rows(
+        self, actions: np.ndarray, states: np.ndarray
+    ) -> tuple[csr_matrix, np.ndarray]:
+        """One row per distinct post-decision label among feasible pairs.
+
+        Returns the CSR matrix T whose rows are the distinct rows of the pairs
+        (states[i], actions[i]), each read once from a representative pair,
+        and the row of T that each pair maps to.
+        """
+        _, first, row_of = np.unique(
+            self.labels[actions, states], return_index=True, return_inverse=True
+        )
+        # Stack the representatives action by action; rank maps labels to rows.
+        order = np.lexsort((states[first], actions[first]))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        rep_a, rep_s = actions[first][order], states[first][order]
+        rows = vstack(
+            [m[rep_s[rep_a == a]] for a, m in enumerate(self.matrices)], format="csr"
+        )
+        return rows, rank[row_of]
 
     def union_matrix(self) -> csr_matrix:
         """Sum of the action matrices; its support is every feasible transition."""
@@ -279,12 +316,12 @@ def build_kernel(
 
     feasible = feasible_table(params, grid)
     e_all, q_all, c_all = state_table(params)
-    matrices = []
+    labels = np.empty((len(Action), params.num_states), dtype=np.int64)
     for action in Action:
         spend = np.array([energy_spend(action, r, grid) for r in range(m1)])
         t = ((action == Action.PUSH) * e1 + e_all - spend[q_all]) * n1 + c_all
-        matrices.append(templates[np.where(feasible[action], t, num_templates)])
-    return TransitionKernel(tuple(matrices))
+        labels[action] = np.where(feasible[action], t, num_templates)
+    return TransitionKernel(tuple(templates[t] for t in labels), labels)
 
 
 @dataclass(frozen=True)
@@ -309,23 +346,39 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     ``never_entered`` lists states no other state can reach in one step under
     any feasible action; they are transient decorations of the chain and a
     strong-component count above one is expected whenever they exist.
+    Connectivity is read from the patterns of the distinct post-decision rows,
+    without summing the action matrices.
     """
+    n = kernel.num_states
     mask = kernel.feasible_mask()
     mats = kernel.matrices
     sums = np.concatenate(
         [np.add.reduceat(m.data, m.indptr[:-1][rows]) for m, rows in zip(mats, mask)]
     )
-    union = kernel.union_matrix()
-    n_comp, _ = connected_components(union, directed=True, connection="strong")
-    # Column counts of the union's off-diagonal entries; the sum keeps no
-    # explicit zeros, so a nonzero diagonal value is a stored self-loop.
-    entries = np.bincount(union.indices, minlength=kernel.num_states)
-    entries -= union.diagonal() != 0
+    actions, states = np.nonzero(mask)
+    rows, row_of = kernel.post_decision_rows(actions, states)
+    rows.eliminate_zeros()
+    # s -> s' is feasible iff s reaches s' through a post-decision row, so the
+    # strong components of the union are those of the graph states -> rows ->
+    # states, counted on its state nodes.
+    k = rows.shape[0]
+    to_rows = csr_matrix((np.ones(row_of.size), (states, row_of)), shape=(n, k))
+    indptr = np.concatenate((to_rows.indptr, to_rows.nnz + rows.indptr[1:]))
+    indices = np.concatenate((n + to_rows.indices, rows.indices))
+    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + k, n + k))
+    _, component = connected_components(graph, directed=True, connection="strong")
+    # Pairs entering each column, less the pairs whose row holds their own
+    # state: a self-loop is not an entry.
+    users = np.bincount(row_of, minlength=k)
+    entries = np.bincount(
+        rows.indices, weights=np.repeat(users, np.diff(rows.indptr)), minlength=n
+    )
+    entries -= sum(m.diagonal() != 0 for m in mats)
     return KernelReport(
-        num_states=kernel.num_states,
+        num_states=n,
         num_rows=int(mask.sum()),
         max_row_sum_deviation=float(np.max(np.abs(sums - 1.0), initial=0.0)),
         negative_entries=sum(int(np.count_nonzero(m.data < 0)) for m in mats),
-        strong_components=n_comp,
+        strong_components=np.unique(component[:n]).size,
         never_entered=tuple(int(s) for s in np.flatnonzero(entries == 0)),
     )

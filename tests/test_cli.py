@@ -1,6 +1,7 @@
 """Config ingestion, subcommand behavior and artifact files."""
 import importlib.metadata
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -88,6 +89,11 @@ class TestSolveCommand:
         solution = (out / "solution.txt").read_text()
         assert "lambda " in solution
         assert "# e_max = 2" in solution
+        assert re.search(
+            r"^# iter 1 lambda \S+ changed \d+ route direct post_decision_states \d+$",
+            solution,
+            re.MULTILINE,
+        )
         grids = sorted(out.glob("threshold_C*.txt"))
         assert len(grids) == 3
         assert "E\\Q" in grids[0].read_text()

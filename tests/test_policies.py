@@ -35,9 +35,13 @@ class TestUnicastPriority:
 
     def test_table_matches_rule(self, default_scenario, default_greedy):
         params, _, grid, _ = default_scenario
-        for s in range(0, params.num_states, 7):
+        for s in range(params.num_states):
             expect = unicast_priority(index_state(s, params), grid, params)
             assert default_greedy[s] == expect
+        params, _, grid, _ = make_scenario(e_max=30, n_contents=40)
+        table = unicast_priority_table(params, grid)
+        for s in range(params.num_states):
+            assert table[s] == unicast_priority(index_state(s, params), grid, params)
 
     def test_never_infeasible(self, default_instance, default_greedy):
         _, _, _, _, kernel, _ = default_instance
@@ -139,6 +143,12 @@ class TestThresholdGrid:
         assert len(lines) == params.battery_levels + 2
         body = {cell for line in lines[1:] for cell in line.split()[1:]}
         assert body <= {"S", "U", "P"}
+
+    def test_pushed_count_out_of_range(self, default_solution, default_scenario):
+        params, *_ = default_scenario
+        for pushed in (-1, params.num_contents + 1):
+            with pytest.raises(ValueError):
+                format_threshold_grid(default_solution.policy, params, pushed)
 
     def test_matches_policy(self, default_solution, default_scenario):
         params, *_ = default_scenario

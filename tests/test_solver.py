@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import bmat, csr_matrix, diags, identity
+from scipy.sparse.linalg import splu
 
 from pushmdp.model import NUM_ACTIONS, Action
+from pushmdp.policies import non_push_optimal
 from pushmdp.solver import (
     ConvergenceError,
     PolicyTable,
@@ -18,6 +20,7 @@ from pushmdp.solver import (
     policy_improvement,
     policy_iteration,
     relative_value_iteration,
+    _closed_classes,
 )
 from pushmdp.transition import TransitionKernel
 
@@ -60,6 +63,43 @@ def dense_policy_evaluation(policy, kernel, costs, ref_state=0):
     return float(x[0]), x[1:] - x[1 + ref_state]
 
 
+def full_chain_policy_matrix(policy, kernel):
+    """P_u over all states, one row per state."""
+    return sum(
+        diags((policy.actions == a).astype(float)) @ kernel.action_matrix(Action(a))
+        for a in np.unique(policy.actions)
+    )
+
+
+def full_chain_policy_evaluation(policy, kernel, costs, ref_state=0):
+    """(gain, h) from the sparse bordered solve over every state.
+
+    Reference for cross-checks only: evaluation now solves the policy's
+    post-decision chain.  This is the full (n+1)-unknown system
+    [[1, I - P_u], [0, e_ref]], factored by SuperLU and refined once.
+    """
+    n = kernel.num_states
+    ones = csr_matrix(np.ones((n, 1)))
+    border = csr_matrix(([1.0], ([0], [ref_state])), shape=(1, n))
+    a = bmat(
+        [[ones, identity(n) - full_chain_policy_matrix(policy, kernel)],
+         [None, border]],
+        format="csc",
+    )
+    b = np.append(costs[policy.actions, np.arange(n)], 0.0)
+    lu = splu(a)
+    x = lu.solve(b)
+    x += lu.solve(b - a @ x)
+    return float(x[0]), x[1:] - x[1 + ref_state]
+
+
+def reduced_chain(policy, kernel):
+    """T S, the chain policy_evaluation checks and solves, over post-decision states."""
+    n = kernel.num_states
+    rows, post = kernel.post_decision_rows(policy.actions, np.arange(n))
+    return rows @ csr_matrix((np.ones(n), (np.arange(n), post)), shape=(n, rows.shape[0]))
+
+
 def policy_iterates(kernel, costs):
     """Policies policy iteration visits from all-sleep, at most 50, in order."""
     policy = PolicyTable.all_sleep(kernel.num_states)
@@ -75,11 +115,16 @@ def policy_iterates(kernel, costs):
     return visited
 
 
-def assert_matches_dense(policy, kernel, costs):
+def assert_matches(reference, policy, kernel, costs):
     sol = policy_evaluation(policy, kernel, costs)
-    gain, h = dense_policy_evaluation(policy, kernel, costs)
+    gain, h = reference(policy, kernel, costs)
     assert abs(sol.gain - gain) <= 1e-12
     assert np.max(np.abs(sol.h - h)) <= 1e-10
+
+
+def assert_matches_dense(policy, kernel, costs):
+    assert_matches(dense_policy_evaluation, policy, kernel, costs)
+    assert_matches(full_chain_policy_evaluation, policy, kernel, costs)
 
 
 @st.composite
@@ -169,12 +214,58 @@ class TestPolicyEvaluation:
         captured = capfd.readouterr()
         assert "illegal value" not in captured.out + captured.err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(e_max=2, n_contents=3, m_rings=1, p_c=0.0, p_u=0.7),
+            dict(e_max=3, n_contents=2, m_rings=2, p_c=0.0, p_u=0.0),
+        ],
+    )
+    def test_closed_classes_match_full_chain(self, overrides):
+        # T S and S T share their nonzero eigenvalues, so the post-decision
+        # chain has as many closed classes as the full chain: the same
+        # policies of test_random_policies_solved_or_rejected are rejected
+        _, _, _, _, kernel, costs = make_instance(**overrides)
+        mask = kernel.feasible_mask()
+        choices = [np.flatnonzero(mask[:, s]) for s in range(kernel.num_states)]
+        rng = np.random.default_rng(0)
+        multichain = 0
+        for _ in range(100):
+            policy = PolicyTable([rng.choice(c) for c in choices])
+            full = _closed_classes(full_chain_policy_matrix(policy, kernel))
+            assert _closed_classes(reduced_chain(policy, kernel)) == full
+            try:
+                policy_evaluation(policy, kernel, costs)
+                rejected = False
+            except SingularPolicyError:
+                rejected = True
+            assert rejected == (full > 1)
+            multichain += full > 1
+        assert multichain > 0
+
     def test_matches_dense_on_default_iterates(self, default_instance):
         _, _, _, _, kernel, costs = default_instance
         iterates = policy_iterates(kernel, costs)
-        assert len(iterates) > 1
+        assert len(iterates) == 8
         for policy in iterates:
             assert_matches_dense(policy, kernel, costs)
+
+    def test_matches_full_chain_at_scale(self):
+        _, _, _, _, kernel, costs = make_instance(e_max=30, n_contents=40)
+        iterates = policy_iterates(kernel, costs)
+        assert len(iterates) == 11
+        for policy in iterates:
+            assert_matches(full_chain_policy_evaluation, policy, kernel, costs)
+            # the post-decision chain is a fraction of the state space
+            assert reduced_chain(policy, kernel).shape[0] < kernel.num_states / 2
+
+    def test_matches_dense_on_restricted_kernel(self, default_instance):
+        _, _, _, _, kernel, costs = default_instance
+        restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        iterates = policy_iterates(restricted, costs)
+        assert iterates[-1] == non_push_optimal(kernel, costs).policy
+        for policy in iterates:
+            assert_matches_dense(policy, restricted, costs)
 
     def test_refined_to_double_precision_at_scale(self):
         # without the refinement step the fixed-policy residual here is 1.8e-2
@@ -327,6 +418,23 @@ class TestPolicyIteration:
         assert evaluate_with_fallback(PolicyTable([0, 0]), kernel, costs).gain == (
             policy_evaluation(PolicyTable([0, 0]), kernel, costs).gain
         )
+
+    def test_default_records(self, default_instance, default_solution):
+        _, _, _, _, kernel, _ = default_instance
+        records = default_solution.iterations
+        assert len(records) == 8
+        assert tuple(r.gain for r in records) == default_solution.trace
+        assert {r.route for r in records} == {"direct"}
+        assert records[0].changed > 0 and records[-1].changed == 0
+        assert all(0 < r.post_decision_states < kernel.num_states for r in records)
+
+    def test_reducible_start_records_fallback(self):
+        kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})
+        costs = costs_for(2, {0: np.ones(2), 1: np.zeros(2)})
+        records = policy_iteration(kernel, costs).iterations
+        assert [r.route for r in records] == ["value-iteration", "direct"]
+        assert [r.changed for r in records] == [2, 0]
+        assert [r.post_decision_states for r in records] == [2, 2]
 
     def test_reducible_start_falls_back(self):
         kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from pushmdp.model import (
     NUM_ACTIONS,
@@ -130,6 +131,40 @@ def assert_matches_reference(**overrides):
             assert x.dtype == y.dtype, (Action(a).name, name)
             assert np.array_equal(x, y), (Action(a).name, name)
     return kernel, rows
+
+
+def union_connectivity(kernel):
+    """(strong components, never-entered states) from the summed action matrices.
+
+    Reference for cross-checks only: validate_kernel used to read both from
+    the union matrix and now reads them from the post-decision rows.
+    """
+    union = kernel.union_matrix()
+    n_comp, _ = connected_components(union, directed=True, connection="strong")
+    entries = np.bincount(union.indices, minlength=kernel.num_states)
+    entries -= union.diagonal() != 0
+    return n_comp, tuple(int(s) for s in np.flatnonzero(entries == 0))
+
+
+def assert_connectivity_matches_union(kernel):
+    report = validate_kernel(kernel)
+    expect = union_connectivity(kernel)
+    assert (report.strong_components, report.never_entered) == expect
+
+
+def assert_labels_share_rows(kernel):
+    """Feasible pairs with one post-decision label have bit-identical rows."""
+    actions, states = np.nonzero(kernel.feasible_mask())
+    labels = kernel.labels[actions, states]
+    first = {}
+    for a, s, label in zip(actions.tolist(), states.tolist(), labels.tolist()):
+        idx, prob = kernel.row(s, Action(a))
+        if label not in first:
+            first[label] = (idx, prob)
+            continue
+        ref_idx, ref_prob = first[label]
+        assert np.array_equal(idx, ref_idx) and np.array_equal(prob, ref_prob)
+    return len(first)
 
 
 def kernel_rows(kernel):
@@ -368,6 +403,38 @@ class TestBuildKernel:
         for action in (Action.SLEEP, Action.UNICAST):
             assert sub.action_matrix(action) is kernel.action_matrix(action)
         assert sub.action_matrix(Action.PUSH).shape == (1680, 1680)
+        assert sub.labels is kernel.labels
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
+    )
+    def test_labels_share_rows(self, overrides):
+        params, _, _, _, kernel, _ = make_instance(**overrides)
+        assert kernel.labels.shape == (NUM_ACTIONS, params.num_states)
+        with pytest.raises(ValueError):
+            kernel.labels[0, 0] = 0
+        # at most one template per (push, post-spend battery, pushed count)
+        distinct = assert_labels_share_rows(kernel)
+        assert distinct <= 2 * (params.battery_levels + 1) * (params.num_contents + 1)
+        assert distinct < int(kernel.feasible_mask().sum())
+
+    def test_hand_built_labels_are_distinct(self):
+        zero = csr_matrix((2, 2))
+        kernel = TransitionKernel((csr_matrix(np.eye(2)), zero, zero))
+        assert np.unique(kernel.labels).size == kernel.labels.size
+
+    def test_post_decision_rows(self, default_instance, default_solution):
+        _, _, _, _, kernel, _ = default_instance
+        every = np.nonzero(kernel.feasible_mask())
+        optimal = (default_solution.policy.actions, np.arange(1680))
+        for actions, states in (every, optimal):
+            rows, row_of = kernel.post_decision_rows(actions, states)
+            distinct = np.unique(kernel.labels[actions, states]).size
+            assert rows.shape == (distinct, 1680)
+            for action in Action:
+                pairs = actions == action
+                expect = kernel.action_matrix(action)[states[pairs]]
+                assert (rows[row_of[pairs]] != expect).nnz == 0
 
     def test_matches_reference_on_default(self):
         kernel, rows = assert_matches_reference()
@@ -437,10 +504,22 @@ class TestValidateKernel:
         # state 2 keeps itself by a self-loop but no other state leads to it
         p = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
         zero = csr_matrix((3, 3))
-        report = validate_kernel(TransitionKernel((csr_matrix(p), zero, zero)))
+        kernel = TransitionKernel((csr_matrix(p), zero, zero))
+        report = validate_kernel(kernel)
         assert report.never_entered == (2,)
         assert report.num_rows == 3
         assert report.strong_components == 2
+        assert_connectivity_matches_union(kernel)
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
+    )
+    def test_connectivity_matches_union(self, overrides):
+        _, _, _, _, kernel, _ = make_instance(**overrides)
+        assert_connectivity_matches_union(kernel)
+        assert_connectivity_matches_union(
+            kernel.restrict({Action.SLEEP, Action.UNICAST})
+        )
 
 
 @given(
@@ -476,4 +555,8 @@ PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 )
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_reference_on_random_instances(e_max, n, m, p_c, p_u):
-    assert_matches_reference(e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u)
+    kernel, _ = assert_matches_reference(
+        e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
+    )
+    assert_labels_share_rows(kernel)
+    assert_connectivity_matches_union(kernel)

@@ -25,6 +25,7 @@ from .sim import SimConfig, SimMetrics, SimulationError, simulate, sweep
 from .solver import (
     ConvergenceError,
     IterationRecord,
+    MultichainError,
     OracleResult,
     PolicyIterationResult,
     PolicyTable,
@@ -56,6 +57,7 @@ __all__ = [
     "DistanceGrid",
     "IterationRecord",
     "KernelReport",
+    "MultichainError",
     "OracleResult",
     "PolicyIterationResult",
     "PolicyTable",

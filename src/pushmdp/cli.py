@@ -203,11 +203,16 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
         for e, q, c, name, h in zip(*(col.tolist() for col in columns))
     ]
     lines.append(f"lambda {result.values.gain:.17g}")
-    lines += [
-        f"# iter {j + 1} lambda {r.gain:.17g} changed {r.changed} "
-        f"route {r.route} post_decision_states {r.post_decision_states}"
-        for j, r in enumerate(result.iterations)
-    ]
+    # Wall times go to stdout, not into the artifacts: a run's files are a
+    # function of its settings and seed.
+    for j, r in enumerate(result.iterations):
+        line = (
+            f"# iter {j + 1} lambda {r.gain:.17g} changed {r.changed} "
+            f"route {r.route} post_decision_states {r.post_decision_states}"
+        )
+        if r.vi_sweeps is not None:
+            line += f" vi_sweeps {r.vi_sweeps} vi_span {r.vi_span:.17g}"
+        lines.append(line)
     _write(out_dir, "solution.txt", lines)
 
     width = max(2, len(str(params.num_contents)))
@@ -218,6 +223,9 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
         _write(out_dir, f"threshold_C{c:0{width}d}.txt", grid_lines)
 
     print(f"lambda {result.values.gain:.12g} after {len(result.trace)} iterations")
+    evaluation_s = sum(r.evaluation_s for r in result.iterations)
+    improvement_s = sum(r.improvement_s for r in result.iterations)
+    print(f"evaluation {evaluation_s:.3f} s, improvement {improvement_s:.3f} s")
     print(f"wrote solution.txt and {params.num_contents + 1} threshold grids to {out_dir}")
     return 0
 

@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 18
+# equal buckets of [0, 1) that reduce a uniform draw to a table position
+_BUCKETS = 1 << 12
 # periods per list conversion: bounds the Python ints alive at once
 _CHUNK = 1 << 13
 
@@ -161,6 +163,31 @@ class _Draws(NamedTuple):
     miss_q: np.ndarray
 
 
+class _BucketSearch:
+    """``np.searchsorted(table, u, side="right")`` for uniform draws u in [0, 1).
+
+    [0, 1) is cut into ``_BUCKETS`` equal buckets, and the search is run once
+    at each bucket's two ends.  Where they agree, that count is the answer
+    for every draw in the bucket, since the search is monotone in u; the few
+    draws in buckets that hold a table entry are searched one by one.  The
+    result is the search's, bit for bit.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        edges = np.arange(_BUCKETS + 1) / _BUCKETS
+        self.count = np.searchsorted(table, edges[:-1], side="right")
+        last = np.searchsorted(table, np.nextafter(edges[1:], 0.0), side="right")
+        self.split = self.count != last
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        bucket = (u * _BUCKETS).astype(np.intp)  # exact: _BUCKETS is a power of 2
+        out = self.count[bucket]
+        odd = np.flatnonzero(self.split[bucket])
+        out[odd] = np.searchsorted(self.table, u[odd], side="right")
+        return out
+
+
 def _draw(rng, count: int, params: SystemParams, grid: DistanceGrid, pop_cum) -> _Draws:
     """Take ``count`` periods of draws, in the fixed order, as thresholds.
 
@@ -175,12 +202,11 @@ def _draw(rng, count: int, params: SystemParams, grid: DistanceGrid, pop_cum) ->
     # each draw is reduced in place as soon as it is taken; the order is fixed
     arr = rng.poisson(params.mean_arrival, count)
     replaced = rng.random(count) < params.content_replace_prob
-    drop_min = np.searchsorted(evict_thresh, rng.random(count), side="right")
+    drop_min = _BucketSearch(evict_thresh)(rng.random(count))
     drop_min[~replaced] = n + 1
     requested = rng.random(count) < params.request_prob
-    hit_min = np.searchsorted(pop_cum, rng.random(count), side="right")
-    ring_cum = np.cumsum(grid.ring_probs)
-    miss_q = np.searchsorted(ring_cum, rng.random(count), side="right")
+    hit_min = _BucketSearch(pop_cum)(rng.random(count))
+    miss_q = _BucketSearch(np.cumsum(grid.ring_probs))(rng.random(count))
     np.minimum(miss_q, grid.num_rings - 1, out=miss_q)
     miss_q += 1
     miss_q[~requested] = 0

@@ -9,11 +9,15 @@ and the solution refined by one residual correction.  A chain with more than
 one closed class, checked before factoring, a factor SuperLU finds exactly
 singular, non-finite values or an inconsistent residual raise
 SingularPolicyError; a damped relative value iteration then evaluates the
-policy instead.  A brute-force policy enumerator serves as an independent
-oracle on tiny instances.
+policy instead, unless the closed classes differ in gain, where it could not
+converge and MultichainError is raised at once.  Q-values, for the
+improvement step, the Bellman residual and value iteration, come from one
+product of the kernel's post-decision template rows with h.  A brute-force
+policy enumerator serves as an independent oracle on tiny instances.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -30,6 +34,7 @@ __all__ = [
     "PolicyTable",
     "SingularPolicyError",
     "ConvergenceError",
+    "MultichainError",
     "policy_evaluation",
     "evaluate_with_fallback",
     "policy_improvement",
@@ -44,11 +49,23 @@ __all__ = [
 
 
 class SingularPolicyError(np.linalg.LinAlgError):
-    """Evaluation system is singular: the policy's chain is not unichain."""
+    """Evaluation system is singular: the policy's chain is not unichain.
+
+    ``class_gains`` holds the gain of each closed class when the chain has
+    more than one, and is empty otherwise.
+    """
+
+    def __init__(self, message: str, class_gains: tuple[float, ...] = ()):
+        super().__init__(message)
+        self.class_gains = class_gains
 
 
 class ConvergenceError(RuntimeError):
     """Iteration cap reached before the stopping rule fired."""
+
+
+class MultichainError(ConvergenceError):
+    """A policy's closed classes differ in gain, so value iteration cannot converge."""
 
 
 @dataclass(frozen=True)
@@ -140,22 +157,39 @@ def policy_evaluation(
     post-decision chain with more than one closed class (multichain; T S has
     as many as S T), an exactly singular factor, non-finite values or an
     inconsistent residual raise SingularPolicyError so the caller can fall
-    back to value iteration.
+    back to value iteration; a multichain error carries each closed class's
+    gain, pi T g_u for the class's stationary distribution pi.
     """
     policy.validate(kernel)
     n = kernel.num_states
     states = np.arange(n)
     rows, post = kernel.post_decision_rows(policy.actions, states)
-    k = rows.shape[0]
-    chain = rows @ csr_matrix((np.ones(n), (states, post)), shape=(n, k))
-    if (closed := _closed_classes(chain)) > 1:
-        raise SingularPolicyError(f"policy chain has {closed} closed classes")
+    chain = rows @ csr_matrix((np.ones(n), (states, post)), shape=(n, rows.shape[0]))
     g_pi = costs[policy.actions, states]
+    cost = rows @ g_pi
+    label, closed = _class_labels(chain)
+    if closed.size > 1:
+        gains = []
+        for c in closed:
+            members = np.flatnonzero(label == c)
+            sub = chain[members][:, members]
+            gains.append(_solve_bordered(sub, cost[members], 0)[0])
+        raise SingularPolicyError(
+            f"policy chain has {closed.size} closed classes", tuple(gains)
+        )
+    x = _solve_bordered(chain, cost, post[ref_state])
+    h = g_pi - x[0] + x[1:][post]
+    h = h - h[ref_state]
+    return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
 
+
+def _solve_bordered(chain: csr_matrix, cost: np.ndarray, ref: int) -> np.ndarray:
+    """(gain, y) solving gain*1 + (I - chain) y = cost with y[ref] = 0."""
+    k = chain.shape[0]
     ones = csr_matrix(np.ones((k, 1)))
-    border = csr_matrix(([1.0], ([0], [post[ref_state]])), shape=(1, k))
+    border = csr_matrix(([1.0], ([0], [ref])), shape=(1, k))
     a = bmat([[ones, identity(k) - chain], [None, border]], format="csc")
-    b = np.append(rows @ g_pi, 0.0)
+    b = np.append(cost, 0.0)
     try:
         lu = splu(a)
     except RuntimeError as exc:
@@ -169,21 +203,31 @@ def policy_evaluation(
         raise SingularPolicyError(
             f"evaluation residual {residual:.3g} indicates a singular system"
         )
-    h = g_pi - x[0] + x[1:][post]
-    h = h - h[ref_state]
-    return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
+    return x
 
 
-def _evaluate(policy, kernel, costs, ref_state) -> tuple[ValueSolution, str]:
-    """evaluate_with_fallback's solution and the route that produced it."""
+# Stopping tolerance of the value-iteration fallback.
+_FALLBACK_TOL = 1e-10
+
+
+def _evaluate(policy, kernel, costs, ref_state) -> tuple[ValueSolution, str, list]:
+    """evaluate_with_fallback's solution, its route and the fallback's spans."""
     try:
-        return policy_evaluation(policy, kernel, costs, ref_state), "direct"
-    except SingularPolicyError:
+        return policy_evaluation(policy, kernel, costs, ref_state), "direct", []
+    except SingularPolicyError as exc:
+        gains = exc.class_gains
+        if gains and max(gains) - min(gains) > _FALLBACK_TOL:
+            raise MultichainError(
+                f"policy chain has {len(gains)} closed classes with gains "
+                f"{min(gains):.6g} to {max(gains):.6g}; value iteration cannot "
+                "converge on it"
+            ) from exc
+        spans: list[float] = []
         sol = relative_value_iteration(
-            kernel, costs, tol=1e-10, max_iter=500_000,
-            ref_state=ref_state, policy=policy,
+            kernel, costs, tol=_FALLBACK_TOL, max_iter=500_000,
+            ref_state=ref_state, policy=policy, span_trace=spans,
         )
-        return sol, "value-iteration"
+        return sol, "value-iteration", spans
 
 
 def evaluate_with_fallback(
@@ -195,31 +239,39 @@ def evaluate_with_fallback(
     """Gain and values of a fixed policy.
 
     Runs policy_evaluation and, when it raises SingularPolicyError, damped
-    relative value iteration restricted to the policy instead; that still
-    raises ConvergenceError when closed classes of the chain differ in gain.
+    relative value iteration restricted to the policy instead.  When closed
+    classes of the chain differ in gain by more than the iteration's
+    tolerance, value iteration cannot converge, and MultichainError is raised
+    without running it.
     """
     return _evaluate(policy, kernel, costs, ref_state)[0]
 
 
-def _closed_classes(p: csr_matrix) -> int:
-    """Classes of the chain p that no positive entry leaves (unichain: one)."""
+def _class_labels(p: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Strong-component label per state of the chain p, and the closed ones.
+
+    A closed class is a component that no positive entry leaves.
+    """
     p.eliminate_zeros()
     n_comp, label = connected_components(p, connection="strong")
     source = label[np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))]
-    return n_comp - np.unique(source[source != label[p.indices]]).size
+    leaving = np.unique(source[source != label[p.indices]])
+    return label, np.setdiff1d(np.arange(n_comp), leaving)
+
+
+def _closed_classes(p: csr_matrix) -> int:
+    """Number of closed classes of the chain p (unichain: one)."""
+    return _class_labels(p)[1].size
 
 
 def _q_values(kernel, costs, h):
-    """Action-value table g + P h with +inf at infeasible pairs."""
-    n = kernel.num_states
-    q = np.full((NUM_ACTIONS, n), np.inf)
-    mask = kernel.feasible_mask()
-    for a in range(NUM_ACTIONS):
-        rows = mask[a]
-        if rows.any():
-            vals = costs[a] + kernel.action_matrix(Action(a)) @ h
-            q[a, rows] = vals[rows]
-    return q
+    """Action-value table g + P h with +inf at infeasible pairs.
+
+    A pair's row is its post-decision template, so P h is one product of the
+    template rows with h, read back through the labels.
+    """
+    y = kernel.templates @ h
+    return np.where(kernel.feasible_mask(), costs + y[kernel.labels], np.inf)
 
 
 def policy_improvement(
@@ -236,13 +288,20 @@ class IterationRecord(NamedTuple):
     ``changed`` counts the states whose action the improvement step changed
     (0 at a fixed point); ``route`` is "direct" for the post-decision solve or
     "value-iteration" for the fallback; ``post_decision_states`` is the size k
-    of the evaluated policy's post-decision chain.
+    of the evaluated policy's post-decision chain.  ``evaluation_s`` and
+    ``improvement_s`` are the wall seconds of the two steps; when the
+    fallback ran, ``vi_sweeps`` is its number of sweeps and ``vi_span`` its
+    final span, and both are None otherwise.
     """
 
     gain: float
     changed: int
     route: str
     post_decision_states: int
+    evaluation_s: float
+    improvement_s: float
+    vi_sweeps: int | None
+    vi_span: float | None
 
 
 @dataclass(frozen=True)
@@ -274,7 +333,8 @@ def policy_iteration(
     Alternates evaluation and improvement until the policy repeats or the
     gain stops improving by more than ``gain_tol`` (guards against cycling
     among co-optimal policies).  Evaluation falls back to value iteration
-    restricted to the incumbent policy when its linear system is singular.
+    restricted to the incumbent policy when its linear system is singular,
+    and raises MultichainError at once when that cannot converge.
     """
     if init_policy is None:
         init_policy = PolicyTable.all_sleep(kernel.num_states)
@@ -282,7 +342,9 @@ def policy_iteration(
     states = np.arange(kernel.num_states)
     records: list[IterationRecord] = []
     for _ in range(max_iter):
-        sol, route = _evaluate(policy, kernel, costs, ref_state)
+        start = time.perf_counter()
+        sol, route, spans = _evaluate(policy, kernel, costs, ref_state)
+        evaluated = time.perf_counter()
         improved = policy_improvement(sol, kernel, costs)
         records.append(
             IterationRecord(
@@ -290,6 +352,10 @@ def policy_iteration(
                 int(np.count_nonzero(improved.actions != policy.actions)),
                 route,
                 np.unique(kernel.labels[policy.actions, states]).size,
+                evaluated - start,
+                time.perf_counter() - evaluated,
+                len(spans) if spans else None,
+                spans[-1] if spans else None,
             )
         )
         if improved == policy or (
@@ -432,7 +498,7 @@ def brute_force_oracle(
     if total > max_policies:
         raise ValueError(f"{total} policies exceed the oracle guard of {max_policies}")
 
-    p_all = np.stack([m.toarray() for m in kernel.matrices])
+    p_all = kernel.templates.toarray()[kernel.labels]
     chunk = max(16, int(5_000_000 // (n * n)))
     best_gain = np.inf
     best_code = -1

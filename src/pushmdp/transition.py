@@ -11,14 +11,14 @@ Each factor has a small dense row builder.  A kernel row depends on its
 (state, action) only through the post-decision state: the post-spend battery
 level, the pushed count and whether the action pushes.  The kernel builder
 forms the outer product of the factor rows once per post-decision state, as a
-template row, gathers each action's CSR matrix from the templates of its
-feasible states, and keeps each pair's template number as its post-decision
-label.
+template row, and keeps each pair's template number as its post-decision
+label; the solvers and the kernel check work on the template rows, and a
+per-action matrix is gathered from them only when asked for.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
@@ -155,37 +155,47 @@ def request_row(
 
 @dataclass
 class TransitionKernel:
-    """Per-action sparse transition matrices of the decision process.
+    """Sparse transition kernel: one row per post-decision state, and labels.
 
-    ``matrices[a]`` is the (num_states, num_states) CSR matrix of action a:
-    row s holds the next-state pmf of taking a in state s, with sorted column
-    indices, and is empty where a is infeasible in s.  The matrices are the
-    kernel's only transition data; rows, feasibility and the text dump are
-    views of them.
+    ``templates`` is a CSR matrix whose rows are next-state pmfs with sorted
+    column indices, one per post-decision state; ``labels[a, s]`` is the
+    template row of the pair (s, a).  Feasible pairs with equal labels share
+    one row, in any action, and an infeasible pair's label points at an empty
+    row.  The two are the kernel's only transition data: feasibility, rows,
+    the per-action matrices and the text dump are views of them.
 
-    ``labels[a, s]`` is the post-decision label of the pair (s, a): feasible
-    pairs with equal labels have bit-identical rows, in any action.  Without
-    labels every pair gets its own, so each row is its own post-decision state.
+    Built by hand from one matrix per action and no labels, the matrices are
+    stacked into the templates and every pair gets its own row.  ``allowed``
+    holds the actions a restriction kept.
     """
 
-    matrices: tuple[csr_matrix, ...]
+    templates: csr_matrix
     labels: np.ndarray | None = None
+    allowed: frozenset[Action] = frozenset(Action)
+    _matrices: dict = field(default_factory=dict, repr=False)
     _mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.labels is None:
-            n = self.num_states
-            self.labels = np.arange(len(self.matrices) * n).reshape(-1, n)
+            n = self.templates[0].shape[0]
+            self.labels = np.arange(len(self.templates) * n).reshape(-1, n)
+            self.templates = vstack(self.templates, format="csr")
         self.labels.setflags(write=False)
 
     @property
     def num_states(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.templates.shape[1]
+
+    @property
+    def matrices(self) -> tuple[csr_matrix, ...]:
+        return tuple(self.action_matrix(Action(a)) for a in range(len(self.labels)))
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only (action, state) table, True where the pair has a row."""
         if self._mask is None:
-            mask = np.stack([np.diff(m.indptr) > 0 for m in self.matrices])
+            kept = [Action(a) in self.allowed for a in range(len(self.labels))]
+            mask = (np.diff(self.templates.indptr) > 0)[self.labels]
+            mask &= np.array(kept)[:, None]
             mask.setflags(write=False)
             self._mask = mask
         return self._mask
@@ -195,57 +205,52 @@ class TransitionKernel:
 
     def row(self, state: int, action: Action) -> tuple[np.ndarray, np.ndarray]:
         """(next-state indices, probabilities) of one feasible (state, action)."""
-        m = self.matrices[int(action)]
-        lo, hi = m.indptr[state], m.indptr[state + 1]
-        if lo == hi:
+        if not self.feasible_mask()[int(action), state]:
             raise KeyError(f"action {Action(action).name} infeasible in state {state}")
-        return m.indices[lo:hi], m.data[lo:hi]
+        t = self.templates
+        label = self.labels[int(action), state]
+        lo, hi = t.indptr[label], t.indptr[label + 1]
+        return t.indices[lo:hi], t.data[lo:hi]
 
     def action_matrix(self, action: Action) -> csr_matrix:
-        """CSR matrix of the action's rows; infeasible rows are all-zero."""
-        return self.matrices[int(action)]
+        """CSR matrix of the action's rows; infeasible rows are all-zero.
+
+        Gathered from the templates on first use and cached; a restriction
+        shares the cache and gives a dropped action an empty matrix.
+        """
+        action = Action(action)
+        if action not in self.allowed:
+            return csr_matrix((self.num_states, self.num_states))
+        if action not in self._matrices:
+            self._matrices[action] = self.templates[self.labels[action]]
+        return self._matrices[action]
 
     def restrict(self, allowed: set[Action] | frozenset[Action]) -> "TransitionKernel":
         """Kernel with only the given actions kept (sleep must stay allowed).
 
-        Kept actions share this kernel's matrices; dropped ones get empty ones.
+        It shares this kernel's templates, labels and gathered matrices.
         """
-        keep = {int(a) for a in allowed}
-        if int(Action.SLEEP) not in keep:
+        keep = frozenset(Action(a) for a in allowed)
+        if Action.SLEEP not in keep:
             raise ValueError("restriction must keep SLEEP to stay well-defined")
-        return TransitionKernel(
-            tuple(
-                m if a in keep else csr_matrix(m.shape)
-                for a, m in enumerate(self.matrices)
-            ),
-            self.labels,
-        )
+        return replace(self, allowed=self.allowed & keep, _mask=None)
 
     def post_decision_rows(
         self, actions: np.ndarray, states: np.ndarray
     ) -> tuple[csr_matrix, np.ndarray]:
         """One row per distinct post-decision label among feasible pairs.
 
-        Returns the CSR matrix T whose rows are the distinct rows of the pairs
-        (states[i], actions[i]), each read once from a representative pair,
-        and the row of T that each pair maps to.
+        Returns the CSR matrix T of the template rows the pairs
+        (states[i], actions[i]) use, in label order, and the row of T that
+        each pair maps to.
         """
-        _, first, row_of = np.unique(
-            self.labels[actions, states], return_index=True, return_inverse=True
-        )
-        # Stack the representatives action by action; rank maps labels to rows.
-        order = np.lexsort((states[first], actions[first]))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        rep_a, rep_s = actions[first][order], states[first][order]
-        rows = vstack(
-            [m[rep_s[rep_a == a]] for a, m in enumerate(self.matrices)], format="csr"
-        )
-        return rows, rank[row_of]
+        labels, row_of = np.unique(self.labels[actions, states], return_inverse=True)
+        return self.templates[labels], row_of
 
     def union_matrix(self) -> csr_matrix:
         """Sum of the action matrices; its support is every feasible transition."""
-        return sum(self.matrices[1:], self.matrices[0])
+        matrices = self.matrices
+        return sum(matrices[1:], matrices[0])
 
     def to_text(self, limit: int | None = None) -> str:
         """Readable dump of the sparse rows, for debugging and CLI export."""
@@ -267,7 +272,7 @@ def build_kernel(
     popularity: np.ndarray,
     arrival: ArrivalPmf,
 ) -> TransitionKernel:
-    """Assemble the per-action CSR kernel from shared template rows.
+    """Assemble the kernel's template rows and post-decision labels.
 
     A row depends on its (state, action) only through the post-spend battery
     level b, the pushed count c and whether the action pushes; each such case
@@ -321,7 +326,7 @@ def build_kernel(
         spend = np.array([energy_spend(action, r, grid) for r in range(m1)])
         t = ((action == Action.PUSH) * e1 + e_all - spend[q_all]) * n1 + c_all
         labels[action] = np.where(feasible[action], t, num_templates)
-    return TransitionKernel(tuple(templates[t] for t in labels), labels)
+    return TransitionKernel(templates, labels)
 
 
 @dataclass(frozen=True)
@@ -346,39 +351,40 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     ``never_entered`` lists states no other state can reach in one step under
     any feasible action; they are transient decorations of the chain and a
     strong-component count above one is expected whenever they exist.
-    Connectivity is read from the patterns of the distinct post-decision rows,
-    without summing the action matrices.
+    Every figure is read from the template rows, each weighted by the number
+    of feasible pairs that use it, without gathering the action matrices.
     """
     n = kernel.num_states
-    mask = kernel.feasible_mask()
-    mats = kernel.matrices
-    sums = np.concatenate(
-        [np.add.reduceat(m.data, m.indptr[:-1][rows]) for m, rows in zip(mats, mask)]
-    )
-    actions, states = np.nonzero(mask)
-    rows, row_of = kernel.post_decision_rows(actions, states)
-    rows.eliminate_zeros()
-    # s -> s' is feasible iff s reaches s' through a post-decision row, so the
-    # strong components of the union are those of the graph states -> rows ->
-    # states, counted on its state nodes.
-    k = rows.shape[0]
-    to_rows = csr_matrix((np.ones(row_of.size), (states, row_of)), shape=(n, k))
-    indptr = np.concatenate((to_rows.indptr, to_rows.nnz + rows.indptr[1:]))
-    indices = np.concatenate((n + to_rows.indices, rows.indices))
+    t = kernel.templates
+    k = t.shape[0]
+    actions, states = np.nonzero(kernel.feasible_mask())
+    pair_row = kernel.labels[actions, states]
+    users = np.bincount(pair_row, minlength=k)
+    # reduceat sums from each start to the next, so every nonempty row starts one
+    nonempty = np.diff(t.indptr) > 0
+    sums = np.add.reduceat(t.data, t.indptr[:-1][nonempty])[users[nonempty] > 0]
+    negative_rows = np.searchsorted(t.indptr, np.flatnonzero(t.data < 0), "right") - 1
+    if not t.data.all():  # an explicit zero is no transition
+        t = t.copy()
+        t.eliminate_zeros()
+    # s -> s' is feasible iff s reaches s' through the row of one of its
+    # pairs, so the strong components of the union are those of the graph
+    # states -> rows -> states, counted on its state nodes.
+    to_rows = csr_matrix((np.ones(pair_row.size), (states, pair_row)), shape=(n, k))
+    indptr = np.concatenate((to_rows.indptr, to_rows.nnz + t.indptr[1:]))
+    indices = np.concatenate((n + to_rows.indices, t.indices))
     graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + k, n + k))
     _, component = connected_components(graph, directed=True, connection="strong")
-    # Pairs entering each column, less the pairs whose row holds their own
+    # Pairs entering each state, less the pairs whose row holds their own
     # state: a self-loop is not an entry.
-    users = np.bincount(row_of, minlength=k)
-    entries = np.bincount(
-        rows.indices, weights=np.repeat(users, np.diff(rows.indptr)), minlength=n
-    )
-    entries -= sum(m.diagonal() != 0 for m in mats)
+    entries = (np.concatenate((np.zeros(n), users)) @ graph)[:n]
+    self_loop = np.asarray(t[pair_row, states]).ravel() != 0
+    entries -= np.bincount(states, weights=self_loop, minlength=n)
     return KernelReport(
         num_states=n,
-        num_rows=int(mask.sum()),
+        num_rows=int(pair_row.size),
         max_row_sum_deviation=float(np.max(np.abs(sums - 1.0), initial=0.0)),
-        negative_entries=sum(int(np.count_nonzero(m.data < 0)) for m in mats),
+        negative_entries=int(users[negative_rows].sum()),
         strong_components=np.unique(component[:n]).size,
         never_entered=tuple(int(s) for s in np.flatnonzero(entries == 0)),
     )

@@ -126,6 +126,19 @@ class TestSolveCommand:
         assert code == 2
         assert "e_max" in capsys.readouterr().err
 
+    def test_multichain_start_exits_one(self, tmp_path, capsys):
+        sets = ["e_max=3", "n_contents=3", "m_rings=1", "p_c=0", "p_u=0.379"]
+        argv = ["solve", "--out", str(tmp_path)]
+        code = main(argv + [arg for item in sets for arg in ("--set", item)])
+        assert code == 1
+        assert "4 closed classes" in capsys.readouterr().err
+
+    def test_prints_step_times(self, tmp_path, capsys):
+        assert main(["solve", "--out", str(tmp_path)] + TINY) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^evaluation \d+\.\d{3} s, improvement \d+\.\d{3} s$", out,
+                         re.MULTILINE)
+
     def test_missing_config_exits(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2

@@ -455,6 +455,33 @@ class TestMatchesReferenceLoop:
         assert str(new.value).startswith(f"period {period}: ")
 
 
+class TestBucketSearch:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(n_contents=1, m_rings=1),
+         dict(n_contents=3, m_rings=3, zipf_skew=2.5), dict(n_contents=40)],
+        ids=["default", "one-content", "steep", "large"],
+    )
+    def test_matches_searchsorted_at_every_threshold(self, overrides):
+        # each draw table of _draw, probed at its entries, their floating-point
+        # neighbours, the bucket edges and 0 and the largest draw below 1
+        params, _, grid, pop = make_scenario(**overrides)
+        n = params.num_contents
+        edges = np.arange(sim._BUCKETS + 1) / sim._BUCKETS
+        for table in (np.arange(n + 1) / n, cumulative_popularity_table(pop),
+                      np.cumsum(grid.ring_probs)):
+            points = np.concatenate((table, edges, [np.nextafter(1.0, 0.0)]))
+            points = np.concatenate(
+                (points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf))
+            )
+            u = points[(points >= 0.0) & (points < 1.0)]
+            u = np.concatenate((u, np.random.default_rng(0).random(100_000)))
+            got = sim._BucketSearch(table)(u)
+            expect = np.searchsorted(table, u, side="right")
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
+
+
 class TestAgreementWithKernel:
     def test_sampled_transitions_match_rows(self, default_instance):
         params, _, grid, pop, kernel, _ = default_instance

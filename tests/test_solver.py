@@ -10,6 +10,7 @@ from pushmdp.model import NUM_ACTIONS, Action
 from pushmdp.policies import non_push_optimal
 from pushmdp.solver import (
     ConvergenceError,
+    MultichainError,
     PolicyTable,
     SingularPolicyError,
     ValueSolution,
@@ -21,8 +22,9 @@ from pushmdp.solver import (
     policy_iteration,
     relative_value_iteration,
     _closed_classes,
+    _q_values,
 )
-from pushmdp.transition import TransitionKernel
+from pushmdp.transition import TransitionKernel, validate_kernel
 
 from conftest import make_instance
 
@@ -98,6 +100,28 @@ def reduced_chain(policy, kernel):
     n = kernel.num_states
     rows, post = kernel.post_decision_rows(policy.actions, np.arange(n))
     return rows @ csr_matrix((np.ones(n), (np.arange(n), post)), shape=(n, rows.shape[0]))
+
+
+def reference_q_values(kernel, costs, h):
+    """Action-value table g + P h from each full action matrix.
+
+    Reference for cross-checks only: _q_values now reads P h from one product
+    of the post-decision template rows with h.
+    """
+    n = kernel.num_states
+    q = np.full((NUM_ACTIONS, n), np.inf)
+    mask = kernel.feasible_mask()
+    for a in range(NUM_ACTIONS):
+        rows = mask[a]
+        if rows.any():
+            vals = costs[a] + kernel.action_matrix(Action(a)) @ h
+            q[a, rows] = vals[rows]
+    return q
+
+
+def assert_q_values_match_reference(kernel, costs, h):
+    got = _q_values(kernel, costs, h)
+    assert np.array_equal(got, reference_q_values(kernel, costs, h))
 
 
 def policy_iterates(kernel, costs):
@@ -453,6 +477,41 @@ class TestPolicyIteration:
         result = policy_iteration(kernel, costs)
         assert result.policy == default_solution.policy
 
+    def test_records_timing_and_fallback_telemetry(self, default_solution):
+        for r in default_solution.iterations:
+            assert r.evaluation_s > 0.0 and r.improvement_s > 0.0
+            assert r.vi_sweeps is None and r.vi_span is None
+        kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})
+        costs = costs_for(2, {0: np.ones(2), 1: np.zeros(2)})
+        fallback, direct = policy_iteration(kernel, costs).iterations
+        assert fallback.vi_sweeps >= 1 and 0.0 <= fallback.vi_span < 1e-10
+        assert direct.vi_sweeps is None and direct.vi_span is None
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(e_max=3, n_contents=3, m_rings=1, p_c=0.0, p_u=0.379),
+            dict(e_max=3, n_contents=2, m_rings=1, p_c=0.0, p_u=0.89),
+        ],
+    )
+    def test_multichain_start_fails_fast(self, monkeypatch, overrides):
+        # with no cache turnover the all-sleep start never changes its pushed
+        # count: one closed class per count, each with its own gain, where
+        # value iteration used to run its 500,000 sweeps before giving up
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("value-iteration fallback ran")
+
+        monkeypatch.setattr("pushmdp.solver.relative_value_iteration", no_fallback)
+        _, _, _, _, kernel, costs = make_instance(**overrides)
+        with pytest.raises(MultichainError, match="closed classes"):
+            policy_iteration(kernel, costs)
+        with pytest.raises(SingularPolicyError) as exc:
+            policy_evaluation(PolicyTable.all_sleep(kernel.num_states), kernel, costs)
+        gains = exc.value.class_gains
+        assert len(gains) == overrides["n_contents"] + 1
+        assert min(gains) == pytest.approx(0.0, abs=1e-12)
+        assert max(gains) == pytest.approx(overrides["p_u"], abs=1e-12)
+
     def test_iteration_cap(self):
         p = np.array([[1.0]])
         kernel = dense_kernel({0: p, 1: p})
@@ -468,6 +527,66 @@ class TestPolicyIteration:
         assert policy is default_solution.policy
         assert values is default_solution.values
         assert trace is default_solution.trace
+
+
+class TestTemplateQValues:
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
+    )
+    def test_match_reference(self, overrides):
+        _, _, _, _, kernel, costs = make_instance(**overrides)
+        h = np.random.default_rng(1).standard_normal(kernel.num_states)
+        optimal = policy_iteration(kernel, costs).values.h
+        restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        for k in (kernel, restricted):
+            for values in (h, optimal, np.zeros(kernel.num_states)):
+                assert_q_values_match_reference(k, costs, values)
+
+    @given(instance=random_chains(max_actions=NUM_ACTIONS))
+    @settings(max_examples=20, deadline=None)
+    def test_match_reference_on_hand_built_kernels(self, instance):
+        kernel, costs = instance
+        h = np.random.default_rng(2).standard_normal(kernel.num_states)
+        assert_q_values_match_reference(kernel, costs, h)
+        assert_q_values_match_reference(kernel.restrict({Action.SLEEP}), costs, h)
+
+    def test_solvers_gather_no_action_matrix(self, monkeypatch, default_instance,
+                                             default_solution):
+        def no_gather(self, action):
+            raise AssertionError("action matrix gathered")
+
+        _, _, _, _, kernel, costs = default_instance
+        _, _, _, _, small, small_costs = make_instance(e_max=4, n_contents=3, m_rings=2)
+        monkeypatch.setattr(TransitionKernel, "action_matrix", no_gather)
+        result = policy_iteration(kernel, costs)
+        assert result.policy == default_solution.policy
+        assert bellman_residual(result.values, kernel, costs) <= 1e-9
+        restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        assert policy_iteration(restricted, costs).values.gain > result.values.gain
+        relative_value_iteration(small, small_costs, tol=1e-10)
+        validate_kernel(kernel)
+        validate_kernel(restricted)
+
+
+# The ranges of test_kernel_matches_reference_on_random_instances in
+# test_transition.py, boundary probabilities included.
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(
+    e_max=st.integers(0, 3),
+    n=st.integers(0, 3),
+    m=st.integers(1, 3),
+    p_c=PROBABILITY,
+    p_u=PROBABILITY,
+)
+@settings(max_examples=60, deadline=None)
+def test_template_q_values_match_reference_on_random_instances(e_max, n, m, p_c, p_u):
+    _, _, _, _, kernel, costs = make_instance(
+        e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
+    )
+    h = np.random.default_rng(3).standard_normal(kernel.num_states)
+    assert_q_values_match_reference(kernel, costs, h)
 
 
 class TestPolicyTable:

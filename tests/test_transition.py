@@ -21,6 +21,7 @@ from pushmdp.model import (
 )
 from pushmdp.transition import (
     ArrivalPmf,
+    KernelReport,
     TransitionKernel,
     build_kernel,
     content_row,
@@ -144,6 +145,43 @@ def union_connectivity(kernel):
     entries = np.bincount(union.indices, minlength=kernel.num_states)
     entries -= union.diagonal() != 0
     return n_comp, tuple(int(s) for s in np.flatnonzero(entries == 0))
+
+
+def reference_validate_kernel(kernel):
+    """KernelReport read from the per-action matrices.
+
+    Reference for cross-checks only: validate_kernel used to sum rows, count
+    negatives and self-loops over every action matrix, and now reads all of
+    it from the template rows, weighted by the pairs that use each.
+    """
+    n = kernel.num_states
+    mask = kernel.feasible_mask()
+    mats = kernel.matrices
+    sums = np.concatenate(
+        [np.add.reduceat(m.data, m.indptr[:-1][rows]) for m, rows in zip(mats, mask)]
+    )
+    actions, states = np.nonzero(mask)
+    rows, row_of = kernel.post_decision_rows(actions, states)
+    rows.eliminate_zeros()
+    k = rows.shape[0]
+    to_rows = csr_matrix((np.ones(row_of.size), (states, row_of)), shape=(n, k))
+    indptr = np.concatenate((to_rows.indptr, to_rows.nnz + rows.indptr[1:]))
+    indices = np.concatenate((n + to_rows.indices, rows.indices))
+    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + k, n + k))
+    _, component = connected_components(graph, directed=True, connection="strong")
+    users = np.bincount(row_of, minlength=k)
+    entries = np.bincount(
+        rows.indices, weights=np.repeat(users, np.diff(rows.indptr)), minlength=n
+    )
+    entries -= sum(m.diagonal() != 0 for m in mats)
+    return KernelReport(
+        num_states=n,
+        num_rows=int(mask.sum()),
+        max_row_sum_deviation=float(np.max(np.abs(sums - 1.0), initial=0.0)),
+        negative_entries=sum(int(np.count_nonzero(m.data < 0)) for m in mats),
+        strong_components=np.unique(component[:n]).size,
+        never_entered=tuple(int(s) for s in np.flatnonzero(entries == 0)),
+    )
 
 
 def assert_connectivity_matches_union(kernel):
@@ -514,6 +552,30 @@ class TestValidateKernel:
     @pytest.mark.parametrize(
         "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
     )
+    def test_report_matches_reference(self, overrides):
+        params, _, _, _, kernel, _ = make_instance(**overrides)
+        restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        for k in (kernel, restricted, kernel.restrict({Action.SLEEP})):
+            report = validate_kernel(k)
+            assert report == reference_validate_kernel(k)
+            assert report.num_states == params.num_states
+
+    def test_report_matches_reference_on_tampered_kernels(self, default_instance):
+        _, _, _, _, kernel, _ = default_instance
+
+        def negate_and_zero(prob):
+            prob[0] *= -1.0
+            prob[1] = 0.0
+
+        # an explicit zero is no transition: it may drop an entry or a component
+        bad = tampered(kernel, Action.SLEEP, negate_and_zero)
+        report = validate_kernel(bad)
+        assert report == reference_validate_kernel(bad)
+        assert report.negative_entries == 1
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
+    )
     def test_connectivity_matches_union(self, overrides):
         _, _, _, _, kernel, _ = make_instance(**overrides)
         assert_connectivity_matches_union(kernel)
@@ -560,3 +622,4 @@ def test_kernel_matches_reference_on_random_instances(e_max, n, m, p_c, p_u):
     )
     assert_labels_share_rows(kernel)
     assert_connectivity_matches_union(kernel)
+    assert validate_kernel(kernel) == reference_validate_kernel(kernel)

@@ -10,7 +10,6 @@ from .model import (
     SystemParams,
     SystemState,
     calibrate_radio,
-    cumulative_popularity,
     required_power,
     zipf_pmf,
 )
@@ -18,7 +17,6 @@ from .policies import (
     ThresholdProfile,
     non_push_optimal,
     threshold_profile,
-    unicast_priority,
     unicast_priority_table,
 )
 from .sim import SimConfig, SimMetrics, SimulationError, simulate, sweep
@@ -75,7 +73,6 @@ __all__ = [
     "brute_force_oracle",
     "build_kernel",
     "calibrate_radio",
-    "cumulative_popularity",
     "non_push_optimal",
     "policy_evaluation",
     "evaluate_with_fallback",
@@ -86,7 +83,6 @@ __all__ = [
     "simulate",
     "sweep",
     "threshold_profile",
-    "unicast_priority",
     "unicast_priority_table",
     "validate_kernel",
     "zipf_pmf",

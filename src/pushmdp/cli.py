@@ -65,7 +65,6 @@ _FLOAT_KEYS = {
     "pt_edge_w",
     "t_p_s",
 }
-_STR_KEYS = {"pu_grid"}
 
 DEFAULTS = {
     "n_contents": 20,
@@ -163,7 +162,7 @@ def build_scenario(settings: dict):
         cell_radius=settings["radius_m"],
         edge_power=settings["pt_edge_w"],
     )
-    params, radio, grid = calibrate_radio(params, radio, free="noise")
+    params, radio, grid = calibrate_radio(params, radio)
     popularity = zipf_pmf(params)
     return params, radio, grid, popularity
 
@@ -264,6 +263,11 @@ def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> i
     return 0
 
 
+def _reduction(nopush: float, push: float) -> float:
+    """Relative drop of the macro ratio from pushing; nan when non-push has none."""
+    return (nopush - push) / nopush if nopush > 0 else float("nan")
+
+
 def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
     params, _, grid, popularity = build_scenario(settings)
     pu_grid = parse_pu_grid(settings["pu_grid"])
@@ -295,16 +299,8 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
         nopush = by_point.get(("non-push", p_u))
         if push is None or nopush is None:
             continue
-        red_solver = (
-            (nopush.ratio_solver - push.ratio_solver) / nopush.ratio_solver
-            if nopush.ratio_solver > 0
-            else float("nan")
-        )
-        red_sim = (
-            (nopush.ratio_sim - push.ratio_sim) / nopush.ratio_sim
-            if nopush.ratio_sim > 0
-            else float("nan")
-        )
+        red_solver = _reduction(nopush.ratio_solver, push.ratio_solver)
+        red_sim = _reduction(nopush.ratio_sim, push.ratio_sim)
         summary.append(f"{p_u:.17g} {red_solver:.17g} {red_sim:.17g}")
         print(
             f"p_u {p_u:.2f}: push reduces macro ratio by "
@@ -466,11 +462,8 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(settings, args.out, args.seed)
         raise AssertionError(args.command)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
-        # CalibrationError lands here too: bad radio constants are a config problem
+        # ConfigError and CalibrationError are ValueErrors: bad input exits 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, SimulationError) as exc:

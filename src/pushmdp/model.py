@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Action",
@@ -28,17 +27,13 @@ __all__ = [
     "SystemState",
     "CalibrationError",
     "zipf_pmf",
-    "cumulative_popularity",
     "cumulative_popularity_table",
     "required_power",
     "calibrate_radio",
-    "battery_update",
-    "feasible_actions",
-    "energy_spend",
-    "stage_cost",
     "state_index",
     "index_state",
     "state_table",
+    "spend_table",
     "stage_cost_table",
     "feasible_table",
 ]
@@ -205,24 +200,12 @@ def zipf_pmf(params: SystemParams) -> np.ndarray:
     return weights / weights.sum()
 
 
-def cumulative_popularity(popularity: np.ndarray, pushed: int) -> float:
-    """Probability that a requested content ranks within the top ``pushed``.
+def cumulative_popularity_table(popularity: np.ndarray) -> np.ndarray:
+    """Probability that a requested content ranks within the top c, c = 0..N.
 
     Exactly 0.0 for an empty pushed set and exactly 1.0 when everything is
     pushed (the popularity vector is normalized by construction).
     """
-    n = len(popularity)
-    if not 0 <= pushed <= n:
-        raise ValueError(f"pushed count {pushed} outside [0, {n}]")
-    if pushed == n:
-        return 1.0
-    if pushed == 0:
-        return 0.0
-    return float(np.sum(popularity[:pushed]))
-
-
-def cumulative_popularity_table(popularity: np.ndarray) -> np.ndarray:
-    """Vector of cumulative_popularity values for pushed = 0..N."""
     n = len(popularity)
     table = np.empty(n + 1)
     table[0] = 0.0
@@ -276,63 +259,38 @@ def _snap_noise_to_edge_power(radio: RadioParams) -> RadioParams:
 
 
 def calibrate_radio(
-    params: SystemParams,
-    radio: RadioParams,
-    free: str = "noise",
+    params: SystemParams, radio: RadioParams
 ) -> tuple[SystemParams, RadioParams, DistanceGrid]:
-    """Pin the free radio constant so the edge ring costs exactly M units.
+    """Solve the noise constant so the edge ring costs exactly M units.
 
     Two conditions tie the constants together: an edge transmission runs at
-    ``radio.edge_power`` and costs ``num_rings`` energy units per period.
-    With ``free="noise"`` the noise-plus-interference power is solved from the
-    edge-power equation and the energy unit follows as
-    ``edge_power * period / num_rings``; with ``free="energy_unit"`` the given
-    noise constant is kept, the edge power is re-derived from it and the
-    energy unit is solved from that.  Either choice yields the same integer
-    cost grid l_i = i.  Ring boundaries d_i are then root-found from
-    required_power(d_i) * period = i * energy_unit (closed form
-    d_i = R * (i/M)^(1/alpha) for the pure power law used here).
+    ``radio.edge_power`` and costs ``num_rings`` energy units per period.  The
+    noise-plus-interference power is solved from the edge-power equation and
+    the energy unit follows as ``edge_power * period / num_rings``, which
+    yields the integer cost grid l_i = i.  Ring boundaries solve
+    required_power(d_i) * period = i * energy_unit, in closed form
+    d_i = R * (i/M)^(1/alpha) for the pure power law used here.
+    ``CalibrationError`` is raised when rounding leaves a ring no width.
 
     Returns updated copies of (params, radio) plus the distance grid.
     """
     m = params.num_rings
     radius = radio.cell_radius
-    period = params.period_length
-
-    if free == "noise":
-        unit = radio.edge_power * period / m
-        sigma2 = radio.edge_power * radio.pathloss_const / (
-            _snr_gap(radio) * radius ** radio.pathloss_exp
-        )
-        radio = _snap_noise_to_edge_power(
-            replace(radio, noise_plus_interference=sigma2)
-        )
-    elif free == "energy_unit":
-        edge = required_power(radius, radio)
-        unit = edge * period / m
-        radio = replace(radio, edge_power=edge)
-    else:
-        raise ValueError(f"free must be 'noise' or 'energy_unit', got {free!r}")
-
+    unit = radio.edge_power * params.period_length / m
+    sigma2 = radio.edge_power * radio.pathloss_const / (
+        _snr_gap(radio) * radius ** radio.pathloss_exp
+    )
+    radio = _snap_noise_to_edge_power(replace(radio, noise_plus_interference=sigma2))
     params = replace(params, energy_unit=unit)
 
-    distances = []
-    lo = radius * 1e-12
-    for i in range(1, m):
-        target = i * unit
-
-        def gap(d, target=target):
-            return required_power(d, radio) * period - target
-
-        if gap(lo) >= 0.0 or gap(radius) <= 0.0:
+    distances = [radius * (i / m) ** (1.0 / radio.pathloss_exp) for i in range(1, m)]
+    distances.append(radius)
+    for i, (inner, outer) in enumerate(zip([0.0, *distances], distances), start=1):
+        if not inner < outer:
             raise CalibrationError(
-                f"no distance in (0, {radius}] costs {i} units; "
+                f"ring {i} of {m} has no width in (0, {radius}]; "
                 "radio parameters are inconsistent"
             )
-        distances.append(
-            brentq(gap, lo, radius, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-        )
-    distances.append(radius)
 
     ring_probs = []
     prev = 0.0
@@ -345,46 +303,6 @@ def calibrate_radio(
         ring_probs=tuple(ring_probs),
     )
     return params, radio, grid
-
-
-def battery_update(level: int, spent: int, arrived: int, capacity: int) -> int:
-    """Next battery level, min(capacity, level - spent + arrived)."""
-    if not 0 <= spent <= level:
-        raise ValueError(f"cannot spend {spent} units from a battery at {level}")
-    if arrived < 0:
-        raise ValueError("arrived units must be >= 0")
-    return min(capacity, level - spent + arrived)
-
-
-def energy_spend(action: Action, request: int, grid: DistanceGrid) -> int:
-    """Units consumed by an action taken against request ring ``request``."""
-    if action == Action.SLEEP:
-        return 0
-    if action == Action.UNICAST:
-        return grid.unicast_costs[request]
-    return grid.push_cost
-
-
-def feasible_actions(
-    state: SystemState, grid: DistanceGrid, params: SystemParams
-) -> tuple[Action, ...]:
-    """Actions available in ``state``.
-
-    Sleep is always allowed.  Unicast needs an actual request whose ring cost
-    fits in the battery.  Push must cover the cell edge and needs an un-pushed
-    content left.
-    """
-    actions = [Action.SLEEP]
-    if state.request >= 1 and grid.unicast_costs[state.request] <= state.battery:
-        actions.append(Action.UNICAST)
-    if grid.push_cost <= state.battery and state.pushed < params.num_contents:
-        actions.append(Action.PUSH)
-    return tuple(actions)
-
-
-def stage_cost(state: SystemState, action: Action) -> int:
-    """1 when a pending request is handed to the macro cell, else 0."""
-    return 1 if state.request > 0 and action != Action.UNICAST else 0
 
 
 def state_index(state: SystemState, params: SystemParams) -> int:
@@ -418,8 +336,24 @@ def state_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return e.ravel(), q.ravel(), c.ravel()
 
 
+def spend_table(grid: DistanceGrid) -> np.ndarray:
+    """(num_actions, num_rings + 1) energy units an action spends per request ring.
+
+    Sleep spends nothing, unicast the request ring's cost and push the
+    edge-ring cost whatever the request.
+    """
+    spend = np.zeros((NUM_ACTIONS, grid.num_rings + 1), dtype=np.int64)
+    spend[Action.UNICAST] = grid.unicast_costs
+    spend[Action.PUSH] = grid.push_cost
+    return spend
+
+
 def stage_cost_table(params: SystemParams) -> np.ndarray:
-    """(num_actions, num_states) array of stage costs."""
+    """(num_actions, num_states) stage costs.
+
+    The cost is 1 when a pending request is handed to the macro cell, that is
+    under any action but unicast, else 0.
+    """
     _, q, _ = state_table(params)
     costs = np.zeros((NUM_ACTIONS, params.num_states))
     pending = (q > 0).astype(float)
@@ -429,11 +363,13 @@ def stage_cost_table(params: SystemParams) -> np.ndarray:
 
 
 def feasible_table(params: SystemParams, grid: DistanceGrid) -> np.ndarray:
-    """(num_actions, num_states) boolean feasibility mask."""
+    """(num_actions, num_states) boolean feasibility mask.
+
+    An action is feasible when the battery covers its spend; unicast also
+    needs a pending request and push an un-pushed content.
+    """
     e, q, c = state_table(params)
-    costs = np.asarray(grid.unicast_costs)
-    mask = np.zeros((NUM_ACTIONS, params.num_states), dtype=bool)
-    mask[Action.SLEEP] = True
-    mask[Action.UNICAST] = (q >= 1) & (costs[q] <= e)
-    mask[Action.PUSH] = (grid.push_cost <= e) & (c < params.num_contents)
+    mask = spend_table(grid)[:, q] <= e
+    mask[Action.UNICAST] &= q >= 1
+    mask[Action.PUSH] &= c < params.num_contents
     return mask

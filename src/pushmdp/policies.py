@@ -16,7 +16,6 @@ from .model import (
     Action,
     DistanceGrid,
     SystemParams,
-    SystemState,
     feasible_table,
     state_table,
 )
@@ -25,7 +24,6 @@ from .transition import TransitionKernel
 
 __all__ = [
     "non_push_optimal",
-    "unicast_priority",
     "unicast_priority_table",
     "SliceThreshold",
     "ThresholdProfile",
@@ -49,27 +47,12 @@ def non_push_optimal(
     return policy_iteration(restricted, costs, ref_state=ref_state, max_iter=max_iter)
 
 
-def unicast_priority(
-    state: SystemState, grid: DistanceGrid, params: SystemParams
-) -> Action:
+def unicast_priority_table(params: SystemParams, grid: DistanceGrid) -> PolicyTable:
     """Greedy rule: serve an affordable request, else push on idle, else sleep.
 
     A pending request the battery cannot cover yields Sleep (the macro cell
     takes it); push never preempts a pending request.
     """
-    if state.request >= 1 and grid.unicast_costs[state.request] <= state.battery:
-        return Action.UNICAST
-    if (
-        state.request == 0
-        and grid.push_cost <= state.battery
-        and state.pushed < params.num_contents
-    ):
-        return Action.PUSH
-    return Action.SLEEP
-
-
-def unicast_priority_table(params: SystemParams, grid: DistanceGrid) -> PolicyTable:
-    """Greedy rule tabulated over the whole state space."""
     feasible = feasible_table(params, grid)
     _, q, _ = state_table(params)
     idle = np.where(feasible[Action.PUSH] & (q == 0), Action.PUSH, Action.SLEEP)

@@ -36,10 +36,10 @@ from .model import (
     SystemParams,
     SystemState,
     cumulative_popularity_table,
-    energy_spend,
-    feasible_actions,
     feasible_table,
+    spend_table,
     stage_cost_table,
+    state_index,
     state_table,
 )
 from .policies import non_push_optimal, unicast_priority_table
@@ -245,8 +245,7 @@ def simulate(
     e_tab, q_tab, c_tab = state_table(params)
     states = np.arange(params.num_states)
     feasible = feasible_table(params, grid)[actions, states]
-    spend = np.array([[energy_spend(a, r, grid) for r in range(m1)] for a in Action])
-    spent = np.where(feasible, spend[actions, q_tab], 0)
+    spent = np.where(feasible, spend_table(grid)[actions, q_tab], 0)
     pushed_next = c_tab + (feasible & (actions == Action.PUSH))
     post_spend = e_tab - spent
     macro_tab = stage_cost_table(params)[actions, states].astype(np.uint8)
@@ -379,11 +378,11 @@ def sample_transitions(
     simulator, vectorized; this is the independent check against the
     analytic kernel rows.
     """
-    if action not in feasible_actions(state, grid, params):
+    if not feasible_table(params, grid)[action, state_index(state, params)]:
         raise SimulationError(f"{action.name} infeasible in {state}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     d = _draw(rng, count, params, grid, cumulative_popularity_table(popularity))
-    spent = energy_spend(action, state.request, grid)
+    spent = spend_table(grid)[action, state.request]
     c_next = state.pushed + (action == Action.PUSH) - (state.pushed >= d.drop_min)
     e_next = np.minimum(params.battery_levels, state.battery - spent + d.arrivals)
     q_next = np.where(c_next >= d.hit_min, 0, d.miss_q)

@@ -259,11 +259,6 @@ def _class_labels(p: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return label, np.setdiff1d(np.arange(n_comp), leaving)
 
 
-def _closed_classes(p: csr_matrix) -> int:
-    """Number of closed classes of the chain p (unichain: one)."""
-    return _class_labels(p)[1].size
-
-
 def _q_values(kernel, costs, h):
     """Action-value table g + P h with +inf at infeasible pairs.
 

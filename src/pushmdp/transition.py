@@ -29,8 +29,8 @@ from .model import (
     DistanceGrid,
     SystemParams,
     cumulative_popularity_table,
-    energy_spend,
     feasible_table,
+    spend_table,
     state_table,
 )
 
@@ -86,21 +86,13 @@ class ArrivalPmf:
         return math.fsum(self.probs[: count + 1])
 
 
-def energy_row(
-    battery: int,
-    request: int,
-    action: Action,
-    grid: DistanceGrid,
-    arrival: ArrivalPmf,
-    capacity: int,
-) -> np.ndarray:
-    """Next-battery pmf over 0..capacity after acting and harvesting."""
-    spent = energy_spend(action, request, grid)
-    if spent > battery:
-        raise ValueError(
-            f"action {action.name} spends {spent} units but battery holds {battery}"
-        )
-    base = battery - spent
+def energy_row(base: int, arrival: ArrivalPmf, capacity: int) -> np.ndarray:
+    """Next-battery pmf over 0..capacity from post-spend level ``base``.
+
+    Harvested units are added to ``base`` and the sum is capped at capacity.
+    """
+    if not 0 <= base <= capacity:
+        raise ValueError(f"post-spend battery level {base} outside [0, {capacity}]")
     row = np.zeros(capacity + 1)
     for nxt in range(base, capacity):
         row[nxt] = arrival.probs[nxt - base]
@@ -200,9 +192,6 @@ class TransitionKernel:
             self._mask = mask
         return self._mask
 
-    def feasible_actions(self, state: int) -> tuple[Action, ...]:
-        return tuple(Action(a) for a in np.flatnonzero(self.feasible_mask()[:, state]))
-
     def row(self, state: int, action: Action) -> tuple[np.ndarray, np.ndarray]:
         """(next-state indices, probabilities) of one feasible (state, action)."""
         if not self.feasible_mask()[int(action), state]:
@@ -282,11 +271,9 @@ def build_kernel(
     m1 = params.num_rings + 1
     n1 = params.num_contents + 1
     pop_cum = cumulative_popularity_table(popularity)
-    # energy[b, E'] is the battery row from post-spend level b (a sleep at b);
+    # energy[b, E'] is the battery row from post-spend level b;
     # request[C', Q'] is the request row given next period's pushed count.
-    energy = np.stack(
-        [energy_row(b, 0, Action.SLEEP, grid, arrival, e1 - 1) for b in range(e1)]
-    )
+    energy = np.stack([energy_row(b, arrival, e1 - 1) for b in range(e1)])
     request = np.stack(
         [request_row(c, pop_cum, grid, params.request_prob) for c in range(n1)]
     )
@@ -321,10 +308,10 @@ def build_kernel(
 
     feasible = feasible_table(params, grid)
     e_all, q_all, c_all = state_table(params)
+    spend = spend_table(grid)
     labels = np.empty((len(Action), params.num_states), dtype=np.int64)
     for action in Action:
-        spend = np.array([energy_spend(action, r, grid) for r in range(m1)])
-        t = ((action == Action.PUSH) * e1 + e_all - spend[q_all]) * n1 + c_all
+        t = ((action == Action.PUSH) * e1 + e_all - spend[action, q_all]) * n1 + c_all
         labels[action] = np.where(feasible[action], t, num_templates)
     return TransitionKernel(templates, labels)
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pushmdp.cli import DEFAULTS, build_scenario
-from pushmdp.model import stage_cost_table
+from pushmdp.model import Action, stage_cost_table
 from pushmdp.policies import non_push_optimal, unicast_priority_table
 from pushmdp.solver import policy_iteration
 from pushmdp.transition import ArrivalPmf, build_kernel
@@ -17,6 +17,15 @@ def make_scenario(**overrides):
             raise KeyError(key)
         settings[key] = value
     return build_scenario(settings)
+
+
+def reference_energy_spend(action, request, grid):
+    """Per-pair spend rule that ``spend_table`` replaced; reference only."""
+    if action == Action.SLEEP:
+        return 0
+    if action == Action.UNICAST:
+        return grid.unicast_costs[request]
+    return grid.push_cost
 
 
 def make_instance(**overrides):

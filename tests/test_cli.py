@@ -229,6 +229,18 @@ class TestOracleCommand:
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+def _fresh_python(*args):
+    """Run this interpreter in a new process on this checkout's package."""
+    package_root = str(Path(pushmdp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
 def _assert_help(proc):
     assert proc.returncode == 0, proc.stderr
     assert "solve" in proc.stdout and "sweep" in proc.stdout
@@ -256,17 +268,7 @@ def test_console_entry_point():
         f"import sys; from {entry.module} import {entry.attr}; "
         f"sys.exit({entry.attr}())"
     )
-    package_root = str(Path(pushmdp.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
-    _assert_help(
-        subprocess.run(
-            [sys.executable, "-c", wrapper, "--help"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-    )
+    _assert_help(_fresh_python("-c", wrapper, "--help"))
 
     script = shutil.which("pushmdp")
     if script is not None:
@@ -275,3 +277,12 @@ def test_console_entry_point():
                 [script, "--help"], capture_output=True, text=True, timeout=60
             )
         )
+
+
+def test_import_loads_no_root_finder():
+    """Calibration is closed-form, so importing the CLI skips scipy.optimize."""
+    proc = _fresh_python(
+        "-c", "import sys, pushmdp.cli; print('scipy.optimize' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -13,21 +13,18 @@ from pushmdp.model import (
     RadioParams,
     SystemParams,
     SystemState,
-    battery_update,
     calibrate_radio,
-    cumulative_popularity,
     cumulative_popularity_table,
-    energy_spend,
-    feasible_actions,
     feasible_table,
     index_state,
     required_power,
-    stage_cost,
+    spend_table,
     stage_cost_table,
     state_index,
     state_table,
     zipf_pmf,
 )
+from pushmdp.transition import ArrivalPmf, energy_row
 
 from conftest import make_scenario
 
@@ -78,33 +75,43 @@ class TestZipf:
         assert math.fsum(f) == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_cumulative_popularity(popularity, pushed):
+    """Per-count popularity sum that the table replaced, with exact ends.
+
+    Reference for cross-checks only.
+    """
+    n = len(popularity)
+    if pushed == n:
+        return 1.0
+    if pushed == 0:
+        return 0.0
+    return float(np.sum(popularity[:pushed]))
+
+
 class TestCumulativePopularity:
     def test_two_most_popular(self):
-        f = zipf_pmf(default_params())
+        table = cumulative_popularity_table(zipf_pmf(default_params()))
         expect = (1.0 + 2 ** -0.5) / ZIPF_NORM_20
-        assert cumulative_popularity(f, 2) == pytest.approx(expect, abs=1e-12)
-        assert cumulative_popularity(f, 2) == pytest.approx(0.22476, abs=5e-6)
+        assert table[2] == pytest.approx(expect, abs=1e-12)
+        assert table[2] == pytest.approx(0.22476, abs=5e-6)
 
     def test_boundaries_exact(self):
-        f = zipf_pmf(default_params())
-        assert cumulative_popularity(f, 0) == 0.0
-        assert cumulative_popularity(f, 20) == 1.0
+        table = cumulative_popularity_table(zipf_pmf(default_params()))
+        assert table.shape == (21,)
+        assert table[0] == 0.0
+        assert table[20] == 1.0
 
     def test_empty_catalog_full_coverage(self):
-        f = zipf_pmf(default_params(num_contents=0))
-        assert cumulative_popularity(f, 0) == 1.0
+        table = cumulative_popularity_table(zipf_pmf(default_params(num_contents=0)))
+        assert table[0] == 1.0
 
     def test_table_matches_scalar(self):
         f = zipf_pmf(default_params())
         table = cumulative_popularity_table(f)
         for c in range(21):
-            assert table[c] == pytest.approx(cumulative_popularity(f, c), abs=1e-15)
+            expect = reference_cumulative_popularity(f, c)
+            assert table[c] == pytest.approx(expect, abs=1e-15)
         assert table[20] == 1.0
-
-    def test_out_of_range_rejected(self):
-        f = zipf_pmf(default_params())
-        with pytest.raises(ValueError):
-            cumulative_popularity(f, 21)
 
 
 def default_radio(**over):
@@ -155,13 +162,9 @@ class TestCalibration:
         _, radio, _, _ = make_scenario()
         assert required_power(radio.cell_radius, radio) == radio.edge_power
 
-    def test_energy_unit_as_free_variable(self):
-        params = default_params(energy_unit=1.0)
-        radio = default_radio()
-        params2, radio2, grid = calibrate_radio(params, radio, free="energy_unit")
-        assert radio2.noise_plus_interference == radio.noise_plus_interference
-        assert params2.energy_unit == pytest.approx(0.25, abs=1e-12)
-        assert grid.distances[-1] == 50.0
+    def test_default_distances_exact(self):
+        _, _, grid, _ = make_scenario()
+        assert grid.distances == (25.0, 35.35533905932738, 43.30127018922193, 50.0)
 
     def test_costs_match_distances(self):
         params, radio, grid, _ = make_scenario(alpha=3.0, m_rings=5)
@@ -169,9 +172,12 @@ class TestCalibration:
             energy = required_power(d, radio) * params.period_length
             assert energy == pytest.approx(i * params.energy_unit, rel=1e-10)
 
-    def test_unknown_free_variable(self):
-        with pytest.raises(ValueError):
-            calibrate_radio(default_params(), default_radio(), free="bandwidth")
+    def test_ring_without_width_rejected(self):
+        # (i/M)^(1/alpha) rounds to 1 for every ring: no ring but the last
+        # has a distance of its own
+        radio = default_radio(pathloss_exp=1e17, cell_radius=1.0)
+        with pytest.raises(CalibrationError, match="no width"):
+            calibrate_radio(default_params(), radio)
 
     @given(
         alpha=st.floats(2.0, 5.0),
@@ -257,39 +263,59 @@ class TestStateCodec:
         assert (back.battery, back.request, back.pushed) == (e, q, c)
 
 
+def reference_feasible_actions(state, grid, params):
+    """Per-state feasibility rule that the table replaced.
+
+    Reference for cross-checks only.
+    """
+    actions = [Action.SLEEP]
+    if state.request >= 1 and grid.unicast_costs[state.request] <= state.battery:
+        actions.append(Action.UNICAST)
+    if grid.push_cost <= state.battery and state.pushed < params.num_contents:
+        actions.append(Action.PUSH)
+    return tuple(actions)
+
+
+def reference_stage_cost(state, action):
+    """Per-pair stage cost that the table replaced; reference only."""
+    return 1 if state.request > 0 and action != Action.UNICAST else 0
+
+
 class TestFeasibilityAndCost:
-    def grid(self):
-        _, _, grid, _ = make_scenario()
-        return grid
+    def feasible(self, state):
+        params, _, grid, _ = make_scenario()
+        return feasible_table(params, grid)[:, state_index(state, params)]
 
     def test_sleep_always_feasible(self):
-        params, _, grid, _ = make_scenario()
         for s in (SystemState(0, 0, 0), SystemState(15, 4, 20)):
-            assert Action.SLEEP in feasible_actions(s, grid, params)
+            assert self.feasible(s)[Action.SLEEP]
 
     def test_unicast_needs_request_and_energy(self):
-        params, _, grid, _ = make_scenario()
-        assert Action.UNICAST not in feasible_actions(SystemState(15, 0, 0), grid, params)
-        assert Action.UNICAST not in feasible_actions(SystemState(2, 3, 0), grid, params)
-        assert Action.UNICAST in feasible_actions(SystemState(3, 3, 0), grid, params)
+        assert not self.feasible(SystemState(15, 0, 0))[Action.UNICAST]
+        assert not self.feasible(SystemState(2, 3, 0))[Action.UNICAST]
+        assert self.feasible(SystemState(3, 3, 0))[Action.UNICAST]
 
     def test_push_needs_energy_and_room(self):
-        params, _, grid, _ = make_scenario()
-        assert Action.PUSH not in feasible_actions(SystemState(3, 0, 0), grid, params)
-        assert Action.PUSH in feasible_actions(SystemState(4, 0, 0), grid, params)
-        assert Action.PUSH not in feasible_actions(SystemState(15, 0, 20), grid, params)
+        assert not self.feasible(SystemState(3, 0, 0))[Action.PUSH]
+        assert self.feasible(SystemState(4, 0, 0))[Action.PUSH]
+        assert not self.feasible(SystemState(15, 0, 20))[Action.PUSH]
 
     def test_energy_spend(self):
         _, _, grid, _ = make_scenario()
-        assert energy_spend(Action.SLEEP, 3, grid) == 0
-        assert energy_spend(Action.UNICAST, 3, grid) == 3
-        assert energy_spend(Action.PUSH, 3, grid) == 4
+        spend = spend_table(grid)
+        assert spend[Action.SLEEP, 3] == 0
+        assert spend[Action.UNICAST, 3] == 3
+        assert spend[Action.PUSH, 3] == 4
 
     def test_stage_cost_indicator(self):
-        assert stage_cost(SystemState(5, 2, 0), Action.SLEEP) == 1
-        assert stage_cost(SystemState(5, 2, 0), Action.PUSH) == 1
-        assert stage_cost(SystemState(5, 2, 0), Action.UNICAST) == 0
-        assert stage_cost(SystemState(5, 0, 0), Action.SLEEP) == 0
+        params = default_params()
+        costs = stage_cost_table(params)
+        pending = state_index(SystemState(5, 2, 0), params)
+        idle = state_index(SystemState(5, 0, 0), params)
+        assert costs[Action.SLEEP, pending] == 1
+        assert costs[Action.PUSH, pending] == 1
+        assert costs[Action.UNICAST, pending] == 0
+        assert costs[Action.SLEEP, idle] == 0
 
     def test_tables_match_pointwise(self):
         params, _, grid, _ = make_scenario(e_max=5, n_contents=3, m_rings=2)
@@ -297,21 +323,28 @@ class TestFeasibilityAndCost:
         ctable = stage_cost_table(params)
         for idx in range(params.num_states):
             s = index_state(idx, params)
-            acts = feasible_actions(s, grid, params)
+            acts = reference_feasible_actions(s, grid, params)
             for a in Action:
                 assert fmask[a, idx] == (a in acts)
-                assert ctable[a, idx] == stage_cost(s, a)
+                assert ctable[a, idx] == reference_stage_cost(s, a)
 
 
 class TestBatteryUpdate:
+    # energy_row(level - spent) puts the mass of a arrivals at
+    # min(capacity, level - spent + a)
+    arr = ArrivalPmf.poisson(0.8, 15)
+
     def test_cap_and_floor(self):
-        assert battery_update(10, 4, 0, 15) == 6
-        assert battery_update(10, 0, 100, 15) == 15
-        assert battery_update(0, 0, 3, 15) == 3
+        row = energy_row(10 - 4, self.arr, 15)
+        assert row[6] == self.arr.probs[0]
+        assert np.all(row[:6] == 0.0)
+        # 5 or more arrivals, 100 among them, fill the battery
+        assert energy_row(10 - 0, self.arr, 15)[15] == 1.0 - self.arr.prefix(4)
+        assert energy_row(0 - 0, self.arr, 15)[3] == self.arr.probs[3]
 
     def test_overspend_rejected(self):
         with pytest.raises(ValueError):
-            battery_update(2, 3, 0, 15)
+            energy_row(2 - 3, self.arr, 15)
 
 
 class TestParamsValidation:

@@ -7,7 +7,6 @@ from pushmdp.policies import (
     format_threshold_grid,
     non_push_optimal,
     threshold_profile,
-    unicast_priority,
     unicast_priority_table,
 )
 from pushmdp.solver import PolicyTable, policy_evaluation
@@ -15,33 +14,52 @@ from pushmdp.solver import PolicyTable, policy_evaluation
 from conftest import make_instance, make_scenario
 
 
+def reference_unicast_priority(state, grid, params):
+    """Per-state greedy rule that the table replaced; reference only."""
+    if state.request >= 1 and grid.unicast_costs[state.request] <= state.battery:
+        return Action.UNICAST
+    if (
+        state.request == 0
+        and grid.push_cost <= state.battery
+        and state.pushed < params.num_contents
+    ):
+        return Action.PUSH
+    return Action.SLEEP
+
+
+def greedy_at(table, params):
+    """Look up a policy table by (battery, request, pushed)."""
+    return lambda e, q, c: table[state_index(SystemState(e, q, c), params)]
+
+
 class TestUnicastPriority:
-    def test_affordable_request_served(self, default_scenario):
-        params, _, grid, _ = default_scenario
-        assert unicast_priority(SystemState(1, 1, 0), grid, params) == Action.UNICAST
-        assert unicast_priority(SystemState(4, 4, 3), grid, params) == Action.UNICAST
+    def test_affordable_request_served(self, default_scenario, default_greedy):
+        greedy = greedy_at(default_greedy, default_scenario[0])
+        assert greedy(1, 1, 0) == Action.UNICAST
+        assert greedy(4, 4, 3) == Action.UNICAST
 
-    def test_push_only_when_idle(self, default_scenario):
-        params, _, grid, _ = default_scenario
-        assert unicast_priority(SystemState(15, 0, 0), grid, params) == Action.PUSH
-        assert unicast_priority(SystemState(4, 0, 19), grid, params) == Action.PUSH
+    def test_push_only_when_idle(self, default_scenario, default_greedy):
+        greedy = greedy_at(default_greedy, default_scenario[0])
+        assert greedy(15, 0, 0) == Action.PUSH
+        assert greedy(4, 0, 19) == Action.PUSH
         # a pending request never triggers a push, even if unaffordable
-        assert unicast_priority(SystemState(2, 3, 0), grid, params) == Action.SLEEP
+        assert greedy(2, 3, 0) == Action.SLEEP
 
-    def test_sleep_when_nothing_affordable(self, default_scenario):
-        params, _, grid, _ = default_scenario
-        assert unicast_priority(SystemState(3, 0, 0), grid, params) == Action.SLEEP
-        assert unicast_priority(SystemState(15, 0, 20), grid, params) == Action.SLEEP
+    def test_sleep_when_nothing_affordable(self, default_scenario, default_greedy):
+        greedy = greedy_at(default_greedy, default_scenario[0])
+        assert greedy(3, 0, 0) == Action.SLEEP
+        assert greedy(15, 0, 20) == Action.SLEEP
 
     def test_table_matches_rule(self, default_scenario, default_greedy):
         params, _, grid, _ = default_scenario
         for s in range(params.num_states):
-            expect = unicast_priority(index_state(s, params), grid, params)
+            expect = reference_unicast_priority(index_state(s, params), grid, params)
             assert default_greedy[s] == expect
         params, _, grid, _ = make_scenario(e_max=30, n_contents=40)
         table = unicast_priority_table(params, grid)
         for s in range(params.num_states):
-            assert table[s] == unicast_priority(index_state(s, params), grid, params)
+            expect = reference_unicast_priority(index_state(s, params), grid, params)
+            assert table[s] == expect
 
     def test_never_infeasible(self, default_instance, default_greedy):
         _, _, _, _, kernel, _ = default_instance

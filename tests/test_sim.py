@@ -13,7 +13,6 @@ from pushmdp.model import (
     Action,
     SystemState,
     cumulative_popularity_table,
-    energy_spend,
     feasible_table,
     state_index,
 )
@@ -29,7 +28,7 @@ from pushmdp.sim import (
 )
 from pushmdp.solver import PolicyTable
 
-from conftest import make_instance, make_scenario
+from conftest import make_instance, make_scenario, reference_energy_spend
 
 REFERENCE_BLOCK = 1 << 18
 
@@ -156,7 +155,7 @@ def reference_simulate(config, params, grid, popularity, record=False):
 def reference_sample_transitions(state, action, count, params, grid, popularity,
                                  seed=0):
     """Next-state sampler with the inline comparisons the thresholds replaced."""
-    spent = energy_spend(action, state.request, grid)
+    spent = reference_energy_spend(action, state.request, grid)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     cap = params.battery_levels
     n_cont = params.num_contents

@@ -13,8 +13,8 @@ from pushmdp.model import (
     Action,
     SystemState,
     cumulative_popularity_table,
-    energy_spend,
     feasible_table,
+    spend_table,
     state_index,
     state_table,
     zipf_pmf,
@@ -31,7 +31,7 @@ from pushmdp.transition import (
     validate_kernel,
 )
 
-from conftest import make_instance, make_scenario
+from conftest import make_instance, make_scenario, reference_energy_spend
 
 # e^{-0.8} and 0.8 e^{-0.8}, evaluated independently
 P0_08 = 0.44932896411722156
@@ -69,7 +69,7 @@ def reference_rows(params, grid, popularity, arrival):
             if not feasible[a, s]:
                 continue
             action = Action(a)
-            e_row = energy_by_base[e - energy_spend(action, q, grid)]
+            e_row = energy_by_base[e - reference_energy_spend(action, q, grid)]
             c_row = content_row(c, action, params)
             e_nz = np.flatnonzero(e_row)
             idx_parts = []
@@ -268,12 +268,12 @@ class TestEnergyRow:
         self.arr = ArrivalPmf.poisson(0.8, 15)
 
     def test_full_battery_sleep_stays_full(self):
-        row = energy_row(15, 0, Action.SLEEP, self.grid, self.arr, 15)
+        row = energy_row(15, self.arr, 15)
         assert row[15] == 1.0
         assert np.all(row[:15] == 0.0)
 
     def test_empty_battery_sleep(self):
-        row = energy_row(0, 0, Action.SLEEP, self.grid, self.arr, 15)
+        row = energy_row(0, self.arr, 15)
         assert row[0] == pytest.approx(P0_08, abs=1e-15)
         assert row[1] == pytest.approx(P1_08, abs=1e-15)
         tail = 1.0 - self.arr.prefix(14)
@@ -281,23 +281,26 @@ class TestEnergyRow:
         assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_unicast_shifts_support(self):
-        row = energy_row(5, 2, Action.UNICAST, self.grid, self.arr, 15)
+        # a unicast to ring 2 from battery 5 leaves 3 units
+        row = energy_row(5 - spend_table(self.grid)[Action.UNICAST, 2], self.arr, 15)
         assert np.all(row[:3] == 0.0)
         assert row[3] == pytest.approx(P0_08, abs=1e-15)
 
     def test_infeasible_spend_rejected(self):
+        # a push from battery 3 would leave -1 units
         with pytest.raises(ValueError):
-            energy_row(3, 0, Action.PUSH, self.grid, self.arr, 15)
+            energy_row(3 - spend_table(self.grid)[Action.PUSH, 0], self.arr, 15)
 
     @given(battery=st.integers(0, 15), ring=st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_row_stochastic(self, battery, ring):
+        spend = spend_table(self.grid)
         for action in Action:
             if action == Action.UNICAST and (ring == 0 or self.grid.unicast_costs[ring] > battery):
                 continue
             if action == Action.PUSH and self.grid.push_cost > battery:
                 continue
-            row = energy_row(battery, ring, action, self.grid, self.arr, 15)
+            row = energy_row(battery - spend[action, ring], self.arr, 15)
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
             assert np.all(row >= 0.0)
 
@@ -396,20 +399,16 @@ class TestBuildKernel:
             marginal = np.zeros(16)
             for i, p in zip(idx, prob):
                 marginal[i // 105] += p
-            expect = energy_row(
-                state.battery, state.request, action, grid, arr, 15
-            )
+            spent = reference_energy_spend(action, state.request, grid)
+            expect = energy_row(state.battery - spent, arr, 15)
             assert marginal == pytest.approx(expect, abs=1e-12)
 
     def test_feasible_actions_exposed(self, default_instance):
         params, _, _, _, kernel, _ = default_instance
-        assert kernel.feasible_actions(0) == (Action.SLEEP,)
+        mask = kernel.feasible_mask()
+        assert mask[:, 0].tolist() == [True, False, False]
         s = state_index(SystemState(15, 2, 5), params)
-        assert kernel.feasible_actions(s) == (
-            Action.SLEEP,
-            Action.UNICAST,
-            Action.PUSH,
-        )
+        assert mask[:, s].tolist() == [True, True, True]
 
     def test_missing_row_raises(self, default_instance):
         _, _, _, _, kernel, _ = default_instance
@@ -422,7 +421,7 @@ class TestBuildKernel:
             e_max=0, n_contents=0, m_rings=1
         )
         assert kernel.num_states == 2
-        assert kernel.feasible_actions(0) == (Action.SLEEP,)
+        assert kernel.feasible_mask()[:, 0].tolist() == [True, False, False]
         idx, prob = kernel.row(0, Action.SLEEP)
         assert math.fsum(prob) == pytest.approx(1.0, abs=1e-12)
 

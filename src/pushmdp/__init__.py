@@ -31,7 +31,6 @@ from .solver import (
     ValueSolution,
     bellman_residual,
     brute_force_oracle,
-    evaluate_with_fallback,
     policy_evaluation,
     policy_improvement,
     policy_iteration,
@@ -75,7 +74,6 @@ __all__ = [
     "calibrate_radio",
     "non_push_optimal",
     "policy_evaluation",
-    "evaluate_with_fallback",
     "policy_improvement",
     "policy_iteration",
     "relative_value_iteration",

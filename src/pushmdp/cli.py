@@ -39,10 +39,9 @@ from .solver import (
     ConvergenceError,
     bellman_residual,
     brute_force_oracle,
-    evaluate_with_fallback,
+    policy_evaluation,
     policy_iteration,
 )
-from .solver import policy_evaluation  # noqa: F401  bench/selftest.py looks it up here
 from .transition import ArrivalPmf, build_kernel, validate_kernel
 
 __all__ = ["main", "load_settings", "build_scenario", "ConfigError", "DEFAULTS"]
@@ -204,14 +203,11 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
     lines.append(f"lambda {result.values.gain:.17g}")
     # Wall times go to stdout, not into the artifacts: a run's files are a
     # function of its settings and seed.
-    for j, r in enumerate(result.iterations):
-        line = (
-            f"# iter {j + 1} lambda {r.gain:.17g} changed {r.changed} "
-            f"route {r.route} post_decision_states {r.post_decision_states}"
-        )
-        if r.vi_sweeps is not None:
-            line += f" vi_sweeps {r.vi_sweeps} vi_span {r.vi_span:.17g}"
-        lines.append(line)
+    lines += [
+        f"# iter {j} lambda {r.gain:.17g} changed {r.changed} "
+        f"post_decision_states {r.post_decision_states}"
+        for j, r in enumerate(result.iterations, start=1)
+    ]
     _write(out_dir, "solution.txt", lines)
 
     width = max(2, len(str(params.num_contents)))
@@ -353,7 +349,7 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
 
     nonpush = non_push_optimal(kernel, costs)
     greedy = unicast_priority_table(params, grid)
-    greedy_gain = evaluate_with_fallback(greedy, kernel, costs).gain
+    greedy_gain = policy_evaluation(greedy, kernel, costs).gain
     named = [
         ("optimal-push", result.policy, result.values.gain),
         ("non-push", nonpush.policy, nonpush.values.gain),

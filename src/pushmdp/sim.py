@@ -43,8 +43,7 @@ from .model import (
     state_table,
 )
 from .policies import non_push_optimal, unicast_priority_table
-from .solver import PolicyTable, evaluate_with_fallback, policy_iteration
-from .solver import policy_evaluation  # noqa: F401  bench/selftest.py looks it up here
+from .solver import PolicyTable, policy_evaluation, policy_iteration
 from .transition import ArrivalPmf, build_kernel
 
 __all__ = [
@@ -448,7 +447,7 @@ def sweep(
             elif name == "unicast-priority":
                 t = unicast_priority_table(pp, grid)
                 tables[name] = t
-                gains[name] = evaluate_with_fallback(t, kernel, costs).gain
+                gains[name] = policy_evaluation(t, kernel, costs).gain
             else:
                 raise ValueError(
                     f"unknown policy name {name!r}; known: {BASELINE_NAMES}"

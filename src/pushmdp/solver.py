@@ -5,12 +5,10 @@ equations on the policy's post-decision chain: the request is drawn fresh
 after each decision, so a row depends on its state only through the
 post-decision state, and one unknown per post-decision state the policy
 visits suffices.  The sparse bordered system is factored once with SuperLU
-and the solution refined by one residual correction.  A chain with more than
-one closed class, checked before factoring, a factor SuperLU finds exactly
-singular, non-finite values or an inconsistent residual raise
-SingularPolicyError; a damped relative value iteration then evaluates the
-policy instead, unless the closed classes differ in gain, where it could not
-converge and MultichainError is raised at once.  Q-values, for the
+and the solution refined by one residual correction.  A chain with several
+closed classes that share one gain is solved by the same system with one
+reference state pinned per class; when the classes differ in gain the policy
+has no single gain and MultichainError is raised.  Q-values, for the
 improvement step, the Bellman residual and value iteration, come from one
 product of the kernel's post-decision template rows with h.  A brute-force
 policy enumerator serves as an independent oracle on tiny instances.
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, identity
+from scipy.sparse import bmat, csr_matrix, diags, identity
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -36,7 +34,6 @@ __all__ = [
     "ConvergenceError",
     "MultichainError",
     "policy_evaluation",
-    "evaluate_with_fallback",
     "policy_improvement",
     "policy_iteration",
     "PolicyIterationResult",
@@ -49,15 +46,7 @@ __all__ = [
 
 
 class SingularPolicyError(np.linalg.LinAlgError):
-    """Evaluation system is singular: the policy's chain is not unichain.
-
-    ``class_gains`` holds the gain of each closed class when the chain has
-    more than one, and is empty otherwise.
-    """
-
-    def __init__(self, message: str, class_gains: tuple[float, ...] = ()):
-        super().__init__(message)
-        self.class_gains = class_gains
+    """The evaluation system is singular, non-finite or inconsistent."""
 
 
 class ConvergenceError(RuntimeError):
@@ -65,7 +54,14 @@ class ConvergenceError(RuntimeError):
 
 
 class MultichainError(ConvergenceError):
-    """A policy's closed classes differ in gain, so value iteration cannot converge."""
+    """A policy's closed classes differ in gain, so it has no single gain.
+
+    ``class_gains`` holds the gain of each closed class.
+    """
+
+    def __init__(self, message: str, class_gains: tuple[float, ...]):
+        super().__init__(message)
+        self.class_gains = class_gains
 
 
 @dataclass(frozen=True)
@@ -153,12 +149,18 @@ def policy_evaluation(
     [[1, I - T S], [0, e_t(ref)]] (gain, y) = (T g_u, 0), and
     h(x) = g(x, u(x)) - gain + y(t(x)), shifted to vanish at ref_state.  The
     system is factored once by SuperLU and the solution refined by one
-    residual correction, which the bias needs to reach double precision.  A
-    post-decision chain with more than one closed class (multichain; T S has
-    as many as S T), an exactly singular factor, non-finite values or an
-    inconsistent residual raise SingularPolicyError so the caller can fall
-    back to value iteration; a multichain error carries each closed class's
-    gain, pi T g_u for the class's stationary distribution pi.
+    residual correction, which the bias needs to reach double precision.
+
+    A post-decision chain with several closed classes (T S has as many as
+    S T) leaves y free by one constant per class.  Each class's gain is
+    pi T g_u for its stationary distribution pi.  When the gains agree to
+    1e-10, one reference state per class is pinned (Puterman 1994, sections
+    8.6 and 9.2): the border pins the class that holds t(ref_state), or the
+    first class when that state is transient, and each other class's
+    reference replaces its own equation.  When they differ the policy has no
+    single gain, and MultichainError is raised with the class gains.  An
+    exactly singular factor, non-finite values or a residual of the full
+    equations above tolerance raise SingularPolicyError.
     """
     policy.validate(kernel)
     n = kernel.num_states
@@ -167,35 +169,53 @@ def policy_evaluation(
     chain = rows @ csr_matrix((np.ones(n), (states, post)), shape=(n, rows.shape[0]))
     g_pi = costs[policy.actions, states]
     cost = rows @ g_pi
+    ref = post[ref_state]
+    refs = [ref]
     label, closed = _class_labels(chain)
     if closed.size > 1:
-        gains = []
+        gains, refs = [], []
         for c in closed:
             members = np.flatnonzero(label == c)
             sub = chain[members][:, members]
-            gains.append(_solve_bordered(sub, cost[members], 0)[0])
-        raise SingularPolicyError(
-            f"policy chain has {closed.size} closed classes", tuple(gains)
-        )
-    x = _solve_bordered(chain, cost, post[ref_state])
+            gains.append(_solve_bordered(sub, cost[members], [0])[0])
+            refs.append(ref if label[ref] == c else members[0])
+        if max(gains) - min(gains) > 1e-10:
+            raise MultichainError(
+                f"policy chain has {closed.size} closed classes with gains "
+                f"{min(gains):.6g} to {max(gains):.6g}",
+                tuple(gains),
+            )
+        refs.sort(key=lambda r: r != ref)
+    x = _solve_bordered(chain, cost, refs)
     h = g_pi - x[0] + x[1:][post]
     h = h - h[ref_state]
     return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
 
 
-def _solve_bordered(chain: csr_matrix, cost: np.ndarray, ref: int) -> np.ndarray:
-    """(gain, y) solving gain*1 + (I - chain) y = cost with y[ref] = 0."""
+def _solve_bordered(chain: csr_matrix, cost: np.ndarray, refs: list) -> np.ndarray:
+    """(gain, y) solving gain*1 + (I - chain) y = cost with y = 0 at refs.
+
+    The border row pins refs[0]; each further reference's pin replaces its
+    own equation.  The residual is checked on the full, unmodified system.
+    """
     k = chain.shape[0]
     ones = csr_matrix(np.ones((k, 1)))
-    border = csr_matrix(([1.0], ([0], [ref])), shape=(1, k))
+    border = csr_matrix(([1.0], ([0], [refs[0]])), shape=(1, k))
     a = bmat([[ones, identity(k) - chain], [None, border]], format="csc")
     b = np.append(cost, 0.0)
+    m, rhs = a, b
+    if len(refs) > 1:
+        others = np.asarray(refs[1:])
+        keep = np.ones(k + 1)
+        keep[others] = 0.0
+        pins = csr_matrix((np.ones(others.size), (others, others + 1)), shape=a.shape)
+        m, rhs = (diags(keep) @ a + pins).tocsc(), keep * b
     try:
-        lu = splu(a)
+        lu = splu(m)
     except RuntimeError as exc:
         raise SingularPolicyError(str(exc)) from exc
-    x = lu.solve(b)
-    x += lu.solve(b - a @ x)
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - m @ x)
     if not np.all(np.isfinite(x)):
         raise SingularPolicyError("evaluation produced non-finite values")
     residual = np.max(np.abs(a @ x - b))
@@ -204,47 +224,6 @@ def _solve_bordered(chain: csr_matrix, cost: np.ndarray, ref: int) -> np.ndarray
             f"evaluation residual {residual:.3g} indicates a singular system"
         )
     return x
-
-
-# Stopping tolerance of the value-iteration fallback.
-_FALLBACK_TOL = 1e-10
-
-
-def _evaluate(policy, kernel, costs, ref_state) -> tuple[ValueSolution, str, list]:
-    """evaluate_with_fallback's solution, its route and the fallback's spans."""
-    try:
-        return policy_evaluation(policy, kernel, costs, ref_state), "direct", []
-    except SingularPolicyError as exc:
-        gains = exc.class_gains
-        if gains and max(gains) - min(gains) > _FALLBACK_TOL:
-            raise MultichainError(
-                f"policy chain has {len(gains)} closed classes with gains "
-                f"{min(gains):.6g} to {max(gains):.6g}; value iteration cannot "
-                "converge on it"
-            ) from exc
-        spans: list[float] = []
-        sol = relative_value_iteration(
-            kernel, costs, tol=_FALLBACK_TOL, max_iter=500_000,
-            ref_state=ref_state, policy=policy, span_trace=spans,
-        )
-        return sol, "value-iteration", spans
-
-
-def evaluate_with_fallback(
-    policy: PolicyTable,
-    kernel: TransitionKernel,
-    costs: np.ndarray,
-    ref_state: int = 0,
-) -> ValueSolution:
-    """Gain and values of a fixed policy.
-
-    Runs policy_evaluation and, when it raises SingularPolicyError, damped
-    relative value iteration restricted to the policy instead.  When closed
-    classes of the chain differ in gain by more than the iteration's
-    tolerance, value iteration cannot converge, and MultichainError is raised
-    without running it.
-    """
-    return _evaluate(policy, kernel, costs, ref_state)[0]
 
 
 def _class_labels(p: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -281,22 +260,16 @@ class IterationRecord(NamedTuple):
     """What one policy-iteration step did.
 
     ``changed`` counts the states whose action the improvement step changed
-    (0 at a fixed point); ``route`` is "direct" for the post-decision solve or
-    "value-iteration" for the fallback; ``post_decision_states`` is the size k
-    of the evaluated policy's post-decision chain.  ``evaluation_s`` and
-    ``improvement_s`` are the wall seconds of the two steps; when the
-    fallback ran, ``vi_sweeps`` is its number of sweeps and ``vi_span`` its
-    final span, and both are None otherwise.
+    (0 at a fixed point); ``post_decision_states`` is the size k of the
+    evaluated policy's post-decision chain.  ``evaluation_s`` and
+    ``improvement_s`` are the wall seconds of the two steps.
     """
 
     gain: float
     changed: int
-    route: str
     post_decision_states: int
     evaluation_s: float
     improvement_s: float
-    vi_sweeps: int | None
-    vi_span: float | None
 
 
 @dataclass(frozen=True)
@@ -320,16 +293,14 @@ def policy_iteration(
     costs: np.ndarray,
     init_policy: PolicyTable | None = None,
     ref_state: int = 0,
-    gain_tol: float = 1e-12,
     max_iter: int = 1000,
 ) -> PolicyIterationResult:
     """Howard policy iteration from the all-sleep policy.
 
-    Alternates evaluation and improvement until the policy repeats or the
-    gain stops improving by more than ``gain_tol`` (guards against cycling
-    among co-optimal policies).  Evaluation falls back to value iteration
-    restricted to the incumbent policy when its linear system is singular,
-    and raises MultichainError at once when that cannot converge.
+    Alternates evaluation and improvement until the policy repeats, and
+    raises ConvergenceError if it has not after ``max_iter`` steps.  A policy
+    whose closed classes differ in gain stops the iteration with
+    MultichainError from its evaluation.
     """
     if init_policy is None:
         init_policy = PolicyTable.all_sleep(kernel.num_states)
@@ -338,24 +309,19 @@ def policy_iteration(
     records: list[IterationRecord] = []
     for _ in range(max_iter):
         start = time.perf_counter()
-        sol, route, spans = _evaluate(policy, kernel, costs, ref_state)
+        sol = policy_evaluation(policy, kernel, costs, ref_state)
         evaluated = time.perf_counter()
         improved = policy_improvement(sol, kernel, costs)
         records.append(
             IterationRecord(
                 sol.gain,
                 int(np.count_nonzero(improved.actions != policy.actions)),
-                route,
                 np.unique(kernel.labels[policy.actions, states]).size,
                 evaluated - start,
                 time.perf_counter() - evaluated,
-                len(spans) if spans else None,
-                spans[-1] if spans else None,
             )
         )
-        if improved == policy or (
-            len(records) > 1 and abs(records[-2].gain - sol.gain) < gain_tol
-        ):
+        if improved == policy:
             trace = tuple(r.gain for r in records)
             return PolicyIterationResult(policy, sol, trace, tuple(records))
         policy = improved
@@ -368,38 +334,25 @@ def relative_value_iteration(
     tol: float = 1e-9,
     max_iter: int = 500_000,
     ref_state: int = 0,
-    policy: PolicyTable | None = None,
-    damping: float = 0.5,
-    span_trace: list | None = None,
 ) -> ValueSolution:
-    """Damped successive approximation of the average-cost equations.
+    """Damped successive approximation of the average-cost optimality equations.
 
-    With ``policy`` given the operator applies that fixed action per state
-    (policy evaluation by iteration); otherwise it minimizes over feasible
-    actions.  Stops when the span of the one-step differences w - h drops
-    below ``tol``; the gain estimate is the midpoint of the span bounds, so
-    the Bellman residual at return is at most tol/2.  Damping keeps the
-    iteration convergent on periodic chains.
+    Each sweep minimizes over feasible actions.  Stops when the span of the
+    one-step differences w - h drops below ``tol``; the gain estimate is the
+    midpoint of the span bounds, so the Bellman residual at return is at most
+    tol/2.  Damping by one half keeps the iteration convergent on periodic
+    chains.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    if policy is not None:
-        policy.validate(kernel)
-    n = kernel.num_states
-    h = np.zeros(n)
-    idx = np.arange(n)
+    h = np.zeros(kernel.num_states)
     for _ in range(max_iter):
-        q = _q_values(kernel, costs, h)
-        w = q[policy.actions, idx] if policy is not None else q.min(axis=0)
+        w = _q_values(kernel, costs, h).min(axis=0)
         delta = w - h
         lo, hi = float(delta.min()), float(delta.max())
-        if span_trace is not None:
-            span_trace.append(hi - lo)
         if hi - lo < tol:
-            h_out = w - w[ref_state]
-            h_out = h_out - h_out[ref_state]
-            return ValueSolution(gain=0.5 * (lo + hi), h=h_out, ref_state=ref_state)
-        h = (1.0 - damping) * h + damping * w
+            return ValueSolution(
+                gain=0.5 * (lo + hi), h=w - w[ref_state], ref_state=ref_state
+            )
+        h = 0.5 * h + 0.5 * w
         h = h - h[ref_state]
     raise ConvergenceError(f"span above {tol} after {max_iter} iterations")
 

@@ -22,7 +22,7 @@ from pushmdp.sim import SimConfig, simulate
 from pushmdp.solver import (
     bellman_residual,
     brute_force_oracle,
-    evaluate_with_fallback,
+    policy_evaluation,
     policy_iteration,
 )
 from pushmdp.transition import validate_kernel
@@ -80,11 +80,11 @@ def test_criterion_2_reduction_at_full_load(capsys, high_load):
 def test_criterion_3_greedy_baseline_ordering(capsys, low_load, high_load):
     params_lo, _, grid_lo, _, kernel_lo, costs_lo = low_load
     opt_lo = policy_iteration(kernel_lo, costs_lo).values.gain
-    greedy_lo = evaluate_with_fallback(
+    greedy_lo = policy_evaluation(
         unicast_priority_table(params_lo, grid_lo), kernel_lo, costs_lo
     ).gain
     params_hi, _, grid_hi, _, kernel_hi, costs_hi = high_load
-    greedy_hi = evaluate_with_fallback(
+    greedy_hi = policy_evaluation(
         unicast_priority_table(params_hi, grid_hi), kernel_hi, costs_hi
     ).gain
     nonpush_hi = non_push_optimal(kernel_hi, costs_hi).values.gain
@@ -133,7 +133,7 @@ def test_criterion_5_solver_simulator_agreement(
         (
             "unicast-priority",
             default_greedy,
-            evaluate_with_fallback(default_greedy, kernel, costs).gain,
+            policy_evaluation(default_greedy, kernel, costs).gain,
         ),
     ]
     parts = []

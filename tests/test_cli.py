@@ -90,7 +90,7 @@ class TestSolveCommand:
         assert "lambda " in solution
         assert "# e_max = 2" in solution
         assert re.search(
-            r"^# iter 1 lambda \S+ changed \d+ route direct post_decision_states \d+$",
+            r"^# iter 1 lambda \S+ changed \d+ post_decision_states \d+$",
             solution,
             re.MULTILINE,
         )

@@ -7,16 +7,14 @@ from scipy.sparse import bmat, csr_matrix, diags, identity
 from scipy.sparse.linalg import splu
 
 from pushmdp.model import NUM_ACTIONS, Action
-from pushmdp.policies import non_push_optimal
+from pushmdp.policies import non_push_optimal, unicast_priority_table
 from pushmdp.solver import (
     ConvergenceError,
     MultichainError,
     PolicyTable,
-    SingularPolicyError,
     ValueSolution,
     bellman_residual,
     brute_force_oracle,
-    evaluate_with_fallback,
     policy_evaluation,
     policy_improvement,
     policy_iteration,
@@ -119,6 +117,58 @@ def reference_q_values(kernel, costs, h):
     return q
 
 
+def reference_fixed_policy_rvi(policy, kernel, costs, tol=1e-10, max_iter=500_000):
+    """(gain, h) of a fixed policy by damped relative value iteration.
+
+    Reference for cross-checks only: policy evaluation fell back to this loop
+    on chains with several closed classes before it pinned one reference per
+    class.  Stops when the span of the one-step differences w - h drops below
+    tol, so the gain is within tol/2; on classes that differ in gain it cannot
+    converge and raises ConvergenceError.
+    """
+    n = kernel.num_states
+    p_pi = full_chain_policy_matrix(policy, kernel)
+    g_pi = costs[policy.actions, np.arange(n)]
+    h = np.zeros(n)
+    for _ in range(max_iter):
+        w = g_pi + p_pi @ h
+        delta = w - h
+        lo, hi = float(delta.min()), float(delta.max())
+        if hi - lo < tol:
+            return 0.5 * (lo + hi), w - w[0]
+        h = 0.5 * h + 0.5 * w
+        h = h - h[0]
+    raise ConvergenceError(f"span above {tol} after {max_iter} iterations")
+
+
+def reference_class_gains(policy, kernel, costs):
+    """Gain of each closed class of the full chain P_u, from a dense solve.
+
+    Reference for cross-checks only: a class's gain is pi g_u for its
+    stationary distribution pi, the solution of pi (P - I) = 0, sum pi = 1.
+    """
+    p_pi = full_chain_policy_matrix(policy, kernel)
+    g_pi = costs[policy.actions, np.arange(kernel.num_states)]
+    label, closed = _class_labels(csr_matrix(p_pi))
+    gains = []
+    for c in closed:
+        members = np.flatnonzero(label == c)
+        a = p_pi[members][:, members].toarray().T - np.eye(members.size)
+        a[-1] = 1.0
+        rhs = np.zeros(members.size)
+        rhs[-1] = 1.0
+        gains.append(float(np.linalg.solve(a, rhs) @ g_pi[members]))
+    return gains
+
+
+def random_policies(kernel, count=100):
+    """count policies drawn uniformly from each state's feasible actions, seed 0."""
+    mask = kernel.feasible_mask()
+    choices = [np.flatnonzero(mask[:, s]) for s in range(kernel.num_states)]
+    rng = np.random.default_rng(0)
+    return [PolicyTable([rng.choice(c) for c in choices]) for _ in range(count)]
+
+
 def assert_q_values_match_reference(kernel, costs, h):
     got = _q_values(kernel, costs, h)
     assert np.array_equal(got, reference_q_values(kernel, costs, h))
@@ -174,6 +224,39 @@ TWO_STATE_G = np.array([0.0, 1.0])
 # faster-return variant: stationary (0.76, 0.24), gain 0.24, h = (0, 0.8)
 RETURN_P = np.array([[0.7, 0.3], [0.95, 0.05]])
 
+# reducible single-action chains whose closed classes share the gain 1:
+# (transition matrix, stage costs)
+EQUAL_GAIN_CHAINS = {
+    # two absorbing states
+    "identity": (np.eye(2), np.ones(2)),
+    # two absorbing states fed by a transient one; pinning both absorbing
+    # states while the border sits on the transient state gives gain 2
+    "transient-feeds-two": (
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]]),
+        np.array([1.0, 1.0, 3.0]),
+    ),
+    # an aperiodic and a periodic two-state class, each with gain 1, and a
+    # transient state that feeds both
+    "two-pairs-and-transient": (
+        np.array([
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.3, 0.0, 0.0, 0.3, 0.4],
+        ]),
+        np.array([0.0, 2.0, 1.5, 0.5, 5.0]),
+    ),
+}
+
+# random-policy instances with no cache turnover, where many policies have
+# several closed classes: at p_u = 0 every class has gain 0
+RANDOM_POLICY_INSTANCES = [
+    dict(e_max=2, n_contents=3, m_rings=1, p_c=0.0, p_u=0.7),
+    dict(e_max=3, n_contents=2, m_rings=2, p_c=0.0, p_u=0.0),
+    dict(e_max=3, n_contents=2, m_rings=2, p_c=0.0, p_u=0.3),
+]
+
 
 class TestPolicyEvaluation:
     def test_two_state_closed_form(self):
@@ -201,8 +284,9 @@ class TestPolicyEvaluation:
     def test_reducible_chain_detected(self):
         kernel = dense_kernel({0: np.eye(2)})
         costs = costs_for(2, {0: np.array([0.0, 1.0])})
-        with pytest.raises(SingularPolicyError):
+        with pytest.raises(MultichainError, match="2 closed classes") as exc:
             policy_evaluation(PolicyTable([0, 0]), kernel, costs)
+        assert sorted(exc.value.class_gains) == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_multichain_detected(self):
         # two absorbing states with different costs and one transient state
@@ -210,60 +294,67 @@ class TestPolicyEvaluation:
         p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
         kernel = dense_kernel({0: p})
         costs = costs_for(3, {0: np.array([0.0, 1.0, 0.5])})
-        with pytest.raises(SingularPolicyError):
+        with pytest.raises(MultichainError):
             policy_evaluation(PolicyTable([0, 0, 0]), kernel, costs)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(e_max=2, n_contents=3, m_rings=1, p_c=0.0, p_u=0.7),
-            dict(e_max=3, n_contents=2, m_rings=2, p_c=0.0, p_u=0.0),
-        ],
-    )
+    @pytest.mark.parametrize("name", list(EQUAL_GAIN_CHAINS))
+    def test_equal_gain_classes_solved_directly(self, name):
+        p, g = EQUAL_GAIN_CHAINS[name]
+        n = len(g)
+        kernel = dense_kernel({0: p})
+        costs = costs_for(n, {0: g})
+        policy = PolicyTable.all_sleep(n)
+        assert _class_labels(csr_matrix(p))[1].size == 2
+        reference_gain, _ = reference_fixed_policy_rvi(policy, kernel, costs)
+        for ref_state in range(n):
+            sol = policy_evaluation(policy, kernel, costs, ref_state=ref_state)
+            assert sol.gain == pytest.approx(1.0, abs=1e-12)
+            assert abs(sol.gain - reference_gain) <= 1e-10
+            assert sol.h[ref_state] == 0.0
+            assert bellman_residual(sol, kernel, costs, policy=policy) <= 1e-12
+
+    @pytest.mark.parametrize("overrides", RANDOM_POLICY_INSTANCES)
     def test_random_policies_solved_or_rejected(self, overrides, capfd):
         # a cache that never turns over (p_c = 0) makes many policies
         # multichain; without the closed-class check some were accepted with
-        # a huge h, and SuperLU's BLAS printed "illegal value" errors
+        # a huge h, and SuperLU's BLAS printed "illegal value" errors.  Those
+        # whose classes differ in gain are rejected, the rest solved
         _, _, _, _, kernel, costs = make_instance(**overrides)
-        mask = kernel.feasible_mask()
-        choices = [np.flatnonzero(mask[:, s]) for s in range(kernel.num_states)]
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            policy = PolicyTable([rng.choice(c) for c in choices])
+        for policy in random_policies(kernel):
+            gains = reference_class_gains(policy, kernel, costs)
             try:
                 sol = policy_evaluation(policy, kernel, costs)
-            except SingularPolicyError:
+            except MultichainError as exc:
+                assert max(gains) - min(gains) > 1e-10
+                assert sorted(exc.class_gains) == pytest.approx(
+                    sorted(gains), abs=1e-12
+                )
                 continue
+            assert max(gains) - min(gains) <= 1e-10
             assert bellman_residual(sol, kernel, costs, policy=policy) <= 1e-9
         captured = capfd.readouterr()
         assert "illegal value" not in captured.out + captured.err
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(e_max=2, n_contents=3, m_rings=1, p_c=0.0, p_u=0.7),
-            dict(e_max=3, n_contents=2, m_rings=2, p_c=0.0, p_u=0.0),
-        ],
-    )
+    @pytest.mark.parametrize("overrides", RANDOM_POLICY_INSTANCES)
     def test_closed_classes_match_full_chain(self, overrides):
         # T S and S T share their nonzero eigenvalues, so the post-decision
-        # chain has as many closed classes as the full chain: the same
-        # policies of test_random_policies_solved_or_rejected are rejected
+        # chain has as many closed classes as the full chain; a policy is
+        # rejected exactly when the full chain's classes differ in gain
         _, _, _, _, kernel, costs = make_instance(**overrides)
-        mask = kernel.feasible_mask()
-        choices = [np.flatnonzero(mask[:, s]) for s in range(kernel.num_states)]
-        rng = np.random.default_rng(0)
         multichain = 0
-        for _ in range(100):
-            policy = PolicyTable([rng.choice(c) for c in choices])
+        for policy in random_policies(kernel):
             full = _class_labels(full_chain_policy_matrix(policy, kernel))[1].size
             assert _class_labels(reduced_chain(policy, kernel))[1].size == full
+            gains = reference_class_gains(policy, kernel, costs)
+            assert len(gains) == full
             try:
-                policy_evaluation(policy, kernel, costs)
+                sol = policy_evaluation(policy, kernel, costs)
                 rejected = False
-            except SingularPolicyError:
+            except MultichainError:
                 rejected = True
-            assert rejected == (full > 1)
+            assert rejected == (max(gains) - min(gains) > 1e-10)
+            if not rejected:
+                assert bellman_residual(sol, kernel, costs, policy=policy) <= 1e-9
             multichain += full > 1
         assert multichain > 0
 
@@ -320,23 +411,13 @@ class TestRelativeValueIteration:
         assert sol.gain == pytest.approx(0.75, abs=1e-8)
         assert sol.h[1] == pytest.approx(2.5, abs=1e-6)
 
-    def test_span_decreases(self):
-        kernel = dense_kernel({0: TWO_STATE_P})
-        costs = costs_for(2, {0: TWO_STATE_G})
-        spans = []
-        relative_value_iteration(kernel, costs, tol=1e-10, span_trace=spans)
-        assert len(spans) > 3
-        assert all(b <= a + 1e-12 for a, b in zip(spans, spans[1:]))
-
     def test_agrees_with_linear_solve(self):
         params, _, _, _, kernel, costs = make_instance(
             e_max=6, n_contents=4, m_rings=2
         )
         result = policy_iteration(kernel, costs)
-        sol = relative_value_iteration(
-            kernel, costs, tol=1e-10, policy=result.policy
-        )
-        assert sol.gain == pytest.approx(result.values.gain, abs=1e-8)
+        gain, _ = reference_fixed_policy_rvi(result.policy, kernel, costs)
+        assert gain == pytest.approx(result.values.gain, abs=1e-8)
 
     def test_optimality_mode_matches_policy_iteration(self):
         _, _, _, _, kernel, costs = make_instance(
@@ -349,16 +430,18 @@ class TestRelativeValueIteration:
     def test_equal_gain_reducible_chain_converges(self):
         kernel = dense_kernel({0: np.eye(2)})
         costs = costs_for(2, {0: np.zeros(2)})
-        sol = relative_value_iteration(kernel, costs, policy=PolicyTable([0, 0]))
-        assert sol.gain == 0.0
+        policy = PolicyTable([0, 0])
+        assert reference_fixed_policy_rvi(policy, kernel, costs)[0] == 0.0
+        assert policy_evaluation(policy, kernel, costs).gain == 0.0
 
     def test_unequal_gain_reducible_chain_fails(self):
         kernel = dense_kernel({0: np.eye(2)})
         costs = costs_for(2, {0: np.array([0.0, 1.0])})
+        policy = PolicyTable([0, 0])
         with pytest.raises(ConvergenceError):
-            relative_value_iteration(
-                kernel, costs, policy=PolicyTable([0, 0]), max_iter=100
-            )
+            reference_fixed_policy_rvi(policy, kernel, costs, max_iter=100)
+        with pytest.raises(MultichainError):
+            policy_evaluation(policy, kernel, costs)
 
 
 class TestBellmanResidual:
@@ -428,35 +511,22 @@ class TestPolicyIteration:
             params.request_prob, abs=1e-10
         )
 
-    def test_fixed_policy_falls_back_to_value_iteration(self):
-        # two closed classes with equal costs: singular system, gain 1
-        kernel = dense_kernel({0: np.eye(2)})
-        costs = costs_for(2, {0: np.ones(2)})
-        policy = PolicyTable([0, 0])
-        with pytest.raises(SingularPolicyError):
-            policy_evaluation(policy, kernel, costs)
-        sol = evaluate_with_fallback(policy, kernel, costs)
-        assert sol.gain == pytest.approx(1.0, abs=1e-10)
-        kernel = dense_kernel({0: TWO_STATE_P})
-        costs = costs_for(2, {0: TWO_STATE_G})
-        assert evaluate_with_fallback(PolicyTable([0, 0]), kernel, costs).gain == (
-            policy_evaluation(PolicyTable([0, 0]), kernel, costs).gain
-        )
-
     def test_default_records(self, default_instance, default_solution):
         _, _, _, _, kernel, _ = default_instance
         records = default_solution.iterations
         assert len(records) == 8
         assert tuple(r.gain for r in records) == default_solution.trace
-        assert {r.route for r in records} == {"direct"}
         assert records[0].changed > 0 and records[-1].changed == 0
         assert all(0 < r.post_decision_states < kernel.num_states for r in records)
 
     def test_reducible_start_records_fallback(self):
+        # the all-sleep start has two closed classes of gain 1, which the
+        # direct solve evaluates where value iteration once stood in; one
+        # step reaches the gain-0 swap policy
         kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})
         costs = costs_for(2, {0: np.ones(2), 1: np.zeros(2)})
         records = policy_iteration(kernel, costs).iterations
-        assert [r.route for r in records] == ["value-iteration", "direct"]
+        assert [r.gain for r in records] == pytest.approx([1.0, 0.0], abs=1e-12)
         assert [r.changed for r in records] == [2, 0]
         assert [r.post_decision_states for r in records] == [2, 2]
 
@@ -477,15 +547,9 @@ class TestPolicyIteration:
         result = policy_iteration(kernel, costs)
         assert result.policy == default_solution.policy
 
-    def test_records_timing_and_fallback_telemetry(self, default_solution):
+    def test_records_timing(self, default_solution):
         for r in default_solution.iterations:
             assert r.evaluation_s > 0.0 and r.improvement_s > 0.0
-            assert r.vi_sweeps is None and r.vi_span is None
-        kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})
-        costs = costs_for(2, {0: np.ones(2), 1: np.zeros(2)})
-        fallback, direct = policy_iteration(kernel, costs).iterations
-        assert fallback.vi_sweeps >= 1 and 0.0 <= fallback.vi_span < 1e-10
-        assert direct.vi_sweeps is None and direct.vi_span is None
 
     @pytest.mark.parametrize(
         "overrides",
@@ -494,23 +558,38 @@ class TestPolicyIteration:
             dict(e_max=3, n_contents=2, m_rings=1, p_c=0.0, p_u=0.89),
         ],
     )
-    def test_multichain_start_fails_fast(self, monkeypatch, overrides):
+    def test_multichain_start_fails_fast(self, overrides):
         # with no cache turnover the all-sleep start never changes its pushed
         # count: one closed class per count, each with its own gain, where
         # value iteration used to run its 500,000 sweeps before giving up
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("value-iteration fallback ran")
-
-        monkeypatch.setattr("pushmdp.solver.relative_value_iteration", no_fallback)
         _, _, _, _, kernel, costs = make_instance(**overrides)
         with pytest.raises(MultichainError, match="closed classes"):
             policy_iteration(kernel, costs)
-        with pytest.raises(SingularPolicyError) as exc:
+        with pytest.raises(MultichainError) as exc:
             policy_evaluation(PolicyTable.all_sleep(kernel.num_states), kernel, costs)
         gains = exc.value.class_gains
         assert len(gains) == overrides["n_contents"] + 1
         assert min(gains) == pytest.approx(0.0, abs=1e-12)
         assert max(gains) == pytest.approx(overrides["p_u"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(p_c=0.0),
+            dict(e_max=3, n_contents=2, m_rings=1, p_c=0.0, p_u=0.89),
+        ],
+        ids=["default", "tiny"],
+    )
+    def test_greedy_start_reaches_optimum_without_turnover(self, overrides):
+        # a stop on a stalled gain used to return here after 2 iterations,
+        # with states still changing and optimality residuals 0.42 and 0.082
+        params, _, grid, _, kernel, costs = make_instance(**overrides)
+        greedy = unicast_priority_table(params, grid)
+        result = policy_iteration(kernel, costs, init_policy=greedy)
+        assert result.iterations[-1].changed == 0
+        assert bellman_residual(result.values, kernel, costs) <= 1e-9
+        with pytest.raises(MultichainError):
+            policy_iteration(kernel, costs)
 
     def test_iteration_cap(self):
         p = np.array([[1.0]])

@@ -1,10 +1,10 @@
 """Exact average-cost solvers for the sleep/unicast/push decision process.
 
 Policy iteration is the workhorse.  Each evaluation solves the gain/bias
-equations on the policy's post-decision chain: the request is drawn fresh
-after each decision, so a row depends on its state only through the
-post-decision state, and one unknown per post-decision state the policy
-visits suffices.  The sparse bordered system is factored once with SuperLU
+equations on the policy's pre-request chain over (E, C): the request ring is
+drawn after the battery and content moves, from the next pushed count alone,
+so one unknown per battery level and pushed count suffices, (E+1)(N+1) for
+every policy.  The sparse bordered system is factored once with SuperLU
 and the solution refined by one residual correction.  A chain with several
 closed classes that share one gain is solved by the same system with one
 reference state pinned per class; when the classes differ in gain the policy
@@ -141,35 +141,38 @@ def policy_evaluation(
 ) -> ValueSolution:
     """Solve the gain/differential-value equations of a fixed policy.
 
-    The equations are gain + h(x) = g(x, u(x)) + sum_y p(y|x, u(x)) h(y) for
+    The equations are gain + h(s) = g(s, u(s)) + sum_y p(y|s, u(s)) h(y) for
     every state, with h(ref_state) = 0.  The policy's transition matrix
-    factors as P_u = S T: T holds the k distinct rows of its post-decision
-    states and S maps each state to its post-decision state t(x).  So
-    y = T h solves the k-state bordered system
-    [[1, I - T S], [0, e_t(ref)]] (gain, y) = (T g_u, 0), and
-    h(x) = g(x, u(x)) - gain + y(t(x)), shifted to vanish at ref_state.  The
-    system is factored once by SuperLU and the solution refined by one
+    factors as P_u = S U D: S maps each state s to its template row t(s), U
+    moves the battery and pushed count to the pre-request state x = (E, C),
+    and D draws the request ring.  So w = D h solves the m-state bordered system
+    [[1, I - R], [0, e_x(ref)]] (gain, w) = (D g_u, 0) with R = (D S) U, and
+    h(s) = g(s, u(s)) - gain + (U w)(t(s)), shifted to vanish at ref_state.
+    The system is factored once by SuperLU and the solution refined by one
     residual correction, which the bias needs to reach double precision.
 
-    A post-decision chain with several closed classes (T S has as many as
-    S T) leaves y free by one constant per class.  Each class's gain is
-    pi T g_u for its stationary distribution pi.  When the gains agree to
+    A pre-request chain with several closed classes (D S U has as many as
+    S U D) leaves w free by one constant per class.  Each class's gain is
+    pi D g_u for its stationary distribution pi.  When the gains agree to
     1e-10, one reference state per class is pinned (Puterman 1994, sections
-    8.6 and 9.2): the border pins the class that holds t(ref_state), or the
-    first class when that state is transient, and each other class's
-    reference replaces its own equation.  When they differ the policy has no
-    single gain, and MultichainError is raised with the class gains.  An
-    exactly singular factor, non-finite values or a residual of the full
-    equations above tolerance raise SingularPolicyError.
+    8.6 and 9.2): the border pins the class that holds ref_state's
+    pre-request state, or the first class when that state is transient, and
+    each other class's reference replaces its own equation.  When they differ
+    the policy has no single gain, and MultichainError is raised with the
+    class gains.  An exactly singular factor, non-finite values or a residual
+    of the full equations above tolerance raise SingularPolicyError.
     """
     policy.validate(kernel)
     n = kernel.num_states
     states = np.arange(n)
-    rows, post = kernel.post_decision_rows(policy.actions, states)
-    chain = rows @ csr_matrix((np.ones(n), (states, post)), shape=(n, rows.shape[0]))
+    u, d = kernel.rows, kernel.request
+    labels = kernel.labels[policy.actions, states]
+    # d stores one entry per state, in the row of its pre-request state
+    weights = csr_matrix((d.data, (d.indices, labels)), shape=(d.shape[0], u.shape[0]))
+    chain = weights @ u
     g_pi = costs[policy.actions, states]
-    cost = rows @ g_pi
-    ref = post[ref_state]
+    cost = d @ g_pi
+    ref = d.indices[ref_state]
     refs = [ref]
     label, closed = _class_labels(chain)
     if closed.size > 1:
@@ -187,7 +190,7 @@ def policy_evaluation(
             )
         refs.sort(key=lambda r: r != ref)
     x = _solve_bordered(chain, cost, refs)
-    h = g_pi - x[0] + x[1:][post]
+    h = g_pi - x[0] + (u @ x[1:])[labels]
     h = h - h[ref_state]
     return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
 
@@ -260,8 +263,8 @@ class IterationRecord(NamedTuple):
     """What one policy-iteration step did.
 
     ``changed`` counts the states whose action the improvement step changed
-    (0 at a fixed point); ``post_decision_states`` is the size k of the
-    evaluated policy's post-decision chain.  ``evaluation_s`` and
+    (0 at a fixed point); ``post_decision_states`` counts the distinct
+    post-decision states the policy visits.  ``evaluation_s`` and
     ``improvement_s`` are the wall seconds of the two steps.
     """
 

@@ -12,8 +12,13 @@ Each factor has a small dense row builder.  A kernel row depends on its
 level, the pushed count and whether the action pushes.  The kernel builder
 forms the outer product of the factor rows once per post-decision state, as a
 template row, and keeps each pair's template number as its post-decision
-label; the solvers and the kernel check work on the template rows, and a
+label; Q-values and the kernel check work on the template rows, and a
 per-action matrix is gathered from them only when asked for.
+
+The request ring is drawn last, from the next pushed count alone, so each
+template row also factors as U D: U holds the battery and content moves to
+the pre-request state (E', C'), and D draws the ring.  Policy evaluation
+works on these two factors.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csc_matrix, csr_matrix, identity, vstack
 from scipy.sparse.csgraph import connected_components
 
 from .model import (
@@ -153,8 +158,15 @@ class TransitionKernel:
     column indices, one per post-decision state; ``labels[a, s]`` is the
     template row of the pair (s, a).  Feasible pairs with equal labels share
     one row, in any action, and an infeasible pair's label points at an empty
-    row.  The two are the kernel's only transition data: feasibility, rows,
-    the per-action matrices and the text dump are views of them.
+    row.  The two are the kernel's transition data: feasibility, rows, the
+    per-action matrices and the text dump are views of them.
+
+    ``rows`` (U) and ``request`` (D) are the templates' factored form, with
+    U D equal to the templates up to explicit zeros.  U has one row per
+    template over the pre-request states x = E'(N+1) + C', and D is a CSC
+    matrix with one stored entry per state s = (E, Q, C), the weight
+    p(Q | C) in row x = E(N+1) + C, zeros kept.  Given neither, U is the
+    templates and D the identity.
 
     Built by hand from one matrix per action and no labels, the matrices are
     stacked into the templates and every pair gets its own row.  ``allowed``
@@ -163,6 +175,8 @@ class TransitionKernel:
 
     templates: csr_matrix
     labels: np.ndarray | None = None
+    rows: csr_matrix | None = None
+    request: csc_matrix | None = None
     allowed: frozenset[Action] = frozenset(Action)
     _matrices: dict = field(default_factory=dict, repr=False)
     _mask: np.ndarray | None = field(default=None, repr=False)
@@ -172,6 +186,9 @@ class TransitionKernel:
             n = self.templates[0].shape[0]
             self.labels = np.arange(len(self.templates) * n).reshape(-1, n)
             self.templates = vstack(self.templates, format="csr")
+        if self.rows is None:
+            self.rows = self.templates
+            self.request = identity(self.num_states, format="csc")
         self.labels.setflags(write=False)
 
     @property
@@ -224,18 +241,6 @@ class TransitionKernel:
             raise ValueError("restriction must keep SLEEP to stay well-defined")
         return replace(self, allowed=self.allowed & keep, _mask=None)
 
-    def post_decision_rows(
-        self, actions: np.ndarray, states: np.ndarray
-    ) -> tuple[csr_matrix, np.ndarray]:
-        """One row per distinct post-decision label among feasible pairs.
-
-        Returns the CSR matrix T of the template rows the pairs
-        (states[i], actions[i]) use, in label order, and the row of T that
-        each pair maps to.
-        """
-        labels, row_of = np.unique(self.labels[actions, states], return_inverse=True)
-        return self.templates[labels], row_of
-
     def union_matrix(self) -> csr_matrix:
         """Sum of the action matrices; its support is every feasible transition."""
         matrices = self.matrices
@@ -261,11 +266,13 @@ def build_kernel(
     popularity: np.ndarray,
     arrival: ArrivalPmf,
 ) -> TransitionKernel:
-    """Assemble the kernel's template rows and post-decision labels.
+    """Assemble the kernel's template rows, their factors and the labels.
 
     A row depends on its (state, action) only through the post-spend battery
     level b, the pushed count c and whether the action pushes; each such case
-    is one template row, the outer product of its three factor rows.
+    is one template row, the outer product of its three factor rows.  The
+    factor U keeps each template's battery and content entries, and D the
+    request row of each state's pushed count.
     """
     e1 = params.battery_levels + 1
     m1 = params.num_rings + 1
@@ -287,33 +294,44 @@ def build_kernel(
                 c_next[push, c, nxt - c + 1 - push] = nxt
                 p_content[push, c, nxt - c + 1 - push] = prob
 
-    # Template t = (push*(E+1) + b)*(N+1) + c spans axes (push, b, c, E', Q',
-    # slot), which in C order run by next-state index (E'*(M+1) + Q')*(N+1) + C'.
-    # Entries are (content*energy)*request over nonzero factor entries; the extra
-    # last row is empty and serves infeasible pairs.
+    # Template t = (push*(E+1) + b)*(N+1) + c.  Its U row spans axes (push, b,
+    # c, E', slot), which in C order run by pre-request index E'*(N+1) + C';
+    # its template row adds Q' and runs by next-state index
+    # (E'*(M+1) + Q')*(N+1) + C'.  Entries are (content*energy)*request over
+    # nonzero factor entries; the extra last row is empty and serves
+    # infeasible pairs.
     num_templates = 2 * e1 * n1
+    moves = (c_next >= 0)[:, None, :, None, :] & (energy != 0)[None, :, None, :, None]
+    pe = p_content[:, None, :, None, :] * energy[None, :, None, :, None]
+    pre = np.arange(e1)[:, None] * n1 + c_next[:, None, :, None, :]
+    rows = _template_csr(pe, pre, moves, e1 * n1)
     q = request[c_next].transpose(0, 1, 3, 2)[:, None, :, None, :, :]
-    keep = (
-        (c_next >= 0)[:, None, :, None, None, :]
-        & (energy != 0)[None, :, None, :, None, None]
-        & (q != 0)
-    )
-    pe = p_content[:, None, :, None, None, :] * energy[None, :, None, :, None, None]
+    keep = moves[..., None, :] & (q != 0)
     index = (np.arange(e1)[:, None, None] * m1 + np.arange(m1)[:, None]) * n1
-    index = np.broadcast_to(index + c_next[:, None, :, None, None, :], keep.shape)
-    counts = keep.reshape(num_templates, -1).sum(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(counts), [counts.sum()]))
-    shape = (num_templates + 1, params.num_states)
-    templates = csr_matrix(((pe * q)[keep], index[keep], indptr), shape=shape)
+    index = index + c_next[:, None, :, None, None, :]
+    templates = _template_csr(pe[..., None, :] * q, index, keep, params.num_states)
 
     feasible = feasible_table(params, grid)
     e_all, q_all, c_all = state_table(params)
+    weights = csc_matrix(
+        (request[c_all, q_all], e_all * n1 + c_all, np.arange(params.num_states + 1)),
+        shape=(e1 * n1, params.num_states),
+    )
     spend = spend_table(grid)
     labels = np.empty((len(Action), params.num_states), dtype=np.int64)
     for action in Action:
         t = ((action == Action.PUSH) * e1 + e_all - spend[action, q_all]) * n1 + c_all
         labels[action] = np.where(feasible[action], t, num_templates)
-    return TransitionKernel(templates, labels)
+    return TransitionKernel(templates, labels, rows, weights)
+
+
+def _template_csr(values, index, keep, width):
+    """One CSR row per (push, b, c) cell of keep, plus an empty last row."""
+    num_templates = int(np.prod(keep.shape[:3]))
+    counts = keep.reshape(num_templates, -1).sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(counts), [counts.sum()]))
+    index = np.broadcast_to(index, keep.shape)[keep]
+    return csr_matrix((values[keep], index, indptr), shape=(num_templates + 1, width))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 """Policy iteration, value iteration and the enumeration oracle."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import bmat, csr_matrix, diags, identity
 from scipy.sparse.linalg import splu
 
+from pushmdp.cli import DEFAULTS, parse_pu_grid
 from pushmdp.model import NUM_ACTIONS, Action
 from pushmdp.policies import non_push_optimal, unicast_priority_table
 from pushmdp.solver import (
@@ -21,6 +24,7 @@ from pushmdp.solver import (
     relative_value_iteration,
     _class_labels,
     _q_values,
+    _solve_bordered,
 )
 from pushmdp.transition import TransitionKernel, validate_kernel
 
@@ -93,11 +97,54 @@ def full_chain_policy_evaluation(policy, kernel, costs, ref_state=0):
     return float(x[0]), x[1:] - x[1 + ref_state]
 
 
-def reduced_chain(policy, kernel):
-    """T S, the chain policy_evaluation checks and solves, over post-decision states."""
+def post_decision_chain(policy, kernel):
+    """(T S, the template row of each state) over the post-decision states."""
     n = kernel.num_states
-    rows, post = kernel.post_decision_rows(policy.actions, np.arange(n))
-    return rows @ csr_matrix((np.ones(n), (np.arange(n), post)), shape=(n, rows.shape[0]))
+    labels, post = np.unique(
+        kernel.labels[policy.actions, np.arange(n)], return_inverse=True
+    )
+    rows = kernel.templates[labels]
+    to_post = csr_matrix((np.ones(n), (np.arange(n), post)), shape=(n, rows.shape[0]))
+    return rows @ to_post, rows, post
+
+
+def pre_request_chain(policy, kernel):
+    """D (S U), the chain policy_evaluation checks and solves, over (E, C)."""
+    n = kernel.num_states
+    labels = kernel.labels[policy.actions, np.arange(n)]
+    to_rows = csr_matrix(
+        (np.ones(n), (np.arange(n), labels)), shape=(n, kernel.rows.shape[0])
+    )
+    return (kernel.request @ (to_rows @ kernel.rows)).tocsr()
+
+
+def post_decision_policy_evaluation(policy, kernel, costs, ref_state=0):
+    """(gain, h) from the bordered solve on the post-decision chain T S.
+
+    Reference for cross-checks only: evaluation used to solve y = T h on
+    the distinct template rows the policy uses, with one reference pinned per
+    closed class, and now solves w = D h on the pre-request chain.  Raises
+    MultichainError, as evaluation does, when the class gains differ.
+    """
+    chain, rows, post = post_decision_chain(policy, kernel)
+    g_pi = costs[policy.actions, np.arange(kernel.num_states)]
+    cost = rows @ g_pi
+    ref = post[ref_state]
+    refs = [ref]
+    label, closed = _class_labels(chain)
+    if closed.size > 1:
+        gains, refs = [], []
+        for c in closed:
+            members = np.flatnonzero(label == c)
+            sub = chain[members][:, members]
+            gains.append(_solve_bordered(sub, cost[members], [0])[0])
+            refs.append(ref if label[ref] == c else members[0])
+        if max(gains) - min(gains) > 1e-10:
+            raise MultichainError("closed classes differ in gain", tuple(gains))
+        refs.sort(key=lambda r: r != ref)
+    x = _solve_bordered(chain, cost, refs)
+    h = g_pi - x[0] + x[1:][post]
+    return float(x[0]), h - h[ref_state]
 
 
 def reference_q_values(kernel, costs, h):
@@ -199,6 +246,40 @@ def assert_matches(reference, policy, kernel, costs):
 def assert_matches_dense(policy, kernel, costs):
     assert_matches(dense_policy_evaluation, policy, kernel, costs)
     assert_matches(full_chain_policy_evaluation, policy, kernel, costs)
+
+
+def assert_matches_post_decision(policy, kernel, costs, ref_state=0):
+    """Evaluation agrees with the post-decision reference, or both reject."""
+    try:
+        gain, h = post_decision_policy_evaluation(policy, kernel, costs, ref_state)
+    except MultichainError as exc:
+        with pytest.raises(MultichainError) as got:
+            policy_evaluation(policy, kernel, costs, ref_state)
+        assert sorted(got.value.class_gains) == pytest.approx(
+            sorted(exc.class_gains), abs=1e-14
+        )
+        return None
+    sol = policy_evaluation(policy, kernel, costs, ref_state)
+    assert abs(sol.gain - gain) <= 1e-14
+    assert np.max(np.abs(sol.h - h)) <= 1e-10
+    return sol, h
+
+
+def assert_iterates_match_post_decision(kernel, costs):
+    """Policy iteration visits the same policies with either evaluation.
+
+    Every iterate's evaluation agrees with the post-decision reference, and
+    the reference's h improves it to the next iterate, so the final actions
+    from policy_iteration have the reference's sha256.
+    """
+    iterates = policy_iterates(kernel, costs)
+    for policy, nxt in zip(iterates, iterates[1:] + iterates[-1:]):
+        _, h = assert_matches_post_decision(policy, kernel, costs)
+        reference = ValueSolution(gain=0.0, h=h, ref_state=0)
+        assert policy_improvement(reference, kernel, costs) == nxt
+    finals = (iterates[-1], policy_iteration(kernel, costs).policy)
+    assert len({hashlib.sha256(p.actions.tobytes()).digest() for p in finals}) == 1
+    return iterates
 
 
 @st.composite
@@ -322,6 +403,7 @@ class TestPolicyEvaluation:
         _, _, _, _, kernel, costs = make_instance(**overrides)
         for policy in random_policies(kernel):
             gains = reference_class_gains(policy, kernel, costs)
+            assert_matches_post_decision(policy, kernel, costs)
             try:
                 sol = policy_evaluation(policy, kernel, costs)
             except MultichainError as exc:
@@ -337,14 +419,16 @@ class TestPolicyEvaluation:
 
     @pytest.mark.parametrize("overrides", RANDOM_POLICY_INSTANCES)
     def test_closed_classes_match_full_chain(self, overrides):
-        # T S and S T share their nonzero eigenvalues, so the post-decision
-        # chain has as many closed classes as the full chain; a policy is
-        # rejected exactly when the full chain's classes differ in gain
+        # P = S U D, T S = (U D) S and R = D (S U) share their nonzero
+        # eigenvalues, so the post-decision and pre-request chains have as
+        # many closed classes as the full chain; a policy is rejected exactly
+        # when the full chain's classes differ in gain
         _, _, _, _, kernel, costs = make_instance(**overrides)
         multichain = 0
         for policy in random_policies(kernel):
             full = _class_labels(full_chain_policy_matrix(policy, kernel))[1].size
-            assert _class_labels(reduced_chain(policy, kernel))[1].size == full
+            assert _class_labels(post_decision_chain(policy, kernel)[0])[1].size == full
+            assert _class_labels(pre_request_chain(policy, kernel))[1].size == full
             gains = reference_class_gains(policy, kernel, costs)
             assert len(gains) == full
             try:
@@ -360,19 +444,38 @@ class TestPolicyEvaluation:
 
     def test_matches_dense_on_default_iterates(self, default_instance):
         _, _, _, _, kernel, costs = default_instance
-        iterates = policy_iterates(kernel, costs)
+        iterates = assert_iterates_match_post_decision(kernel, costs)
         assert len(iterates) == 8
         for policy in iterates:
             assert_matches_dense(policy, kernel, costs)
 
     def test_matches_full_chain_at_scale(self):
         _, _, _, _, kernel, costs = make_instance(e_max=30, n_contents=40)
-        iterates = policy_iterates(kernel, costs)
+        iterates = assert_iterates_match_post_decision(kernel, costs)
         assert len(iterates) == 11
         for policy in iterates:
             assert_matches(full_chain_policy_evaluation, policy, kernel, costs)
-            # the post-decision chain is a fraction of the state space
-            assert reduced_chain(policy, kernel).shape[0] < kernel.num_states / 2
+            # the pre-request chain has (E+1)(N+1) = n/(M+1) states
+            assert pre_request_chain(policy, kernel).shape == (31 * 41, 31 * 41)
+
+    @pytest.mark.parametrize("p_u", parse_pu_grid(DEFAULTS["pu_grid"]))
+    def test_matches_post_decision_on_load_grid(self, p_u):
+        # the default sweep grid, for the full and the non-push kernel
+        _, _, _, _, kernel, costs = make_instance(p_u=p_u)
+        assert_iterates_match_post_decision(kernel, costs)
+        restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        final = assert_iterates_match_post_decision(restricted, costs)[-1]
+        assert final == non_push_optimal(kernel, costs).policy
+
+    def test_reference_state_without_request_weight(self):
+        # at p_u = 1 a request always comes while nothing is pushed, so state
+        # 0 = (0, 0, 0) has weight 0 in D; it still maps to pre-request row 0
+        _, _, _, _, kernel, costs = make_instance(p_u=1.0)
+        column = kernel.request[:, 0]
+        assert column.nnz == 1 and column.indices[0] == 0 and column.data[0] == 0.0
+        for policy in policy_iterates(kernel, costs):
+            sol, _ = assert_matches_post_decision(policy, kernel, costs)
+            assert sol.h[0] == 0.0
 
     def test_matches_dense_on_restricted_kernel(self, default_instance):
         _, _, _, _, kernel, costs = default_instance
@@ -556,21 +659,28 @@ class TestPolicyIteration:
         [
             dict(e_max=3, n_contents=3, m_rings=1, p_c=0.0, p_u=0.379),
             dict(e_max=3, n_contents=2, m_rings=1, p_c=0.0, p_u=0.89),
+            dict(p_c=0.0),
         ],
     )
     def test_multichain_start_fails_fast(self, overrides):
         # with no cache turnover the all-sleep start never changes its pushed
         # count: one closed class per count, each with its own gain, where
         # value iteration used to run its 500,000 sweeps before giving up
-        _, _, _, _, kernel, costs = make_instance(**overrides)
+        params, _, _, _, kernel, costs = make_instance(**overrides)
         with pytest.raises(MultichainError, match="closed classes"):
             policy_iteration(kernel, costs)
+        policy = PolicyTable.all_sleep(kernel.num_states)
         with pytest.raises(MultichainError) as exc:
-            policy_evaluation(PolicyTable.all_sleep(kernel.num_states), kernel, costs)
+            policy_evaluation(policy, kernel, costs)
         gains = exc.value.class_gains
-        assert len(gains) == overrides["n_contents"] + 1
+        assert len(gains) == params.num_contents + 1
         assert min(gains) == pytest.approx(0.0, abs=1e-12)
-        assert max(gains) == pytest.approx(overrides["p_u"], abs=1e-12)
+        assert max(gains) == pytest.approx(params.request_prob, abs=1e-12)
+        assert sorted(gains) == pytest.approx(
+            sorted(reference_class_gains(policy, kernel, costs)), abs=1e-12
+        )
+        # the post-decision reference rejects it with the same class gains
+        assert assert_matches_post_decision(policy, kernel, costs) is None
 
     @pytest.mark.parametrize(
         "overrides",
@@ -756,6 +866,7 @@ def test_sparse_evaluation_matches_dense_on_random_chains(instance):
     kernel, costs = instance
     for policy in policy_iterates(kernel, costs):
         assert_matches_dense(policy, kernel, costs)
+        assert_matches_post_decision(policy, kernel, costs)
 
 
 # The ranges of test_kernel_rows_stochastic_on_random_instances, with p_c kept
@@ -775,3 +886,4 @@ def test_sparse_evaluation_matches_dense_on_random_instances(e_max, n, m, p_c, p
     )
     for policy in policy_iterates(kernel, costs):
         assert_matches_dense(policy, kernel, costs)
+        assert_matches_post_decision(policy, kernel, costs)

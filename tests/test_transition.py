@@ -161,7 +161,8 @@ def reference_validate_kernel(kernel):
         [np.add.reduceat(m.data, m.indptr[:-1][rows]) for m, rows in zip(mats, mask)]
     )
     actions, states = np.nonzero(mask)
-    rows, row_of = kernel.post_decision_rows(actions, states)
+    labels, row_of = np.unique(kernel.labels[actions, states], return_inverse=True)
+    rows = kernel.templates[labels]
     rows.eliminate_zeros()
     k = rows.shape[0]
     to_rows = csr_matrix((np.ones(row_of.size), (states, row_of)), shape=(n, k))
@@ -203,6 +204,31 @@ def assert_labels_share_rows(kernel):
         ref_idx, ref_prob = first[label]
         assert np.array_equal(idx, ref_idx) and np.array_equal(prob, ref_prob)
     return len(first)
+
+
+def assert_factors_match_templates(kernel, pre_request_rows):
+    """rows @ request equals the templates once their explicit zeros are gone.
+
+    The product drops entries that are exactly 0 (p_c = 1 at C = N) or that
+    underflow, which the templates keep as explicit zeros.  The request
+    factor stores one entry per state, zeros kept, in the given row.
+    """
+    templates = kernel.templates.copy()
+    templates.eliminate_zeros()
+    product = (kernel.rows @ kernel.request).tocsr()
+    product.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(product, name), getattr(templates, name)), name
+    request = kernel.request
+    assert request.format == "csc"
+    assert np.array_equal(request.indptr, np.arange(kernel.num_states + 1))
+    assert np.array_equal(request.indices, pre_request_rows)
+
+
+def pre_request_rows(params):
+    """E(N+1) + C for every state (E, Q, C)."""
+    e_all, _, c_all = state_table(params)
+    return e_all * (params.num_contents + 1) + c_all
 
 
 def kernel_rows(kernel):
@@ -460,18 +486,24 @@ class TestBuildKernel:
         kernel = TransitionKernel((csr_matrix(np.eye(2)), zero, zero))
         assert np.unique(kernel.labels).size == kernel.labels.size
 
-    def test_post_decision_rows(self, default_instance, default_solution):
-        _, _, _, _, kernel, _ = default_instance
-        every = np.nonzero(kernel.feasible_mask())
-        optimal = (default_solution.policy.actions, np.arange(1680))
-        for actions, states in (every, optimal):
-            rows, row_of = kernel.post_decision_rows(actions, states)
-            distinct = np.unique(kernel.labels[actions, states]).size
-            assert rows.shape == (distinct, 1680)
-            for action in Action:
-                pairs = actions == action
-                expect = kernel.action_matrix(action)[states[pairs]]
-                assert (rows[row_of[pairs]] != expect).nnz == 0
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
+    )
+    def test_factored_form(self, overrides):
+        params, _, _, _, kernel, _ = make_instance(**overrides)
+        pre_request = (params.battery_levels + 1) * (params.num_contents + 1)
+        assert kernel.rows.shape == (kernel.templates.shape[0], pre_request)
+        assert_factors_match_templates(kernel, pre_request_rows(params))
+        restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        assert restricted.rows is kernel.rows
+        assert restricted.request is kernel.request
+
+    def test_hand_built_factored_form(self):
+        zero = csr_matrix((2, 2))
+        kernel = TransitionKernel((csr_matrix([[0.5, 0.5], [0.0, 1.0]]), zero, zero))
+        assert kernel.rows is kernel.templates
+        assert np.array_equal(kernel.request.toarray(), np.eye(2))
+        assert_factors_match_templates(kernel, np.arange(2))
 
     def test_matches_reference_on_default(self):
         kernel, rows = assert_matches_reference()
@@ -622,3 +654,18 @@ def test_kernel_matches_reference_on_random_instances(e_max, n, m, p_c, p_u):
     assert_labels_share_rows(kernel)
     assert_connectivity_matches_union(kernel)
     assert validate_kernel(kernel) == reference_validate_kernel(kernel)
+
+
+@given(
+    e_max=st.integers(0, 3),
+    n=st.integers(0, 3),
+    m=st.integers(1, 3),
+    p_c=PROBABILITY,
+    p_u=PROBABILITY,
+)
+@settings(max_examples=60, deadline=None)
+def test_factored_form_on_random_instances(e_max, n, m, p_c, p_u):
+    params, _, _, _, kernel, _ = make_instance(
+        e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
+    )
+    assert_factors_match_templates(kernel, pre_request_rows(params))

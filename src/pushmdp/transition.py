@@ -9,21 +9,20 @@ three independent pieces:
 
 Each factor has a small dense row builder.  A kernel row depends on its
 (state, action) only through the post-decision state: the post-spend battery
-level, the pushed count and whether the action pushes.  The kernel builder
-forms the outer product of the factor rows once per post-decision state, as a
-template row, and keeps each pair's template number as its post-decision
-label; Q-values and the kernel check work on the template rows, and a
-per-action matrix is gathered from them only when asked for.
-
-The request ring is drawn last, from the next pushed count alone, so each
-template row also factors as U D: U holds the battery and content moves to
-the pre-request state (E', C'), and D draws the ring.  Policy evaluation
-works on these two factors.
+level, the pushed count and whether the action pushes.  The request ring is
+drawn last, from the next pushed count alone, so every such row is U D: U
+holds the battery and content moves to the pre-request state (E', C'), and D
+draws the ring.  The kernel keeps U, D and each pair's post-decision label;
+the template rows U D are derived from them once, Q-values and the kernel
+check work on the template rows, policy evaluation on the factors, and a
+per-action matrix is gathered only when asked for.  A kernel row lists only
+next states of positive probability.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, identity, vstack
@@ -113,22 +112,17 @@ def content_row(pushed: int, action: Action, params: SystemParams) -> dict[int, 
     Each period one cached content is replaced in the catalog with probability
     p_c; a replacement evicts a *pushed* content with chance C/N.  A push then
     adds one content.  Push on a full cache only backfills the eviction.
+    Only counts of positive probability are listed.
     """
     n = params.num_contents
     if not 0 <= pushed <= n:
         raise ValueError(f"pushed count {pushed} outside [0, {n}]")
+    if action == Action.PUSH and pushed >= n:
+        raise ValueError("push infeasible with every content already pushed")
     drop = params.content_replace_prob * (pushed / n) if n else 0.0
-    if action == Action.PUSH:
-        if pushed >= n:
-            raise ValueError("push infeasible with every content already pushed")
-        row = {pushed + 1: 1.0 - drop}
-        if drop:
-            row[pushed] = drop
-    else:
-        row = {pushed: 1.0 - drop}
-        if drop:
-            row[pushed - 1] = drop
-    return row
+    kept = pushed + 1 if action == Action.PUSH else pushed
+    row = {kept: 1.0 - drop, kept - 1: drop}
+    return {nxt: prob for nxt, prob in row.items() if prob}
 
 
 def request_row(
@@ -152,52 +146,48 @@ def request_row(
 
 @dataclass
 class TransitionKernel:
-    """Sparse transition kernel: one row per post-decision state, and labels.
+    """Sparse transition kernel, stored as its factors U, D and the labels.
 
-    ``templates`` is a CSR matrix whose rows are next-state pmfs with sorted
-    column indices, one per post-decision state; ``labels[a, s]`` is the
-    template row of the pair (s, a).  Feasible pairs with equal labels share
-    one row, in any action, and an infeasible pair's label points at an empty
-    row.  The two are the kernel's transition data: feasibility, rows, the
-    per-action matrices and the text dump are views of them.
+    ``rows`` (U) is a CSR matrix with one row per post-decision state over
+    the pre-request states x = E'(N+1) + C', holding the battery and content
+    moves.  ``request`` (D) is a CSC matrix with one stored entry per state
+    s = (E, Q, C), the weight p(Q | C) in row x = E(N+1) + C, zeros kept.
+    ``labels[a, s]`` is the post-decision row of the pair (s, a); pairs with
+    equal labels share one row, in any action, and an infeasible pair's
+    label points at an empty row.
 
-    ``rows`` (U) and ``request`` (D) are the templates' factored form, with
-    U D equal to the templates up to explicit zeros.  U has one row per
-    template over the pre-request states x = E'(N+1) + C', and D is a CSC
-    matrix with one stored entry per state s = (E, Q, C), the weight
-    p(Q | C) in row x = E(N+1) + C, zeros kept.  Given neither, U is the
-    templates and D the identity.
+    ``templates`` is derived from these once, as U D in CSR with sorted
+    indices: one next-state pmf per post-decision state, listing only
+    positive probabilities.  Feasibility, rows, the per-action matrices and
+    the text dump are views of the templates.
 
-    Built by hand from one matrix per action and no labels, the matrices are
-    stacked into the templates and every pair gets its own row.  ``allowed``
+    Built by hand from one matrix per action and no labels, U is the stacked
+    matrices, D the identity, and every pair gets its own row.  ``allowed``
     holds the actions a restriction kept.
     """
 
-    templates: csr_matrix
+    rows: csr_matrix
     labels: np.ndarray | None = None
-    rows: csr_matrix | None = None
     request: csc_matrix | None = None
     allowed: frozenset[Action] = frozenset(Action)
+    templates: csr_matrix = field(init=False, repr=False)
     _matrices: dict = field(default_factory=dict, repr=False)
     _mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.labels is None:
-            n = self.templates[0].shape[0]
-            self.labels = np.arange(len(self.templates) * n).reshape(-1, n)
-            self.templates = vstack(self.templates, format="csr")
-        if self.rows is None:
-            self.rows = self.templates
-            self.request = identity(self.num_states, format="csc")
+            n = self.rows[0].shape[0]
+            self.labels = np.arange(len(self.rows) * n).reshape(-1, n)
+            self.rows = vstack(self.rows, format="csr")
+            self.request = identity(n, format="csc")
         self.labels.setflags(write=False)
+        # a product that is exactly 0 is not stored
+        self.templates = (self.rows @ self.request).tocsr()
+        self.templates.sort_indices()
 
     @property
     def num_states(self) -> int:
         return self.templates.shape[1]
-
-    @property
-    def matrices(self) -> tuple[csr_matrix, ...]:
-        return tuple(self.action_matrix(Action(a)) for a in range(len(self.labels)))
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only (action, state) table, True where the pair has a row."""
@@ -234,16 +224,20 @@ class TransitionKernel:
     def restrict(self, allowed: set[Action] | frozenset[Action]) -> "TransitionKernel":
         """Kernel with only the given actions kept (sleep must stay allowed).
 
-        It shares this kernel's templates, labels and gathered matrices.
+        It shares this kernel's factors, templates, labels and gathered
+        matrices.
         """
         keep = frozenset(Action(a) for a in allowed)
         if Action.SLEEP not in keep:
             raise ValueError("restriction must keep SLEEP to stay well-defined")
-        return replace(self, allowed=self.allowed & keep, _mask=None)
+        restricted = copy(self)
+        restricted.allowed = self.allowed & keep
+        restricted._mask = None
+        return restricted
 
     def union_matrix(self) -> csr_matrix:
         """Sum of the action matrices; its support is every feasible transition."""
-        matrices = self.matrices
+        matrices = [self.action_matrix(a) for a in Action]
         return sum(matrices[1:], matrices[0])
 
     def to_text(self, limit: int | None = None) -> str:
@@ -266,16 +260,15 @@ def build_kernel(
     popularity: np.ndarray,
     arrival: ArrivalPmf,
 ) -> TransitionKernel:
-    """Assemble the kernel's template rows, their factors and the labels.
+    """Assemble the kernel's factors U and D and the post-decision labels.
 
     A row depends on its (state, action) only through the post-spend battery
     level b, the pushed count c and whether the action pushes; each such case
-    is one template row, the outer product of its three factor rows.  The
-    factor U keeps each template's battery and content entries, and D the
-    request row of each state's pushed count.
+    is one row of U, the outer product of its battery and content rows over
+    the pre-request states.  D holds the request row of each state's pushed
+    count.  The kernel derives its template rows from the two.
     """
     e1 = params.battery_levels + 1
-    m1 = params.num_rings + 1
     n1 = params.num_contents + 1
     pop_cum = cumulative_popularity_table(popularity)
     # energy[b, E'] is the battery row from post-spend level b;
@@ -294,22 +287,20 @@ def build_kernel(
                 c_next[push, c, nxt - c + 1 - push] = nxt
                 p_content[push, c, nxt - c + 1 - push] = prob
 
-    # Template t = (push*(E+1) + b)*(N+1) + c.  Its U row spans axes (push, b,
-    # c, E', slot), which in C order run by pre-request index E'*(N+1) + C';
-    # its template row adds Q' and runs by next-state index
-    # (E'*(M+1) + Q')*(N+1) + C'.  Entries are (content*energy)*request over
-    # nonzero factor entries; the extra last row is empty and serves
-    # infeasible pairs.
+    # Row t = (push*(E+1) + b)*(N+1) + c of U spans axes (push, b, c, E',
+    # slot), which in C order run by pre-request index E'*(N+1) + C'.  Its
+    # entries are content*energy, the positive ones kept; the extra last row
+    # is empty and serves infeasible pairs.
     num_templates = 2 * e1 * n1
-    moves = (c_next >= 0)[:, None, :, None, :] & (energy != 0)[None, :, None, :, None]
     pe = p_content[:, None, :, None, :] * energy[None, :, None, :, None]
     pre = np.arange(e1)[:, None] * n1 + c_next[:, None, :, None, :]
-    rows = _template_csr(pe, pre, moves, e1 * n1)
-    q = request[c_next].transpose(0, 1, 3, 2)[:, None, :, None, :, :]
-    keep = moves[..., None, :] & (q != 0)
-    index = (np.arange(e1)[:, None, None] * m1 + np.arange(m1)[:, None]) * n1
-    index = index + c_next[:, None, :, None, None, :]
-    templates = _template_csr(pe[..., None, :] * q, index, keep, params.num_states)
+    keep = pe != 0
+    counts = keep.reshape(num_templates, -1).sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(counts), [counts.sum()]))
+    rows = csr_matrix(
+        (pe[keep], np.broadcast_to(pre, keep.shape)[keep], indptr),
+        shape=(num_templates + 1, e1 * n1),
+    )
 
     feasible = feasible_table(params, grid)
     e_all, q_all, c_all = state_table(params)
@@ -322,16 +313,7 @@ def build_kernel(
     for action in Action:
         t = ((action == Action.PUSH) * e1 + e_all - spend[action, q_all]) * n1 + c_all
         labels[action] = np.where(feasible[action], t, num_templates)
-    return TransitionKernel(templates, labels, rows, weights)
-
-
-def _template_csr(values, index, keep, width):
-    """One CSR row per (push, b, c) cell of keep, plus an empty last row."""
-    num_templates = int(np.prod(keep.shape[:3]))
-    counts = keep.reshape(num_templates, -1).sum(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(counts), [counts.sum()]))
-    index = np.broadcast_to(index, keep.shape)[keep]
-    return csr_matrix((values[keep], index, indptr), shape=(num_templates + 1, width))
+    return TransitionKernel(rows, labels, weights)
 
 
 @dataclass(frozen=True)
@@ -369,9 +351,6 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     nonempty = np.diff(t.indptr) > 0
     sums = np.add.reduceat(t.data, t.indptr[:-1][nonempty])[users[nonempty] > 0]
     negative_rows = np.searchsorted(t.indptr, np.flatnonzero(t.data < 0), "right") - 1
-    if not t.data.all():  # an explicit zero is no transition
-        t = t.copy()
-        t.eliminate_zeros()
     # s -> s' is feasible iff s reaches s' through the row of one of its
     # pairs, so the strong components of the union are those of the graph
     # states -> rows -> states, counted on its state nodes.

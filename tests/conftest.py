@@ -1,12 +1,18 @@
 """Shared fixtures: the default scenario is solved once per session."""
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pushmdp.cli import DEFAULTS, build_scenario
 from pushmdp.model import Action, stage_cost_table
 from pushmdp.policies import non_push_optimal, unicast_priority_table
 from pushmdp.solver import policy_iteration
 from pushmdp.transition import ArrivalPmf, build_kernel
+
+# A probability for hypothesis draws, the boundaries 0 and 1 drawn on purpose:
+# they empty or fill a content or request factor, which changes a template
+# row's support.
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def make_scenario(**overrides):

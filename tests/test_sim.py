@@ -28,7 +28,7 @@ from pushmdp.sim import (
 )
 from pushmdp.solver import PolicyTable
 
-from conftest import make_instance, make_scenario, reference_energy_spend
+from conftest import PROBABILITY, make_instance, make_scenario, reference_energy_spend
 
 REFERENCE_BLOCK = 1 << 18
 
@@ -366,8 +366,6 @@ EDGE_SCENARIOS = [
     dict(e_max=30, n_contents=40),
     dict(n_contents=86, zipf_skew=7.95),
 ]
-
-PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestMatchesReferenceLoop:

@@ -28,7 +28,7 @@ from pushmdp.solver import (
 )
 from pushmdp.transition import TransitionKernel, validate_kernel
 
-from conftest import make_instance
+from conftest import PROBABILITY, make_instance
 
 
 def dense_kernel(mats: dict[int, np.ndarray]) -> TransitionKernel:
@@ -759,9 +759,6 @@ class TestTemplateQValues:
 
 # The ranges of test_kernel_matches_reference_on_random_instances in
 # test_transition.py, boundary probabilities included.
-PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-
-
 @given(
     e_max=st.integers(0, 3),
     n=st.integers(0, 3),

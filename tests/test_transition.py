@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -31,7 +31,7 @@ from pushmdp.transition import (
     validate_kernel,
 )
 
-from conftest import make_instance, make_scenario, reference_energy_spend
+from conftest import PROBABILITY, make_instance, make_scenario, reference_energy_spend
 
 # e^{-0.8} and 0.8 e^{-0.8}, evaluated independently
 P0_08 = 0.44932896411722156
@@ -42,7 +42,8 @@ def reference_rows(params, grid, popularity, arrival):
     """{(s, a): (indices, probs)} from the per-(state, action) loop.
 
     Reference for cross-checks only: the kernel builder replaced this loop
-    with shared template rows and must reproduce it bit for bit.
+    with shared template rows and must reproduce it bit for bit.  A product
+    that is exactly 0, by a zero factor or by underflow, is no transition.
     """
     capacity = params.battery_levels
     m1 = params.num_rings + 1
@@ -84,6 +85,7 @@ def reference_rows(params, grid, popularity, arrival):
             idx = np.concatenate(idx_parts)
             prob = np.concatenate(prob_parts)
             order = np.argsort(idx, kind="stable")
+            order = order[prob[order] != 0]
             rows[(s, a)] = (idx[order], prob[order])
     return rows
 
@@ -156,7 +158,7 @@ def reference_validate_kernel(kernel):
     """
     n = kernel.num_states
     mask = kernel.feasible_mask()
-    mats = kernel.matrices
+    mats = [kernel.action_matrix(a) for a in Action]
     sums = np.concatenate(
         [np.add.reduceat(m.data, m.indptr[:-1][rows]) for m, rows in zip(mats, mask)]
     )
@@ -207,14 +209,13 @@ def assert_labels_share_rows(kernel):
 
 
 def assert_factors_match_templates(kernel, pre_request_rows):
-    """rows @ request equals the templates once their explicit zeros are gone.
+    """The templates are rows @ request, sorted, with no stored zero.
 
-    The product drops entries that are exactly 0 (p_c = 1 at C = N) or that
-    underflow, which the templates keep as explicit zeros.  The request
-    factor stores one entry per state, zeros kept, in the given row.
+    The request factor stores one entry per state, zeros kept, in the given
+    row; the product drops entries that are exactly 0 or that underflow.
     """
-    templates = kernel.templates.copy()
-    templates.eliminate_zeros()
+    templates = kernel.templates
+    assert templates.has_sorted_indices and templates.data.all()
     product = (kernel.rows @ kernel.request).tocsr()
     product.sort_indices()
     for name in ("indptr", "indices", "data"):
@@ -239,7 +240,7 @@ def kernel_rows(kernel):
 
 def tampered(kernel, action, edit):
     """Copy of kernel whose action matrix has edit applied to row 0's data."""
-    matrices = list(kernel.matrices)
+    matrices = [kernel.action_matrix(a) for a in Action]
     m = matrices[action].copy()
     edit(m.data[m.indptr[0] : m.indptr[1]])
     matrices[action] = m
@@ -355,6 +356,12 @@ class TestContentRow:
     def test_push_on_full_cache_rejected(self):
         with pytest.raises(ValueError):
             content_row(20, Action.PUSH, self.params())
+
+    def test_no_zero_outcome(self):
+        # at p_c = 1 a full cache always loses a pushed content
+        params, *_ = make_scenario(p_c=1.0)
+        assert content_row(20, Action.SLEEP, params) == {19: 1.0}
+        assert content_row(20, Action.UNICAST, params) == {19: 1.0}
 
     def test_rows_normalized(self):
         params = self.params()
@@ -497,11 +504,14 @@ class TestBuildKernel:
         restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
         assert restricted.rows is kernel.rows
         assert restricted.request is kernel.request
+        assert restricted.templates is kernel.templates
 
     def test_hand_built_factored_form(self):
         zero = csr_matrix((2, 2))
         kernel = TransitionKernel((csr_matrix([[0.5, 0.5], [0.0, 1.0]]), zero, zero))
-        assert kernel.rows is kernel.templates
+        for name in ("indptr", "indices", "data"):
+            got, expect = getattr(kernel.templates, name), getattr(kernel.rows, name)
+            assert np.array_equal(got, expect), name
         assert np.array_equal(kernel.request.toarray(), np.eye(2))
         assert_factors_match_templates(kernel, np.arange(2))
 
@@ -634,11 +644,9 @@ def test_kernel_rows_stochastic_on_random_instances(e_max, n, m, p_c, p_u):
 
 
 # The ranges of test_kernel_rows_stochastic_on_random_instances, with the
-# boundary probabilities 0 and 1 drawn on purpose: they empty or fill a
-# content or request factor, which changes a template row's support.
-PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-
-
+# boundary probabilities drawn on purpose.  The examples pin a zero content
+# outcome (p_c = 1 at C = N) and request weights that underflow in the product
+# (p_u = 1e-323), which a kernel row must not list.
 @given(
     e_max=st.integers(0, 3),
     n=st.integers(0, 3),
@@ -647,10 +655,13 @@ PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     p_u=PROBABILITY,
 )
 @settings(max_examples=60, deadline=None)
+@example(e_max=3, n=3, m=3, p_c=1.0, p_u=0.5)
+@example(e_max=3, n=3, m=1, p_c=0.5, p_u=1e-323)
 def test_kernel_matches_reference_on_random_instances(e_max, n, m, p_c, p_u):
     kernel, _ = assert_matches_reference(
         e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
     )
+    assert kernel.templates.data.all()
     assert_labels_share_rows(kernel)
     assert_connectivity_matches_union(kernel)
     assert validate_kernel(kernel) == reference_validate_kernel(kernel)
@@ -664,6 +675,8 @@ def test_kernel_matches_reference_on_random_instances(e_max, n, m, p_c, p_u):
     p_u=PROBABILITY,
 )
 @settings(max_examples=60, deadline=None)
+@example(e_max=3, n=3, m=3, p_c=1.0, p_u=0.5)
+@example(e_max=3, n=3, m=1, p_c=0.5, p_u=1e-323)
 def test_factored_form_on_random_instances(e_max, n, m, p_c, p_u):
     params, _, _, _, kernel, _ = make_instance(
         e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u

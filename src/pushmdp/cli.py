@@ -51,20 +51,6 @@ class ConfigError(ValueError):
     """Bad configuration input (unknown key, unparsable value)."""
 
 
-_INT_KEYS = {"n_contents", "e_max", "m_rings", "horizon", "warmup", "replications"}
-_FLOAT_KEYS = {
-    "zipf_skew",
-    "p_c",
-    "p_u",
-    "a_bar",
-    "alpha",
-    "beta_db",
-    "r0_over_w",
-    "radius_m",
-    "pt_edge_w",
-    "t_p_s",
-}
-
 DEFAULTS = {
     "n_contents": 20,
     "zipf_skew": 0.5,
@@ -87,12 +73,9 @@ DEFAULTS = {
 
 
 def _coerce(key: str, raw: str):
+    """Parse raw with the type of the key's default."""
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        return raw
+        return type(DEFAULTS[key])(raw)
     except ValueError:
         raise ConfigError(f"config key '{key}' got unparsable value {raw!r}") from None
 

@@ -32,19 +32,14 @@ __all__ = [
 ]
 
 
-def non_push_optimal(
-    kernel: TransitionKernel,
-    costs,
-    ref_state: int = 0,
-    max_iter: int = 1000,
-) -> PolicyIterationResult:
+def non_push_optimal(kernel: TransitionKernel, costs) -> PolicyIterationResult:
     """Optimal policy over {Sleep, Unicast} only, with its gain and values.
 
     Runs the same policy iteration on the kernel with push rows dropped; the
     result is feasible in the unrestricted system as well.
     """
     restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
-    return policy_iteration(restricted, costs, ref_state=ref_state, max_iter=max_iter)
+    return policy_iteration(restricted, costs)
 
 
 def unicast_priority_table(params: SystemParams, grid: DistanceGrid) -> PolicyTable:

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 18
+# batch means per standard error
+_BATCHES = 100
 # equal buckets of [0, 1) that reduce a uniform draw to a table position
 _BUCKETS = 1 << 12
 # periods per list conversion: bounds the Python ints alive at once
@@ -78,14 +80,11 @@ class SimConfig:
     horizon: int = 1_000_000
     seed: int = 0
     warmup: int = 10_000
-    batches: int = 100
     debug: bool = False
 
     def __post_init__(self):
         if self.warmup < 0 or self.horizon <= self.warmup:
             raise ValueError("need horizon > warmup >= 0")
-        if self.batches < 1:
-            raise ValueError("batches must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -327,13 +326,13 @@ def simulate(
         cache_hits=int(hit_ind.sum()),
         energy_overflow_units=int(over_ind.sum()),
         macro_ratio=float(macro_ind.mean()),
-        macro_ratio_se=_batch_se(macro_ind, config.batches),
+        macro_ratio_se=_batch_se(macro_ind, _BATCHES),
         request_rate=float(req_ind.mean()),
-        request_rate_se=_batch_se(req_ind, config.batches),
+        request_rate_se=_batch_se(req_ind, _BATCHES),
         hit_rate=float(hit_ind.mean()),
-        hit_rate_se=_batch_se(hit_ind, config.batches),
+        hit_rate_se=_batch_se(hit_ind, _BATCHES),
         overflow_rate=float(over_ind.mean()),
-        overflow_rate_se=_batch_se(over_ind, config.batches),
+        overflow_rate_se=_batch_se(over_ind, _BATCHES),
         seed=config.seed,
         warmup=warmup,
         periods_per_s=horizon / (time.perf_counter() - start),

@@ -9,12 +9,14 @@ and the solution refined by one residual correction.  A chain with several
 closed classes that share one gain is solved by the same system with one
 reference state pinned per class; when the classes differ in gain the policy
 has no single gain and MultichainError is raised.  Q-values, for the
-improvement step, the Bellman residual and value iteration, come from one
-product of the kernel's post-decision template rows with h.  A brute-force
-policy enumerator serves as an independent oracle on tiny instances.
+improvement step, the Bellman residual and value iteration, come from the
+same factors: P h for every pair is U (D h) read back through the labels,
+so no solver derives the kernel's template rows.  A brute-force policy
+enumerator serves as an independent oracle on tiny instances.
 """
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -244,10 +246,13 @@ def _class_labels(p: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 def _q_values(kernel, costs, h):
     """Action-value table g + P h with +inf at infeasible pairs.
 
-    A pair's row is its post-decision template, so P h is one product of the
-    template rows with h, read back through the labels.
+    A pair's row is its post-decision template U D, so P h is U (D h): the
+    request ring is averaged out first, then one product of the factor rows
+    with that, read back through the labels.  The sums round in another
+    order than the template rows' products with h, so the two can differ in
+    their last bits.
     """
-    y = kernel.templates @ h
+    y = kernel.rows @ (kernel.request @ h)
     return np.where(kernel.feasible_mask(), costs + y[kernel.labels], np.inf)
 
 
@@ -385,24 +390,12 @@ class OracleResult(NamedTuple):
     num_policies: int
 
 
-def _stationary_power(p_sel: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Damped power iteration for a batch of chains; rows converge to pi."""
-    b, n, _ = p_sel.shape
-    pi = np.full((b, n), 1.0 / n)
-    for _ in range(max_iter):
-        nxt = 0.5 * pi + 0.5 * np.einsum("bi,bij->bj", pi, p_sel)
-        if np.max(np.abs(nxt - pi)) < tol:
-            return nxt
-        pi = nxt
-    raise ConvergenceError("stationary distribution power iteration stalled")
-
-
-def _stationary_batch(p_sel: np.ndarray, tol: float) -> np.ndarray:
+def _stationary_batch(p_sel: np.ndarray) -> np.ndarray:
     """Stationary distributions of a batch of row-stochastic matrices.
 
-    Direct solve of pi (P - I) = 0 with a normalization row; falls back to
-    damped power iteration for batch members whose system misbehaves
-    (reducible chains make it singular).
+    Direct solve of pi (P - I) = 0 with a normalization row.  A member whose
+    system is singular (a reducible chain makes it so), or whose solution is
+    negative, non-finite or not stationary, gets a row of NaN.
     """
     b, n, _ = p_sel.shape
     a = np.swapaxes(p_sel, 1, 2) - np.eye(n)
@@ -412,15 +405,17 @@ def _stationary_batch(p_sel: np.ndarray, tol: float) -> np.ndarray:
     try:
         pi = np.linalg.solve(a, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        return _stationary_power(p_sel, tol, max_iter=200_000)
+        pi = np.full((b, n), np.nan)
+        for i in range(b):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                pi[i] = np.linalg.solve(a[i], rhs[i])[:, 0]
     check = np.einsum("bi,bij->bj", pi, p_sel) - pi
     bad = (
         (np.min(pi, axis=1) < -1e-9)
         | (np.max(np.abs(check), axis=1) > 1e-10)
         | ~np.all(np.isfinite(pi), axis=1)
     )
-    if bad.any():
-        pi[bad] = _stationary_power(p_sel[bad], tol, max_iter=200_000)
+    pi[bad] = np.nan
     return pi
 
 
@@ -429,15 +424,14 @@ def brute_force_oracle(
     costs: np.ndarray,
     max_states: int = 64,
     max_policies: int = 1_000_000,
-    tol: float = 1e-12,
 ) -> OracleResult:
     """Minimum gain over every feasible deterministic stationary policy.
 
     Enumerates policies in mixed-radix order over per-state feasible action
     lists, computes each policy's stationary distribution and takes the
-    expected stage cost under it.  Assumes each policy's chain is unichain
-    (the caller samples instances that guarantee it); guarded to tiny
-    instances.
+    expected stage cost under it.  Every policy's chain must have a unique
+    stationary distribution: the first policy whose does not, in enumeration
+    order, raises SingularPolicyError.  Guarded to tiny instances.
     """
     n = kernel.num_states
     if n > max_states:
@@ -449,10 +443,10 @@ def brute_force_oracle(
     if total > max_policies:
         raise ValueError(f"{total} policies exceed the oracle guard of {max_policies}")
 
-    p_all = kernel.templates.toarray()[kernel.labels]
+    p_all = np.stack([kernel.action_matrix(a).toarray() for a in Action])
     chunk = max(16, int(5_000_000 // (n * n)))
     best_gain = np.inf
-    best_code = -1
+    best_actions = None
     state_idx = np.arange(n)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -463,18 +457,18 @@ def brute_force_oracle(
             rem //= radix[s]
         p_sel = p_all[policy_mat, state_idx[None, :], :]
         g_sel = costs[policy_mat, state_idx[None, :]]
-        pi = _stationary_batch(p_sel, tol)
-        gains = np.einsum("bs,bs->b", pi, g_sel)
+        gains = np.einsum("bs,bs->b", _stationary_batch(p_sel), g_sel)
+        singular = np.flatnonzero(np.isnan(gains))
+        if singular.size:
+            k = int(singular[0])
+            raise SingularPolicyError(
+                f"policy {codes[k]} of {total} (actions {policy_mat[k].tolist()}) "
+                "has no unique stationary distribution"
+            )
         k = int(np.argmin(gains))
         if gains[k] < best_gain:
             best_gain = float(gains[k])
-            best_code = int(codes[k])
-
-    rem = best_code
-    best_actions = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        best_actions[s] = feas[s][rem % radix[s]]
-        rem //= radix[s]
+            best_actions = policy_mat[k]
     return OracleResult(
         policy=PolicyTable(best_actions), gain=best_gain, num_policies=total
     )

@@ -12,17 +12,17 @@ Each factor has a small dense row builder.  A kernel row depends on its
 level, the pushed count and whether the action pushes.  The request ring is
 drawn last, from the next pushed count alone, so every such row is U D: U
 holds the battery and content moves to the pre-request state (E', C'), and D
-draws the ring.  The kernel keeps U, D and each pair's post-decision label;
-the template rows U D are derived from them once, Q-values and the kernel
-check work on the template rows, policy evaluation on the factors, and a
-per-action matrix is gathered only when asked for.  A kernel row lists only
-next states of positive probability.
+draws the ring.  The kernel keeps U, D and each pair's post-decision label,
+and the solvers read only these.  The template rows U D are a view, derived
+on first use for the kernel check, the text dump and the per-action
+matrices.  A kernel row lists only next states of positive probability.
 """
 from __future__ import annotations
 
 import math
 from copy import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, identity, vstack
@@ -156,48 +156,50 @@ class TransitionKernel:
     equal labels share one row, in any action, and an infeasible pair's
     label points at an empty row.
 
-    ``templates`` is derived from these once, as U D in CSR with sorted
-    indices: one next-state pmf per post-decision state, listing only
-    positive probabilities.  Feasibility, rows, the per-action matrices and
-    the text dump are views of the templates.
+    A U row is empty exactly when its template row is, so feasibility is
+    read from U.  ``templates``, U D in CSR with sorted indices (one
+    next-state pmf per post-decision state, positive probabilities only), is
+    derived on first use; rows, the per-action matrices and the text dump
+    are views of it.
 
     Built by hand from one matrix per action and no labels, U is the stacked
-    matrices, D the identity, and every pair gets its own row.  ``allowed``
-    holds the actions a restriction kept.
+    matrices without stored zeros, D the identity, and every pair gets its
+    own row.  ``allowed`` holds the actions a restriction kept.
     """
 
     rows: csr_matrix
     labels: np.ndarray | None = None
     request: csc_matrix | None = None
     allowed: frozenset[Action] = frozenset(Action)
-    templates: csr_matrix = field(init=False, repr=False)
     _matrices: dict = field(default_factory=dict, repr=False)
-    _mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.labels is None:
             n = self.rows[0].shape[0]
             self.labels = np.arange(len(self.rows) * n).reshape(-1, n)
             self.rows = vstack(self.rows, format="csr")
+            self.rows.eliminate_zeros()
             self.request = identity(n, format="csc")
         self.labels.setflags(write=False)
+
+    @cached_property
+    def templates(self) -> csr_matrix:
         # a product that is exactly 0 is not stored
-        self.templates = (self.rows @ self.request).tocsr()
-        self.templates.sort_indices()
+        templates = (self.rows @ self.request).tocsr()
+        templates.sort_indices()
+        return templates
 
     @property
     def num_states(self) -> int:
-        return self.templates.shape[1]
+        return self.request.shape[1]
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only (action, state) table, True where the pair has a row."""
-        if self._mask is None:
-            kept = [Action(a) in self.allowed for a in range(len(self.labels))]
-            mask = (np.diff(self.templates.indptr) > 0)[self.labels]
-            mask &= np.array(kept)[:, None]
-            mask.setflags(write=False)
-            self._mask = mask
-        return self._mask
+        kept = [Action(a) in self.allowed for a in range(len(self.labels))]
+        mask = (np.diff(self.rows.indptr) > 0)[self.labels]
+        mask &= np.array(kept)[:, None]
+        mask.setflags(write=False)
+        return mask
 
     def row(self, state: int, action: Action) -> tuple[np.ndarray, np.ndarray]:
         """(next-state indices, probabilities) of one feasible (state, action)."""
@@ -224,15 +226,14 @@ class TransitionKernel:
     def restrict(self, allowed: set[Action] | frozenset[Action]) -> "TransitionKernel":
         """Kernel with only the given actions kept (sleep must stay allowed).
 
-        It shares this kernel's factors, templates, labels and gathered
-        matrices.
+        It shares this kernel's factors, labels and gathered matrices, and
+        its templates once they are derived.
         """
         keep = frozenset(Action(a) for a in allowed)
         if Action.SLEEP not in keep:
             raise ValueError("restriction must keep SLEEP to stay well-defined")
         restricted = copy(self)
         restricted.allowed = self.allowed & keep
-        restricted._mask = None
         return restricted
 
     def union_matrix(self) -> csr_matrix:
@@ -243,9 +244,12 @@ class TransitionKernel:
     def to_text(self, limit: int | None = None) -> str:
         """Readable dump of the sparse rows, for debugging and CLI export."""
         lines = []
+        t = self.templates
         states, actions = np.nonzero(self.feasible_mask().T)
-        for s, a in zip(states.tolist(), actions.tolist()):
-            idx, p = (v.tolist() for v in self.row(s, Action(a)))
+        labels = self.labels[actions, states]
+        for s, a, label in zip(states.tolist(), actions.tolist(), labels.tolist()):
+            span = slice(t.indptr[label], t.indptr[label + 1])
+            idx, p = t.indices[span].tolist(), t.data[span].tolist()
             entries = " ".join(f"{j}:{pj:.12g}" for j, pj in zip(idx, p))
             lines.append(f"{s} {Action(a).name} {entries}")
             if limit is not None and len(lines) >= limit:
@@ -266,7 +270,7 @@ def build_kernel(
     level b, the pushed count c and whether the action pushes; each such case
     is one row of U, the outer product of its battery and content rows over
     the pre-request states.  D holds the request row of each state's pushed
-    count.  The kernel derives its template rows from the two.
+    count.  The kernel derives its template rows from the two on request.
     """
     e1 = params.battery_levels + 1
     n1 = params.num_contents + 1

@@ -18,6 +18,7 @@ from pushmdp.model import (
 )
 from pushmdp.policies import unicast_priority_table
 from pushmdp.sim import (
+    _BATCHES,
     SimConfig,
     SimMetrics,
     SimulationError,
@@ -136,13 +137,13 @@ def reference_simulate(config, params, grid, popularity, record=False):
         cache_hits=int(hit_ind.sum()),
         energy_overflow_units=int(over_ind.sum()),
         macro_ratio=float(macro_ind.mean()),
-        macro_ratio_se=_batch_se(macro_ind, config.batches),
+        macro_ratio_se=_batch_se(macro_ind, _BATCHES),
         request_rate=float(req_ind.mean()),
-        request_rate_se=_batch_se(req_ind, config.batches),
+        request_rate_se=_batch_se(req_ind, _BATCHES),
         hit_rate=float(hit_ind.mean()),
-        hit_rate_se=_batch_se(hit_ind, config.batches),
+        hit_rate_se=_batch_se(hit_ind, _BATCHES),
         overflow_rate=float(over_ind.mean()),
-        overflow_rate_se=_batch_se(over_ind, config.batches),
+        overflow_rate_se=_batch_se(over_ind, _BATCHES),
         seed=config.seed,
         warmup=warmup,
         periods_per_s=float("nan"),

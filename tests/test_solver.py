@@ -15,6 +15,7 @@ from pushmdp.solver import (
     ConvergenceError,
     MultichainError,
     PolicyTable,
+    SingularPolicyError,
     ValueSolution,
     bellman_residual,
     brute_force_oracle,
@@ -150,8 +151,8 @@ def post_decision_policy_evaluation(policy, kernel, costs, ref_state=0):
 def reference_q_values(kernel, costs, h):
     """Action-value table g + P h from each full action matrix.
 
-    Reference for cross-checks only: _q_values now reads P h from one product
-    of the post-decision template rows with h.
+    Reference for cross-checks only: _q_values now reads P h as U (D h) from
+    the kernel's factors.
     """
     n = kernel.num_states
     q = np.full((NUM_ACTIONS, n), np.inf)
@@ -219,6 +220,30 @@ def random_policies(kernel, count=100):
 def assert_q_values_match_reference(kernel, costs, h):
     got = _q_values(kernel, costs, h)
     assert np.array_equal(got, reference_q_values(kernel, costs, h))
+
+
+def assert_q_values_near_reference(kernel, costs, h, m_rings):
+    """Factored Q-values within the summation bound of the reference's.
+
+    U (D h) and the per-action products add the same terms in another order.
+    Each side's error is at most its number of terms times eps times the sum
+    of |p h| (Higham 2002, section 3.1), so a pair may differ by
+    (nnz of its template row + nnz of its U row + M + 3) eps max(1, max|h|),
+    the 3 covering the cost addition on each side.  Where the reference's
+    best and second Q-values are more than twice that apart, the argmin is
+    the same.
+    """
+    got = _q_values(kernel, costs, h)
+    ref = reference_q_values(kernel, costs, h)
+    feasible = kernel.feasible_mask()
+    assert np.array_equal(np.isfinite(got), feasible)
+    terms = np.diff(kernel.templates.indptr) + np.diff(kernel.rows.indptr)
+    scale = np.finfo(float).eps * max(1.0, float(np.max(np.abs(h), initial=0.0)))
+    bound = np.where(feasible, (terms[kernel.labels] + m_rings + 3) * scale, 0.0)
+    assert np.all(np.abs(got - ref)[feasible] <= bound[feasible])
+    ordered = np.sort(ref, axis=0)
+    clear = ordered[1] - ordered[0] > 2 * bound.max(axis=0)
+    assert np.array_equal(got.argmin(axis=0)[clear], ref.argmin(axis=0)[clear])
 
 
 def policy_iterates(kernel, costs):
@@ -723,13 +748,13 @@ class TestTemplateQValues:
         "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
     )
     def test_match_reference(self, overrides):
-        _, _, _, _, kernel, costs = make_instance(**overrides)
+        _, _, grid, _, kernel, costs = make_instance(**overrides)
         h = np.random.default_rng(1).standard_normal(kernel.num_states)
         optimal = policy_iteration(kernel, costs).values.h
         restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
         for k in (kernel, restricted):
             for values in (h, optimal, np.zeros(kernel.num_states)):
-                assert_q_values_match_reference(k, costs, values)
+                assert_q_values_near_reference(k, costs, values, grid.num_rings)
 
     @given(instance=random_chains(max_actions=NUM_ACTIONS))
     @settings(max_examples=20, deadline=None)
@@ -756,6 +781,15 @@ class TestTemplateQValues:
         validate_kernel(kernel)
         validate_kernel(restricted)
 
+    def test_solvers_derive_no_template_rows(self):
+        _, _, _, _, kernel, costs = make_instance(e_max=4, n_contents=3, m_rings=2)
+        result = policy_iteration(kernel, costs)
+        non_push_optimal(kernel, costs)
+        policy_evaluation(result.policy, kernel, costs)
+        bellman_residual(result.values, kernel, costs)
+        relative_value_iteration(kernel, costs, tol=1e-10)
+        assert "templates" not in vars(kernel)
+
 
 # The ranges of test_kernel_matches_reference_on_random_instances in
 # test_transition.py, boundary probabilities included.
@@ -772,7 +806,7 @@ def test_template_q_values_match_reference_on_random_instances(e_max, n, m, p_c,
         e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
     )
     h = np.random.default_rng(3).standard_normal(kernel.num_states)
-    assert_q_values_match_reference(kernel, costs, h)
+    assert_q_values_near_reference(kernel, costs, h, m)
 
 
 class TestPolicyTable:
@@ -827,6 +861,15 @@ class TestBruteForceOracle:
         _, _, _, _, tiny, tc = make_instance(e_max=3, n_contents=2, m_rings=1)
         with pytest.raises(ValueError):
             brute_force_oracle(tiny, tc, max_policies=20_000)
+
+    def test_singular_policy_fails_fast(self):
+        # without cache turnover the all-sleep policy, the first enumerated,
+        # keeps every pushed count: one closed class per count
+        _, _, _, _, kernel, costs = make_instance(
+            e_max=2, n_contents=2, m_rings=1, p_c=0
+        )
+        with pytest.raises(SingularPolicyError, match="policy 0 of"):
+            brute_force_oracle(kernel, costs)
 
     def test_single_policy_instance(self):
         _, _, _, _, kernel, costs = make_instance(

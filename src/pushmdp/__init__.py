@@ -8,7 +8,6 @@ from .model import (
     DistanceGrid,
     RadioParams,
     SystemParams,
-    SystemState,
     calibrate_radio,
     required_power,
     zipf_pmf,
@@ -64,7 +63,6 @@ __all__ = [
     "SimulationError",
     "SingularPolicyError",
     "SystemParams",
-    "SystemState",
     "ThresholdProfile",
     "TransitionKernel",
     "ValueSolution",

@@ -24,14 +24,11 @@ __all__ = [
     "SystemParams",
     "RadioParams",
     "DistanceGrid",
-    "SystemState",
     "CalibrationError",
     "zipf_pmf",
     "cumulative_popularity_table",
     "required_power",
     "calibrate_radio",
-    "state_index",
-    "index_state",
     "state_table",
     "spend_table",
     "stage_cost_table",
@@ -177,19 +174,6 @@ class DistanceGrid:
         return self.unicast_costs[-1]
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """One slotted-system state: battery units, request ring, pushed count."""
-
-    battery: int
-    request: int
-    pushed: int
-
-    def __post_init__(self):
-        if self.battery < 0 or self.request < 0 or self.pushed < 0:
-            raise ValueError("state components must be non-negative")
-
-
 def zipf_pmf(params: SystemParams) -> np.ndarray:
     """Rank-based popularity f_i = i^-v / sum_j j^-v over the content catalog."""
     n = params.num_contents
@@ -305,32 +289,11 @@ def calibrate_radio(
     return params, radio, grid
 
 
-def state_index(state: SystemState, params: SystemParams) -> int:
-    """Flat index of a state; (0, 0, 0) maps to 0."""
-    if state.battery > params.battery_levels:
-        raise ValueError(f"battery {state.battery} exceeds {params.battery_levels}")
-    if state.request > params.num_rings:
-        raise ValueError(f"request {state.request} exceeds {params.num_rings}")
-    if state.pushed > params.num_contents:
-        raise ValueError(f"pushed {state.pushed} exceeds {params.num_contents}")
-    m1 = params.num_rings + 1
-    n1 = params.num_contents + 1
-    return (state.battery * m1 + state.request) * n1 + state.pushed
-
-
-def index_state(index: int, params: SystemParams) -> SystemState:
-    """Inverse of state_index."""
-    if not 0 <= index < params.num_states:
-        raise IndexError(f"state index {index} outside [0, {params.num_states})")
-    m1 = params.num_rings + 1
-    n1 = params.num_contents + 1
-    pushed = index % n1
-    rest = index // n1
-    return SystemState(battery=rest // m1, request=rest % m1, pushed=pushed)
-
-
 def state_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Battery, request and pushed components for every state index."""
+    """Battery, request and pushed components for every state index.
+
+    States are numbered E-major, index (E (M+1) + Q) (N+1) + C, so (0, 0, 0) is 0.
+    """
     shape = (params.battery_levels + 1, params.num_rings + 1, params.num_contents + 1)
     e, q, c = np.indices(shape)
     return e.ravel(), q.ravel(), c.ravel()

@@ -34,24 +34,21 @@ from .model import (
     Action,
     DistanceGrid,
     SystemParams,
-    SystemState,
     cumulative_popularity_table,
     feasible_table,
     spend_table,
     stage_cost_table,
-    state_index,
     state_table,
 )
 from .policies import non_push_optimal, unicast_priority_table
 from .solver import PolicyTable, policy_evaluation, policy_iteration
-from .transition import ArrivalPmf, build_kernel
+from .transition import ArrivalPmf, TransitionKernel, build_kernel
 
 __all__ = [
     "SimConfig",
     "SimMetrics",
     "SimulationError",
     "simulate",
-    "sample_transitions",
     "SweepRow",
     "sweep",
     "BASELINE_NAMES",
@@ -80,7 +77,6 @@ class SimConfig:
     horizon: int = 1_000_000
     seed: int = 0
     warmup: int = 10_000
-    debug: bool = False
 
     def __post_init__(self):
         if self.warmup < 0 or self.horizon <= self.warmup:
@@ -126,6 +122,26 @@ def _batch_se(series: np.ndarray, batches: int) -> float:
     return float(means.std(ddof=1) / np.sqrt(batches))
 
 
+def _baseline(
+    name: str,
+    params: SystemParams,
+    grid: DistanceGrid,
+    kernel: TransitionKernel,
+    costs: np.ndarray,
+) -> tuple[PolicyTable, float]:
+    """Policy table and solver gain of one named baseline."""
+    if name == "optimal-push":
+        res = policy_iteration(kernel, costs)
+    elif name == "non-push":
+        res = non_push_optimal(kernel, costs)
+    elif name == "unicast-priority":
+        table = unicast_priority_table(params, grid)
+        return table, policy_evaluation(table, kernel, costs).gain
+    else:
+        raise ValueError(f"unknown policy name {name!r}; known: {BASELINE_NAMES}")
+    return res.policy, res.values.gain
+
+
 def _resolve_policy(
     policy: PolicyTable | str,
     params: SystemParams,
@@ -134,16 +150,9 @@ def _resolve_policy(
 ) -> PolicyTable:
     if isinstance(policy, PolicyTable):
         return policy
-    if policy == "unicast-priority":
-        return unicast_priority_table(params, grid)
-    if policy in ("optimal-push", "non-push"):
-        arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
-        kernel = build_kernel(params, grid, popularity, arrival)
-        costs = stage_cost_table(params)
-        if policy == "optimal-push":
-            return policy_iteration(kernel, costs).policy
-        return non_push_optimal(kernel, costs).policy
-    raise ValueError(f"unknown policy name {policy!r}; known: {BASELINE_NAMES}")
+    arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
+    kernel = build_kernel(params, grid, popularity, arrival)
+    return _baseline(policy, params, grid, kernel, stage_cost_table(params))[0]
 
 
 class _Draws(NamedTuple):
@@ -296,8 +305,6 @@ def simulate(
                     f"period {k0 + i}: {Action(actions[x]).name.lower()} infeasible "
                     f"in state ({e_tab[x]},{q_tab[x]},{c_tab[x]})"
                 )
-            if config.debug:
-                _check_bounds(st, k0, params, e_tab, q_tab, c_tab)
             if record:
                 rec_states[k0 : k0 + len(st)] = st
                 rec_actions[k0 : k0 + len(st)] = actions[st]
@@ -340,53 +347,6 @@ def simulate(
     if record:
         return metrics, (rec_states, rec_actions)
     return metrics
-
-
-def _check_bounds(st, k0, params, e_tab, q_tab, c_tab) -> None:
-    """Debug check: every visited state decodes to components in range."""
-    inside = (st >= 0) & (st < params.num_states)
-    x = np.where(inside, st, 0)
-    e, q, c = e_tab[x], q_tab[x], c_tab[x]
-    bad = (
-        ~inside
-        | (e < 0) | (e > params.battery_levels)
-        | (q < 0) | (q > params.num_rings)
-        | (c < 0) | (c > params.num_contents)
-    )
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SimulationError(
-            f"period {k0 + i}: state {st[i]} decodes to ({e[i]},{q[i]},{c[i]}), "
-            "outside the state space"
-        )
-
-
-def sample_transitions(
-    state: SystemState,
-    action: Action,
-    count: int,
-    params: SystemParams,
-    grid: DistanceGrid,
-    popularity: np.ndarray,
-    seed: int = 0,
-) -> np.ndarray:
-    """Sample next-state indices of one fixed (state, action) pair.
-
-    Uses the same generative draws and thresholds as the trajectory
-    simulator, vectorized; this is the independent check against the
-    analytic kernel rows.
-    """
-    if not feasible_table(params, grid)[action, state_index(state, params)]:
-        raise SimulationError(f"{action.name} infeasible in {state}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    d = _draw(rng, count, params, grid, cumulative_popularity_table(popularity))
-    spent = spend_table(grid)[action, state.request]
-    c_next = state.pushed + (action == Action.PUSH) - (state.pushed >= d.drop_min)
-    e_next = np.minimum(params.battery_levels, state.battery - spent + d.arrivals)
-    q_next = np.where(c_next >= d.hit_min, 0, d.miss_q)
-    m1 = params.num_rings + 1
-    n1 = params.num_contents + 1
-    return ((e_next * m1 + q_next) * n1 + c_next).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -434,24 +394,9 @@ def sweep(
         arrival = ArrivalPmf.poisson(pp.mean_arrival, pp.battery_levels)
         kernel = build_kernel(pp, grid, popularity, arrival)
         costs = stage_cost_table(pp)
-        tables: dict[str, PolicyTable] = {}
-        gains: dict[str, float] = {}
+        solved = {name: _baseline(name, pp, grid, kernel, costs) for name in policies}
         for name in policies:
-            if name == "optimal-push":
-                res = policy_iteration(kernel, costs)
-                tables[name], gains[name] = res.policy, res.values.gain
-            elif name == "non-push":
-                res = non_push_optimal(kernel, costs)
-                tables[name], gains[name] = res.policy, res.values.gain
-            elif name == "unicast-priority":
-                t = unicast_priority_table(pp, grid)
-                tables[name] = t
-                gains[name] = policy_evaluation(t, kernel, costs).gain
-            else:
-                raise ValueError(
-                    f"unknown policy name {name!r}; known: {BASELINE_NAMES}"
-                )
-        for name in policies:
+            table, gain = solved[name]
             children = master.spawn(replications)
             ratios = []
             ses = []
@@ -460,7 +405,7 @@ def sweep(
                 child_seed = int(child.generate_state(1, np.uint64)[0])
                 child_seeds.append(child_seed)
                 cfg = SimConfig(
-                    policy=tables[name],
+                    policy=table,
                     horizon=horizon,
                     warmup=warmup,
                     seed=child_seed,
@@ -481,7 +426,7 @@ def sweep(
                     a_bar=pp.mean_arrival,
                     ratio_sim=ratio,
                     se=se,
-                    ratio_solver=gains[name],
+                    ratio_solver=gain,
                     horizon=horizon,
                     seed=child_seeds[0],
                 )

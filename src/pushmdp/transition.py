@@ -159,8 +159,8 @@ class TransitionKernel:
     A U row is empty exactly when its template row is, so feasibility is
     read from U.  ``templates``, U D in CSR with sorted indices (one
     next-state pmf per post-decision state, positive probabilities only), is
-    derived on first use; rows, the per-action matrices and the text dump
-    are views of it.
+    derived on first use; the per-action matrices and the text dump are
+    views of it.
 
     Built by hand from one matrix per action and no labels, U is the stacked
     matrices without stored zeros, D the identity, and every pair gets its
@@ -200,15 +200,6 @@ class TransitionKernel:
         mask &= np.array(kept)[:, None]
         mask.setflags(write=False)
         return mask
-
-    def row(self, state: int, action: Action) -> tuple[np.ndarray, np.ndarray]:
-        """(next-state indices, probabilities) of one feasible (state, action)."""
-        if not self.feasible_mask()[int(action), state]:
-            raise KeyError(f"action {Action(action).name} infeasible in state {state}")
-        t = self.templates
-        label = self.labels[int(action), state]
-        lo, hi = t.indptr[label], t.indptr[label + 1]
-        return t.indices[lo:hi], t.data[lo:hi]
 
     def action_matrix(self, action: Action) -> csr_matrix:
         """CSR matrix of the action's rows; infeasible rows are all-zero.

@@ -34,6 +34,19 @@ def reference_energy_spend(action, request, grid):
     return grid.push_cost
 
 
+def state_at(params, e, q, c):
+    """Flat index of state (E, Q, C) in ``state_table``'s E-major layout."""
+    shape = (params.battery_levels + 1, params.num_rings + 1, params.num_contents + 1)
+    return int(np.ravel_multi_index((e, q, c), shape))
+
+
+def kernel_row(kernel, state, action):
+    """(next-state indices, probabilities) of one pair, read from its action matrix."""
+    m = kernel.action_matrix(action)
+    span = slice(m.indptr[state], m.indptr[state + 1])
+    return m.indices[span], m.data[span]
+
+
 def make_instance(**overrides):
     """Scenario plus built kernel and stage costs."""
     params, radio, grid, popularity = make_scenario(**overrides)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_instance
-from pushmdp.model import Action, index_state, required_power
+from pushmdp.model import Action, required_power, state_table
 from pushmdp.policies import (
     non_push_optimal,
     threshold_profile,
@@ -107,10 +107,10 @@ def test_criterion_4_threshold_structure(capsys, default_instance, default_solut
     policy = default_solution.policy
     profile = threshold_profile(policy, params)
     ring1_bad = 0
+    _, q_tab, _ = state_table(params)
     for s in range(params.num_states):
-        st = index_state(s, params)
         act = policy[s]
-        if st.request == 1 and act != Action.SLEEP and act != Action.UNICAST:
+        if q_tab[s] == 1 and act != Action.SLEEP and act != Action.UNICAST:
             ring1_bad += 1
     ok = profile.all_clean and ring1_bad == 0
     _report(

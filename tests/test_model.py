@@ -1,4 +1,4 @@
-"""Popularity, calibration, state codec and feasibility checks."""
+"""Popularity, calibration, state layout and feasibility checks."""
 import math
 
 import numpy as np
@@ -12,21 +12,18 @@ from pushmdp.model import (
     DistanceGrid,
     RadioParams,
     SystemParams,
-    SystemState,
     calibrate_radio,
     cumulative_popularity_table,
     feasible_table,
-    index_state,
     required_power,
     spend_table,
     stage_cost_table,
-    state_index,
     state_table,
     zipf_pmf,
 )
 from pushmdp.transition import ArrivalPmf, energy_row
 
-from conftest import make_scenario
+from conftest import make_scenario, state_at
 
 # sum of i^-0.5 for i = 1..20, evaluated independently with math.fsum
 ZIPF_NORM_20 = 7.595255025289832
@@ -222,83 +219,73 @@ class TestDistanceGrid:
 
 
 class TestStateCodec:
+    """``state_table`` is the codec: entry i holds the components of state i."""
+
     def test_origin_maps_to_zero(self):
         params = default_params()
-        assert state_index(SystemState(0, 0, 0), params) == 0
+        assert [int(x[0]) for x in state_table(params)] == [0, 0, 0]
 
     def test_round_trip_all_states(self):
         params = default_params(battery_levels=3, num_rings=2, num_contents=2)
+        e, q, c = state_table(params)
         seen = set()
         for idx in range(params.num_states):
-            st_ = index_state(idx, params)
-            assert state_index(st_, params) == idx
-            seen.add((st_.battery, st_.request, st_.pushed))
+            assert state_at(params, e[idx], q[idx], c[idx]) == idx
+            seen.add((int(e[idx]), int(q[idx]), int(c[idx])))
         assert len(seen) == params.num_states
 
     def test_tables_match_codec(self):
         params = default_params(battery_levels=4, num_rings=3, num_contents=2)
-        e, q, c = state_table(params)
-        for idx in range(params.num_states):
-            st_ = index_state(idx, params)
-            assert (e[idx], q[idx], c[idx]) == (
-                st_.battery,
-                st_.request,
-                st_.pushed,
-            )
-
-    def test_out_of_range_rejected(self):
-        params = default_params()
-        with pytest.raises(IndexError):
-            index_state(params.num_states, params)
-        with pytest.raises(ValueError):
-            state_index(SystemState(16, 0, 0), params)
+        shape = (5, 4, 3)  # E_max + 1, M + 1, N + 1
+        expect = np.unravel_index(np.arange(params.num_states), shape)
+        for got, want in zip(state_table(params), expect):
+            assert np.array_equal(got, want)
 
     @given(e=st.integers(0, 15), q=st.integers(0, 4), c=st.integers(0, 20))
     @settings(max_examples=60, deadline=None)
     def test_bijection(self, e, q, c):
         params = default_params()
-        idx = state_index(SystemState(e, q, c), params)
+        idx = state_at(params, e, q, c)
         assert 0 <= idx < params.num_states
-        back = index_state(idx, params)
-        assert (back.battery, back.request, back.pushed) == (e, q, c)
+        assert tuple(int(x[idx]) for x in state_table(params)) == (e, q, c)
 
 
-def reference_feasible_actions(state, grid, params):
+def reference_feasible_actions(e, q, c, grid, params):
     """Per-state feasibility rule that the table replaced.
 
     Reference for cross-checks only.
     """
     actions = [Action.SLEEP]
-    if state.request >= 1 and grid.unicast_costs[state.request] <= state.battery:
+    if q >= 1 and grid.unicast_costs[q] <= e:
         actions.append(Action.UNICAST)
-    if grid.push_cost <= state.battery and state.pushed < params.num_contents:
+    if grid.push_cost <= e and c < params.num_contents:
         actions.append(Action.PUSH)
     return tuple(actions)
 
 
-def reference_stage_cost(state, action):
+def reference_stage_cost(q, action):
     """Per-pair stage cost that the table replaced; reference only."""
-    return 1 if state.request > 0 and action != Action.UNICAST else 0
+    return 1 if q > 0 and action != Action.UNICAST else 0
 
 
 class TestFeasibilityAndCost:
-    def feasible(self, state):
+    def feasible(self, e, q, c):
         params, _, grid, _ = make_scenario()
-        return feasible_table(params, grid)[:, state_index(state, params)]
+        return feasible_table(params, grid)[:, state_at(params, e, q, c)]
 
     def test_sleep_always_feasible(self):
-        for s in (SystemState(0, 0, 0), SystemState(15, 4, 20)):
-            assert self.feasible(s)[Action.SLEEP]
+        for s in ((0, 0, 0), (15, 4, 20)):
+            assert self.feasible(*s)[Action.SLEEP]
 
     def test_unicast_needs_request_and_energy(self):
-        assert not self.feasible(SystemState(15, 0, 0))[Action.UNICAST]
-        assert not self.feasible(SystemState(2, 3, 0))[Action.UNICAST]
-        assert self.feasible(SystemState(3, 3, 0))[Action.UNICAST]
+        assert not self.feasible(15, 0, 0)[Action.UNICAST]
+        assert not self.feasible(2, 3, 0)[Action.UNICAST]
+        assert self.feasible(3, 3, 0)[Action.UNICAST]
 
     def test_push_needs_energy_and_room(self):
-        assert not self.feasible(SystemState(3, 0, 0))[Action.PUSH]
-        assert self.feasible(SystemState(4, 0, 0))[Action.PUSH]
-        assert not self.feasible(SystemState(15, 0, 20))[Action.PUSH]
+        assert not self.feasible(3, 0, 0)[Action.PUSH]
+        assert self.feasible(4, 0, 0)[Action.PUSH]
+        assert not self.feasible(15, 0, 20)[Action.PUSH]
 
     def test_energy_spend(self):
         _, _, grid, _ = make_scenario()
@@ -310,8 +297,8 @@ class TestFeasibilityAndCost:
     def test_stage_cost_indicator(self):
         params = default_params()
         costs = stage_cost_table(params)
-        pending = state_index(SystemState(5, 2, 0), params)
-        idle = state_index(SystemState(5, 0, 0), params)
+        pending = state_at(params, 5, 2, 0)
+        idle = state_at(params, 5, 0, 0)
         assert costs[Action.SLEEP, pending] == 1
         assert costs[Action.PUSH, pending] == 1
         assert costs[Action.UNICAST, pending] == 0
@@ -321,12 +308,11 @@ class TestFeasibilityAndCost:
         params, _, grid, _ = make_scenario(e_max=5, n_contents=3, m_rings=2)
         fmask = feasible_table(params, grid)
         ctable = stage_cost_table(params)
-        for idx in range(params.num_states):
-            s = index_state(idx, params)
-            acts = reference_feasible_actions(s, grid, params)
+        for idx, (e, q, c) in enumerate(zip(*state_table(params))):
+            acts = reference_feasible_actions(e, q, c, grid, params)
             for a in Action:
                 assert fmask[a, idx] == (a in acts)
-                assert ctable[a, idx] == reference_stage_cost(s, a)
+                assert ctable[a, idx] == reference_stage_cost(q, a)
 
 
 class TestBatteryUpdate:
@@ -363,7 +349,3 @@ class TestParamsValidation:
             default_params(num_contents=-1)
         with pytest.raises(ValueError):
             default_params(num_rings=0)
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            SystemState(-1, 0, 0)

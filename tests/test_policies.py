@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from pushmdp.model import Action, SystemState, index_state, state_index
+from pushmdp.model import Action, state_table
 from pushmdp.policies import (
     format_threshold_grid,
     non_push_optimal,
@@ -11,25 +11,21 @@ from pushmdp.policies import (
 )
 from pushmdp.solver import PolicyTable, policy_evaluation
 
-from conftest import make_instance, make_scenario
+from conftest import kernel_row, make_instance, make_scenario, state_at
 
 
-def reference_unicast_priority(state, grid, params):
+def reference_unicast_priority(e, q, c, grid, params):
     """Per-state greedy rule that the table replaced; reference only."""
-    if state.request >= 1 and grid.unicast_costs[state.request] <= state.battery:
+    if q >= 1 and grid.unicast_costs[q] <= e:
         return Action.UNICAST
-    if (
-        state.request == 0
-        and grid.push_cost <= state.battery
-        and state.pushed < params.num_contents
-    ):
+    if q == 0 and grid.push_cost <= e and c < params.num_contents:
         return Action.PUSH
     return Action.SLEEP
 
 
 def greedy_at(table, params):
     """Look up a policy table by (battery, request, pushed)."""
-    return lambda e, q, c: table[state_index(SystemState(e, q, c), params)]
+    return lambda e, q, c: table[state_at(params, e, q, c)]
 
 
 class TestUnicastPriority:
@@ -52,14 +48,13 @@ class TestUnicastPriority:
 
     def test_table_matches_rule(self, default_scenario, default_greedy):
         params, _, grid, _ = default_scenario
-        for s in range(params.num_states):
-            expect = reference_unicast_priority(index_state(s, params), grid, params)
+        for s, (e, q, c) in enumerate(zip(*state_table(params))):
+            expect = reference_unicast_priority(e, q, c, grid, params)
             assert default_greedy[s] == expect
         params, _, grid, _ = make_scenario(e_max=30, n_contents=40)
         table = unicast_priority_table(params, grid)
-        for s in range(params.num_states):
-            expect = reference_unicast_priority(index_state(s, params), grid, params)
-            assert table[s] == expect
+        for s, (e, q, c) in enumerate(zip(*state_table(params))):
+            assert table[s] == reference_unicast_priority(e, q, c, grid, params)
 
     def test_never_infeasible(self, default_instance, default_greedy):
         _, _, _, _, kernel, _ = default_instance
@@ -88,7 +83,7 @@ class TestNonPushOptimal:
     def test_cache_only_decays(self, default_instance, default_nonpush):
         params, _, _, _, kernel, _ = default_instance
         for s in range(params.num_states):
-            idx, _ = kernel.row(s, default_nonpush.policy[s])
+            idx, _ = kernel_row(kernel, s, default_nonpush.policy[s])
             c_here = s % (params.num_contents + 1)
             assert all(i % (params.num_contents + 1) <= c_here for i in idx)
 
@@ -100,8 +95,8 @@ class TestThresholdProfile:
 
     def table(self, params, fn):
         actions = np.zeros(params.num_states, dtype=np.int64)
-        for s in range(params.num_states):
-            actions[s] = int(fn(index_state(s, params)))
+        for s, (e, q, _) in enumerate(zip(*state_table(params))):
+            actions[s] = int(fn(e, q))
         return PolicyTable(actions)
 
     def test_all_sleep_never_acts(self):
@@ -114,7 +109,7 @@ class TestThresholdProfile:
         params = self.params()
         table = self.table(
             params,
-            lambda st: Action.UNICAST if st.battery >= 3 and st.request == 1 else Action.SLEEP,
+            lambda e, q: Action.UNICAST if e >= 3 and q == 1 else Action.SLEEP,
         )
         profile = threshold_profile(table, params)
         assert profile.all_clean
@@ -126,9 +121,7 @@ class TestThresholdProfile:
         # acts at battery 2, sleeps again at 3: not a threshold shape
         table = self.table(
             params,
-            lambda st: Action.UNICAST
-            if st.request == 1 and st.battery in (2, 4, 5)
-            else Action.SLEEP,
+            lambda e, q: Action.UNICAST if q == 1 and e in (2, 4, 5) else Action.SLEEP,
         )
         profile = threshold_profile(table, params)
         assert not profile.all_clean
@@ -139,7 +132,7 @@ class TestThresholdProfile:
         params = self.params()
         table = self.table(
             params,
-            lambda st: Action.UNICAST if st.request == 1 else Action.SLEEP,
+            lambda e, q: Action.UNICAST if q == 1 else Action.SLEEP,
         )
         profile = threshold_profile(table, params)
         assert profile.slices[(1, 0)].threshold == 0
@@ -175,7 +168,5 @@ class TestThresholdGrid:
         for e, line in enumerate(lines):
             cells = line.split()[1:]
             for q, cell in enumerate(cells):
-                act = default_solution.policy[
-                    state_index(SystemState(e, q, 5), params)
-                ]
+                act = default_solution.policy[state_at(params, e, q, 5)]
                 assert cell == act.name[0]

@@ -1,6 +1,6 @@
 """Trajectory simulation: determinism, agreement with the kernel, sweeps."""
 import bisect
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pushmdp import sim
-from pushmdp.model import (
-    Action,
-    SystemState,
-    cumulative_popularity_table,
-    feasible_table,
-    state_index,
-)
+from pushmdp.model import Action, cumulative_popularity_table, feasible_table
 from pushmdp.policies import unicast_priority_table
 from pushmdp.sim import (
     _BATCHES,
@@ -23,13 +17,19 @@ from pushmdp.sim import (
     SimMetrics,
     SimulationError,
     _batch_se,
-    sample_transitions,
     simulate,
     sweep,
 )
 from pushmdp.solver import PolicyTable
 
-from conftest import PROBABILITY, make_instance, make_scenario, reference_energy_spend
+from conftest import (
+    PROBABILITY,
+    kernel_row,
+    make_instance,
+    make_scenario,
+    reference_energy_spend,
+    state_at,
+)
 
 REFERENCE_BLOCK = 1 << 18
 
@@ -155,8 +155,13 @@ def reference_simulate(config, params, grid, popularity, record=False):
 
 def reference_sample_transitions(state, action, count, params, grid, popularity,
                                  seed=0):
-    """Next-state sampler with the inline comparisons the thresholds replaced."""
-    spent = reference_energy_spend(action, state.request, grid)
+    """Sampled next-state indices of one (E, Q, C) state under one action.
+
+    Takes the simulator's draws in its order but compares them inline, where
+    the simulator reduces them to thresholds first; reference only.
+    """
+    battery, request, pushed = state
+    spent = reference_energy_spend(action, request, grid)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     cap = params.battery_levels
     n_cont = params.num_contents
@@ -170,10 +175,10 @@ def reference_sample_transitions(state, action, count, params, grid, popularity,
     hitu = rng.random(count)
     ringu = rng.random(count)
 
-    thresh = state.pushed / n_cont if n_cont else 0.0
+    thresh = pushed / n_cont if n_cont else 0.0
     dropped = (repl < params.content_replace_prob) & (evict < thresh)
-    c_next = state.pushed + (1 if action == Action.PUSH else 0) - dropped.astype(int)
-    e_next = np.minimum(cap, state.battery - spent + arr)
+    c_next = pushed + (1 if action == Action.PUSH else 0) - dropped.astype(int)
+    e_next = np.minimum(cap, battery - spent + arr)
     hit = hitu < pop_cum[c_next]
     req = requ < params.request_prob
     ring = np.minimum(
@@ -281,28 +286,6 @@ class TestSimulate:
                 SimConfig(policy=table, horizon=1_000, warmup=0),
                 params, grid, pop,
             )
-
-    def test_debug_mode_bounds_hold(self, default_scenario, default_greedy):
-        params, _, grid, pop = default_scenario
-        simulate(
-            SimConfig(policy=default_greedy, horizon=5_000, warmup=100, debug=True),
-            params, grid, pop,
-        )
-
-    def test_debug_check_fires_on_tampered_table(self, monkeypatch, default_scenario,
-                                                  default_greedy):
-        params, _, grid, pop = default_scenario
-        state_table = sim.state_table
-
-        def tampered(p):
-            e, q, c = state_table(p)
-            return e + p.battery_levels + 1, q, c
-
-        monkeypatch.setattr("pushmdp.sim.state_table", tampered)
-        config = SimConfig(policy=default_greedy, horizon=5_000, warmup=100)
-        simulate(config, params, grid, pop)
-        with pytest.raises(SimulationError, match="period 0: .*outside the state"):
-            simulate(replace(config, debug=True), params, grid, pop)
 
     def test_large_overflow_counted(self):
         # about 40,000 units spill per period, beyond a 16-bit counter
@@ -484,23 +467,17 @@ class TestAgreementWithKernel:
     def test_sampled_transitions_match_rows(self, default_instance):
         params, _, grid, pop, kernel, _ = default_instance
         cases = [
-            (SystemState(0, 0, 0), Action.SLEEP),
-            (SystemState(9, 2, 5), Action.UNICAST),
-            (SystemState(12, 0, 3), Action.PUSH),
+            ((0, 0, 0), Action.SLEEP),
+            ((9, 2, 5), Action.UNICAST),
+            ((12, 0, 3), Action.PUSH),
         ]
         n = 1_000_000
         for state, action in cases:
-            samples = sample_transitions(
+            samples = reference_sample_transitions(
                 state, action, n, params, grid, pop, seed=77
             )
-            np.testing.assert_array_equal(
-                samples,
-                reference_sample_transitions(
-                    state, action, n, params, grid, pop, seed=77
-                ),
-            )
             counts = np.bincount(samples, minlength=params.num_states)
-            idx, prob = kernel.row(state_index(state, params), action)
+            idx, prob = kernel_row(kernel, state_at(params, *state), action)
             outside = np.ones(params.num_states, dtype=bool)
             outside[idx] = False
             assert counts[outside].sum() == 0
@@ -522,7 +499,7 @@ class TestAgreementWithKernel:
         mask = pair_codes == code
         nxt = states[1:][mask]
         n = len(nxt)
-        idx, prob = kernel.row(s, Action(a))
+        idx, prob = kernel_row(kernel, s, a)
         observed = np.bincount(nxt, minlength=params.num_states)[idx].astype(float)
         expected = prob * n
         # merge thin bins so every expected count is at least 5
@@ -541,13 +518,6 @@ class TestAgreementWithKernel:
             merged_exp[-1] += acc_e
         stat, pvalue = stats.chisquare(merged_obs, merged_exp)
         assert pvalue >= 1e-4
-
-    def test_sample_rejects_infeasible(self, default_scenario):
-        params, _, grid, pop = default_scenario
-        with pytest.raises(SimulationError):
-            sample_transitions(
-                SystemState(0, 0, 0), Action.PUSH, 10, params, grid, pop
-            )
 
 
 class TestSweep:

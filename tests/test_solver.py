@@ -240,7 +240,7 @@ def assert_q_values_near_reference(kernel, costs, h, m_rings):
     terms = np.diff(kernel.templates.indptr) + np.diff(kernel.rows.indptr)
     scale = np.finfo(float).eps * max(1.0, float(np.max(np.abs(h), initial=0.0)))
     bound = np.where(feasible, (terms[kernel.labels] + m_rings + 3) * scale, 0.0)
-    assert np.all(np.abs(got - ref)[feasible] <= bound[feasible])
+    assert np.all(np.abs(got[feasible] - ref[feasible]) <= bound[feasible])
     ordered = np.sort(ref, axis=0)
     clear = ordered[1] - ordered[0] > 2 * bound.max(axis=0)
     assert np.array_equal(got.argmin(axis=0)[clear], ref.argmin(axis=0)[clear])

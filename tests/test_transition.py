@@ -11,11 +11,9 @@ from scipy.sparse.csgraph import connected_components
 from pushmdp.model import (
     NUM_ACTIONS,
     Action,
-    SystemState,
     cumulative_popularity_table,
     feasible_table,
     spend_table,
-    state_index,
     state_table,
     zipf_pmf,
 )
@@ -31,7 +29,14 @@ from pushmdp.transition import (
     validate_kernel,
 )
 
-from conftest import PROBABILITY, make_instance, make_scenario, reference_energy_spend
+from conftest import (
+    PROBABILITY,
+    kernel_row,
+    make_instance,
+    make_scenario,
+    reference_energy_spend,
+    state_at,
+)
 
 # e^{-0.8} and 0.8 e^{-0.8}, evaluated independently
 P0_08 = 0.44932896411722156
@@ -199,7 +204,7 @@ def assert_labels_share_rows(kernel):
     labels = kernel.labels[actions, states]
     first = {}
     for a, s, label in zip(actions.tolist(), states.tolist(), labels.tolist()):
-        idx, prob = kernel.row(s, Action(a))
+        idx, prob = kernel_row(kernel, s, a)
         if label not in first:
             first[label] = (idx, prob)
             continue
@@ -235,7 +240,7 @@ def pre_request_rows(params):
 def kernel_rows(kernel):
     """(indices, probs) of every feasible (state, action) pair of a kernel."""
     states, actions = np.nonzero(kernel.feasible_mask().T)
-    return [kernel.row(s, Action(a)) for s, a in zip(states, actions)]
+    return [kernel_row(kernel, s, a) for s, a in zip(states, actions)]
 
 
 def tampered(kernel, action, edit):
@@ -413,8 +418,7 @@ class TestBuildKernel:
         params, _, grid, _, kernel, _ = default_instance
         # full battery, no request, full cache, sleep: battery stays full,
         # cache keeps or loses one
-        s = state_index(SystemState(15, 0, 20), params)
-        idx, prob = kernel.row(s, Action.SLEEP)
+        idx, prob = kernel_row(kernel, state_at(params, 15, 0, 20), Action.SLEEP)
         succ = [(i // 105, (i // 21) % 5, i % 21) for i in idx]
         assert all(e == 15 for e, _, _ in succ)
         assert {c for _, _, c in succ} == {19, 20}
@@ -422,31 +426,25 @@ class TestBuildKernel:
     def test_marginal_recovers_energy_row(self, default_instance):
         params, _, grid, _, kernel, _ = default_instance
         arr = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
-        for state, action in (
-            (SystemState(0, 0, 0), Action.SLEEP),
-            (SystemState(9, 2, 5), Action.UNICAST),
-            (SystemState(12, 0, 3), Action.PUSH),
+        for (e, q, c), action in (
+            ((0, 0, 0), Action.SLEEP),
+            ((9, 2, 5), Action.UNICAST),
+            ((12, 0, 3), Action.PUSH),
         ):
-            s = state_index(state, params)
-            idx, prob = kernel.row(s, action)
+            idx, prob = kernel_row(kernel, state_at(params, e, q, c), action)
             marginal = np.zeros(16)
             for i, p in zip(idx, prob):
                 marginal[i // 105] += p
-            spent = reference_energy_spend(action, state.request, grid)
-            expect = energy_row(state.battery - spent, arr, 15)
+            spent = reference_energy_spend(action, q, grid)
+            expect = energy_row(e - spent, arr, 15)
             assert marginal == pytest.approx(expect, abs=1e-12)
 
     def test_feasible_actions_exposed(self, default_instance):
         params, _, _, _, kernel, _ = default_instance
         mask = kernel.feasible_mask()
         assert mask[:, 0].tolist() == [True, False, False]
-        s = state_index(SystemState(15, 2, 5), params)
+        s = state_at(params, 15, 2, 5)
         assert mask[:, s].tolist() == [True, True, True]
-
-    def test_missing_row_raises(self, default_instance):
-        _, _, _, _, kernel, _ = default_instance
-        with pytest.raises(KeyError):
-            kernel.row(0, Action.PUSH)
 
     def test_single_state_degenerate(self):
         # no battery, no contents: only sleep is ever possible
@@ -455,7 +453,7 @@ class TestBuildKernel:
         )
         assert kernel.num_states == 2
         assert kernel.feasible_mask()[:, 0].tolist() == [True, False, False]
-        idx, prob = kernel.row(0, Action.SLEEP)
+        idx, prob = kernel_row(kernel, 0, Action.SLEEP)
         assert math.fsum(prob) == pytest.approx(1.0, abs=1e-12)
 
     def test_restrict_drops_push(self, default_instance):

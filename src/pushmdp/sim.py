@@ -150,6 +150,9 @@ def _resolve_policy(
 ) -> PolicyTable:
     if isinstance(policy, PolicyTable):
         return policy
+    if policy == "unicast-priority":
+        # the greedy table needs no kernel, and its gain would go unused
+        return unicast_priority_table(params, grid)
     arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
     kernel = build_kernel(params, grid, popularity, arrival)
     return _baseline(policy, params, grid, kernel, stage_cost_table(params))[0]

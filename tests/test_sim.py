@@ -287,6 +287,17 @@ class TestSimulate:
                 params, grid, pop,
             )
 
+    def test_greedy_by_name_needs_no_kernel(self):
+        # a push costs M=4 > e_max, so the greedy chain has one closed class
+        # per pushed count and the solver cannot give it a single gain; the
+        # simulator never asks for that gain
+        params, _, grid, pop = make_scenario(e_max=3, p_c=0.0)
+        m = simulate(
+            SimConfig(policy="unicast-priority", horizon=5_000, warmup=100),
+            params, grid, pop,
+        )
+        assert m.measured_periods == 4_900
+
     def test_large_overflow_counted(self):
         # about 40,000 units spill per period, beyond a 16-bit counter
         params, _, grid, pop = make_scenario(a_bar=40_000.0)

@@ -4,15 +4,19 @@ Policy iteration is the workhorse.  Each evaluation solves the gain/bias
 equations on the policy's pre-request chain over (E, C): the request ring is
 drawn after the battery and content moves, from the next pushed count alone,
 so one unknown per battery level and pushed count suffices, (E+1)(N+1) for
-every policy.  The sparse bordered system is factored once with SuperLU
-and the solution refined by one residual correction.  A chain with several
-closed classes that share one gain is solved by the same system with one
-reference state pinned per class; when the classes differ in gain the policy
-has no single gain and MultichainError is raised.  Q-values, for the
-improvement step, the Bellman residual and value iteration, come from the
-same factors: P h for every pair is U (D h) read back through the labels,
-so no solver derives the kernel's template rows.  A brute-force policy
-enumerator serves as an independent oracle on tiny instances.
+every policy.  The pushed count moves by at most one per period, so that
+chain is block tridiagonal in the kernel's N+1 levels.  A chain with one
+closed class is solved level by level, by dense eliminations onto a middle
+level ("levels" route); a chain with several closed classes that share one
+gain by a sparse bordered system factored with SuperLU, one reference state
+pinned per class ("superlu" route).  Both refine the solution by one
+residual correction.  When the classes differ in gain the policy has no
+single gain and MultichainError is raised.  Q-values, for the improvement
+step, the Bellman residual and value iteration, come from the same factors:
+P h for every pair is U (D h) read back through the labels, so no solver
+derives the kernel's template rows.  Improvement keeps the incumbent action
+on ties within round-off.  A brute-force policy enumerator serves as an
+independent oracle on tiny instances.
 """
 from __future__ import annotations
 
@@ -68,11 +72,16 @@ class MultichainError(ConvergenceError):
 
 @dataclass(frozen=True)
 class ValueSolution:
-    """Gain (long-run average cost per period) and differential values."""
+    """Gain (long-run average cost per period) and differential values.
+
+    ``route`` names how policy_evaluation solved them, "levels" or
+    "superlu", and is None for values from anywhere else.
+    """
 
     gain: float
     h: np.ndarray
     ref_state: int
+    route: str | None = None
 
     def __post_init__(self):
         if not 0 <= self.ref_state < len(self.h):
@@ -147,22 +156,25 @@ def policy_evaluation(
     every state, with h(ref_state) = 0.  The policy's transition matrix
     factors as P_u = S U D: S maps each state s to its template row t(s), U
     moves the battery and pushed count to the pre-request state x = (E, C),
-    and D draws the request ring.  So w = D h solves the m-state bordered system
-    [[1, I - R], [0, e_x(ref)]] (gain, w) = (D g_u, 0) with R = (D S) U, and
-    h(s) = g(s, u(s)) - gain + (U w)(t(s)), shifted to vanish at ref_state.
-    The system is factored once by SuperLU and the solution refined by one
-    residual correction, which the bias needs to reach double precision.
+    and D draws the request ring.  So w = D h solves the m-state bordered
+    system gain*1 + (I - R) w = D g_u, w = 0 at one pinned state, with
+    R = (D S) U, and h(s) = g(s, u(s)) - gain + (U w)(t(s)), shifted to vanish
+    at ref_state.
 
-    A pre-request chain with several closed classes (D S U has as many as
-    S U D) leaves w free by one constant per class.  Each class's gain is
-    pi D g_u for its stationary distribution pi.  When the gains agree to
-    1e-10, one reference state per class is pinned (Puterman 1994, sections
-    8.6 and 9.2): the border pins the class that holds ref_state's
-    pre-request state, or the first class when that state is transient, and
-    each other class's reference replaces its own equation.  When they differ
-    the policy has no single gain, and MultichainError is raised with the
-    class gains.  An exactly singular factor, non-finite values or a residual
-    of the full equations above tolerance raise SingularPolicyError.
+    The route depends on the closed classes of R (D S U has as many as
+    S U D).  With one closed class, the "levels" route solves R level by
+    level in the pushed count (see _solve_levels).  With several, w is free by
+    one constant per class, and each class's gain is pi D g_u for its
+    stationary distribution pi.  When the gains agree to 1e-10, the
+    "superlu" route pins one reference state per class (Puterman 1994,
+    sections 8.6 and 9.2) in a sparse system that SuperLU factors once and
+    refines by one residual correction: the border pins the class that holds
+    ref_state's pre-request state, or the first class when that state is
+    transient, and each other class's reference replaces its own equation.
+    When they differ the policy has no single gain, and MultichainError is
+    raised with the class gains.  On either route an exactly singular system,
+    non-finite values or a residual of the full equations above tolerance
+    raise SingularPolicyError.
     """
     policy.validate(kernel)
     n = kernel.num_states
@@ -175,9 +187,12 @@ def policy_evaluation(
     g_pi = costs[policy.actions, states]
     cost = d @ g_pi
     ref = d.indices[ref_state]
-    refs = [ref]
     label, closed = _class_labels(chain)
-    if closed.size > 1:
+    if closed.size == 1:
+        route = "levels"
+        x = _solve_levels(chain, cost, kernel.levels, np.flatnonzero(label == closed[0]))
+    else:
+        route = "superlu"
         gains, refs = [], []
         for c in closed:
             members = np.flatnonzero(label == c)
@@ -191,10 +206,104 @@ def policy_evaluation(
                 tuple(gains),
             )
         refs.sort(key=lambda r: r != ref)
-    x = _solve_bordered(chain, cost, refs)
+        x = _solve_bordered(chain, cost, refs)
     h = g_pi - x[0] + (u @ x[1:])[labels]
     h = h - h[ref_state]
-    return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
+    return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state, route=route)
+
+
+def _solve_levels(
+    chain: csr_matrix, cost: np.ndarray, levels: int, closed: np.ndarray
+) -> np.ndarray:
+    """(gain, y) solving gain*1 + (I - chain) y = cost by level reduction.
+
+    The states x = e*levels + c fall into levels c of b = size/levels states
+    each, and chain moves c by at most one, so it is block tridiagonal with
+    blocks down[c], same[c] and up[c] from level c to c-1, c and c+1: a
+    level-dependent quasi-birth-death chain (Latouche & Ramaswami 1999,
+    linear level reduction; Gaver, Jacobs & Latouche 1984).  Levels
+    levels-1..p+1 are eliminated downward and 0..p-1 upward onto level p,
+    each by inverting its reduced diagonal block, which writes its y as a
+    linear map of the next level's y and the gain.  At p the (b+1)-unknown
+    system for the gain and y_p is solved with y = 0 at a state of
+    ``closed``, the one closed class, and the maps are applied back outward.
+    As on the SuperLU route the solution is refined by one residual
+    correction: where a level is left toward p only rarely its reduced block
+    is ill-conditioned, and the first solve can lose digits of y.
+
+    p is the midpoint of the closed class's level span, which is an interval
+    because c moves by one.  From every state above p the chain then reaches
+    the levels below, and from every state below p those above, so each
+    reduced block is nonsingular.  An end level instead lets the reduced
+    quantities grow like hitting costs of rarely visited levels and loses
+    digits of y.  The residual is checked on the full equations.
+    """
+    k = chain.shape[0]
+    b = k // levels
+    # blocks[c, c' - c + 1, e, e'] holds chain[x, x'] for x = e*levels + c and
+    # x' = e'*levels + c'; the flat index splits into a row and a column part,
+    # and a CSR product stores each entry once, so one scatter fills them
+    e, c = np.divmod(np.arange(k), levels)
+    row_part = ((2 * c + 1) * b + e) * b
+    col_part = c * b * b + e
+    flat = np.zeros(levels * 3 * b * b)
+    flat[np.repeat(row_part, np.diff(chain.indptr)) + col_part[chain.indices]] = chain.data
+    down, same, up = np.moveaxis(flat.reshape(levels, 3, b, b), 1, 0)
+
+    span = closed % levels
+    p = (int(span.min()) + int(span.max())) // 2
+    pin = int(closed[span == p][0]) // levels
+    # (levels in elimination order, block from the next level back, step)
+    sweeps = ((range(levels - 1, p, -1), up, -1), (range(p), down, 1))
+    # Eliminating level c leaves y_c = X_c y_next + v_c - gain z_c, where
+    # maps[c] = [X_c | z_c] and v_c = inverse[c] (rhs_c + the part the
+    # eliminated neighbour passes on) is the only term that depends on rhs.
+    eye = np.eye(b)
+    inverse = np.empty((levels, b, b))
+    maps = np.empty((levels, b, b + 1))
+    maps[p + 1:, :, :b] = down[p + 1:]
+    maps[:p, :, :b] = up[:p]
+    maps[:, :, b] = 1.0
+    bordered = np.zeros((b + 1, b + 1))
+    bordered[:b, 0] = 1.0
+    bordered[:b, 1:] = eye - same[p]
+    bordered[b, 1 + pin] = 1.0
+    try:
+        for order, back, step in sweeps:
+            into = np.zeros((b, b + 1))
+            for c in order:
+                maps[c, :, b] += into[:, b]
+                inverse[c] = np.linalg.inv(eye - same[c] - into[:, :b])
+                maps[c] = inverse[c] @ maps[c]
+                into = back[c + step] @ maps[c]
+            bordered[:b, 0] += into[:, b]
+            bordered[:b, 1:] -= into[:, :b]
+        bordered = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError as exc:
+        raise SingularPolicyError(str(exc)) from exc
+
+    def substitute(rhs: np.ndarray) -> np.ndarray:
+        rhs = rhs.reshape(b, levels).T
+        v = np.empty((levels, b))
+        top = np.append(rhs[p], 0.0)
+        for order, back, step in sweeps:
+            into = np.zeros(b)
+            for c in order:
+                v[c] = inverse[c] @ (rhs[c] + into)
+                into = back[c + step] @ v[c]
+            top[:b] += into
+        top = bordered @ top
+        y = np.empty((levels, b))
+        y[p] = top[1:]
+        for order, _, step in sweeps:
+            for c in reversed(order):
+                y[c] = maps[c, :, :b] @ y[c + step] + v[c] - top[0] * maps[c, :, b]
+        return np.concatenate((top[:1], y.T.ravel()))
+
+    x = substitute(cost)
+    x += substitute(cost - x[0] - x[1:] + chain @ x[1:])
+    _check_residual(x, x[0] + x[1:] - chain @ x[1:] - cost)
+    return x
 
 
 def _solve_bordered(chain: csr_matrix, cost: np.ndarray, refs: list) -> np.ndarray:
@@ -221,14 +330,19 @@ def _solve_bordered(chain: csr_matrix, cost: np.ndarray, refs: list) -> np.ndarr
         raise SingularPolicyError(str(exc)) from exc
     x = lu.solve(rhs)
     x += lu.solve(rhs - m @ x)
+    _check_residual(x, a @ x - b)
+    return x
+
+
+def _check_residual(x: np.ndarray, residual: np.ndarray) -> None:
+    """Raise SingularPolicyError unless x is finite and residual within tolerance."""
     if not np.all(np.isfinite(x)):
         raise SingularPolicyError("evaluation produced non-finite values")
-    residual = np.max(np.abs(a @ x - b))
-    if residual > 1e-8 * max(1.0, np.max(np.abs(x))):
+    worst = np.max(np.abs(residual))
+    if worst > 1e-8 * max(1.0, np.max(np.abs(x))):
         raise SingularPolicyError(
-            f"evaluation residual {residual:.3g} indicates a singular system"
+            f"evaluation residual {worst:.3g} indicates a singular system"
         )
-    return x
 
 
 def _class_labels(p: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -238,9 +352,10 @@ def _class_labels(p: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """
     p.eliminate_zeros()
     n_comp, label = connected_components(p, connection="strong")
-    source = label[np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))]
-    leaving = np.unique(source[source != label[p.indices]])
-    return label, np.setdiff1d(np.arange(n_comp), leaving)
+    source = np.repeat(label, np.diff(p.indptr))
+    leaving = np.zeros(n_comp, dtype=bool)
+    leaving[source[source != label[p.indices]]] = True
+    return label, np.flatnonzero(~leaving)
 
 
 def _q_values(kernel, costs, h):
@@ -257,11 +372,28 @@ def _q_values(kernel, costs, h):
 
 
 def policy_improvement(
-    values: ValueSolution, kernel: TransitionKernel, costs: np.ndarray
+    values: ValueSolution,
+    kernel: TransitionKernel,
+    costs: np.ndarray,
+    incumbent: PolicyTable | None = None,
 ) -> PolicyTable:
-    """Per-state minimizer of g + P h; ties go to the lowest action code."""
+    """Per-state minimizer of g + P h; ties go to the lowest action code.
+
+    With an ``incumbent`` policy a state keeps its incumbent action unless
+    another beats it by more than 64 eps max(1, max|h|) (Puterman 1994,
+    section 8.6.1, "set d_{n+1}(s) = d_n(s) if possible").  Where the gain is
+    round-off, actions whose Q-values tie to the last bits would otherwise
+    flip on every iteration, and the policy would never repeat.
+    """
     q = _q_values(kernel, costs, values.h)
-    return PolicyTable(np.argmin(q, axis=0))
+    best = np.argmin(q, axis=0)
+    if incumbent is not None:
+        states = np.arange(kernel.num_states)
+        scale = max(1.0, float(np.max(np.abs(values.h), initial=0.0)))
+        tol = 64 * np.finfo(float).eps * scale
+        tied = q[incumbent.actions, states] <= q[best, states] + tol
+        best = np.where(tied, incumbent.actions, best)
+    return PolicyTable(best)
 
 
 class IterationRecord(NamedTuple):
@@ -270,7 +402,8 @@ class IterationRecord(NamedTuple):
     ``changed`` counts the states whose action the improvement step changed
     (0 at a fixed point); ``post_decision_states`` counts the distinct
     post-decision states the policy visits.  ``evaluation_s`` and
-    ``improvement_s`` are the wall seconds of the two steps.
+    ``improvement_s`` are the wall seconds of the two steps, and ``route``
+    names how the evaluation solved ("levels" or "superlu").
     """
 
     gain: float
@@ -278,6 +411,7 @@ class IterationRecord(NamedTuple):
     post_decision_states: int
     evaluation_s: float
     improvement_s: float
+    route: str
 
 
 @dataclass(frozen=True)
@@ -319,7 +453,7 @@ def policy_iteration(
         start = time.perf_counter()
         sol = policy_evaluation(policy, kernel, costs, ref_state)
         evaluated = time.perf_counter()
-        improved = policy_improvement(sol, kernel, costs)
+        improved = policy_improvement(sol, kernel, costs, incumbent=policy)
         records.append(
             IterationRecord(
                 sol.gain,
@@ -327,6 +461,7 @@ def policy_iteration(
                 np.unique(kernel.labels[policy.actions, states]).size,
                 evaluated - start,
                 time.perf_counter() - evaluated,
+                sol.route,
             )
         )
         if improved == policy:

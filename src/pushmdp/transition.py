@@ -165,12 +165,18 @@ class TransitionKernel:
     Built by hand from one matrix per action and no labels, U is the stacked
     matrices without stored zeros, D the identity, and every pair gets its
     own row.  ``allowed`` holds the actions a restriction kept.
+
+    ``levels`` counts the pushed-count levels N+1 of the pre-request states,
+    which run x = E'*levels + C'.  Every row of U moves the pushed count by
+    at most one, so the policy chains over x are block tridiagonal in C'.  A
+    hand-built kernel has one level.
     """
 
     rows: csr_matrix
     labels: np.ndarray | None = None
     request: csc_matrix | None = None
     allowed: frozenset[Action] = frozenset(Action)
+    levels: int = 1
     _matrices: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -308,7 +314,7 @@ def build_kernel(
     for action in Action:
         t = ((action == Action.PUSH) * e1 + e_all - spend[action, q_all]) * n1 + c_all
         labels[action] = np.where(feasible[action], t, num_templates)
-    return TransitionKernel(rows, labels, weights)
+    return TransitionKernel(rows, labels, weights, levels=n1)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,8 @@ class TestSolveCommand:
         assert "lambda " in solution
         assert "# e_max = 2" in solution
         assert re.search(
-            r"^# iter 1 lambda \S+ changed \d+ post_decision_states \d+$",
+            r"^# iter 1 lambda \S+ changed \d+ post_decision_states \d+ "
+            r"route (levels|superlu)$",
             solution,
             re.MULTILINE,
         )
@@ -138,6 +139,7 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert re.search(r"^evaluation \d+\.\d{3} s, improvement \d+\.\d{3} s$", out,
                          re.MULTILINE)
+        assert re.search(r"^evaluation routes: levels \d+$", out, re.MULTILINE)
 
     def test_missing_config_exits(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg")])

@@ -119,6 +119,39 @@ def pre_request_chain(policy, kernel):
     return (kernel.request @ (to_rows @ kernel.rows)).tocsr()
 
 
+def superlu_policy_evaluation(policy, kernel, costs, pin):
+    """(gain, h) from the SuperLU route, whatever the policy's closed classes.
+
+    Reference for cross-checks only: evaluation solved every policy this way
+    before it solved a chain with one closed class level by level.  This is
+    the bordered system [[1, I - R], [0, e_pin]] on the pre-request chain R,
+    factored by SuperLU and refined once; h vanishes at state 0.
+    """
+    states = np.arange(kernel.num_states)
+    labels = kernel.labels[policy.actions, states]
+    g_pi = costs[policy.actions, states]
+    x = _solve_bordered(pre_request_chain(policy, kernel), kernel.request @ g_pi, [pin])
+    h = g_pi - x[0] + (kernel.rows @ x[1:])[labels]
+    return float(x[0]), h - h[0]
+
+
+def closed_levels(policy, kernel):
+    """Pushed-count levels that hold a state of a closed class of R."""
+    label, closed = _class_labels(pre_request_chain(policy, kernel))
+    return set((np.flatnonzero(np.isin(label, closed)) % kernel.levels).tolist())
+
+
+def level_pin(policy, kernel):
+    """The pre-request state the level route pins, for a unichain R.
+
+    The first state of the closed class on the midpoint of its level span.
+    """
+    label, closed = _class_labels(pre_request_chain(policy, kernel))
+    members = np.flatnonzero(label == closed[0])
+    span = members % kernel.levels
+    return int(members[span == (span.min() + span.max()) // 2][0])
+
+
 def post_decision_policy_evaluation(policy, kernel, costs, ref_state=0):
     """(gain, h) from the bordered solve on the post-decision chain T S.
 
@@ -252,7 +285,7 @@ def policy_iterates(kernel, costs):
     visited = [policy]
     while len(visited) < 50:
         improved = policy_improvement(
-            policy_evaluation(policy, kernel, costs), kernel, costs
+            policy_evaluation(policy, kernel, costs), kernel, costs, incumbent=policy
         )
         if improved == policy:
             break
@@ -266,6 +299,59 @@ def assert_matches(reference, policy, kernel, costs):
     gain, h = reference(policy, kernel, costs)
     assert abs(sol.gain - gain) <= 1e-12
     assert np.max(np.abs(sol.h - h)) <= 1e-10
+
+
+def assert_route_matches_superlu(policy, kernel, costs, scaled=False):
+    """Evaluation takes the route the closed classes name; levels match SuperLU.
+
+    One closed class takes the level route, whose gain must be within 1e-14
+    and h within 1e-10 of SuperLU's with the same state pinned.  A positive
+    probability below eps, where 1 - p rounds to 1, splits the class in
+    floating point; on such a chain either route may find the system
+    singular, so the level route must only reject it or solve it to a
+    fixed-policy residual of 1e-9.  Several classes take the SuperLU route,
+    unchanged, or are rejected.  Returns the solution, or None on a
+    rejection.
+
+    ``scaled``, for tiny chains whose rare moves make the system
+    ill-conditioned, widens each bound to (k+1) cond eps when that is larger,
+    the forward-error bound of two backward-stable solves of the
+    (k+1)-unknown bordered system (Higham 2002, section 7.1), and scales the
+    h and residual bounds by max(1, max|h|).
+    """
+    chain = pre_request_chain(policy, kernel)
+    if _class_labels(chain)[1].size > 1:
+        try:
+            sol = policy_evaluation(policy, kernel, costs)
+        except (MultichainError, SingularPolicyError):
+            return None
+        assert sol.route == "superlu"
+        return sol
+    if chain.data[chain.data > 0].min() < np.finfo(float).eps:
+        try:
+            sol = policy_evaluation(policy, kernel, costs)
+        except SingularPolicyError:
+            return None
+        assert sol.route == "levels"
+        scale = max(1.0, np.max(np.abs(sol.h))) if scaled else 1.0
+        assert bellman_residual(sol, kernel, costs, policy=policy) <= 1e-9 * scale
+        return sol
+    pin = level_pin(policy, kernel)
+    gain, h = superlu_policy_evaluation(policy, kernel, costs, pin)
+    sol = policy_evaluation(policy, kernel, costs)
+    assert sol.route == "levels"
+    slack, scale = 0.0, 1.0
+    if scaled:
+        k = chain.shape[0]
+        bordered = np.zeros((k + 1, k + 1))
+        bordered[:k, 0] = 1.0
+        bordered[:k, 1:] = np.eye(k) - chain.toarray()
+        bordered[k, 1 + pin] = 1.0
+        slack = (k + 1) * np.linalg.cond(bordered) * np.finfo(float).eps
+        scale = max(1.0, np.max(np.abs(h)))
+    assert abs(sol.gain - gain) <= max(1e-14, slack)
+    assert np.max(np.abs(sol.h - h)) <= max(1e-10, slack) * scale
+    return sol
 
 
 def assert_matches_dense(policy, kernel, costs):
@@ -301,7 +387,7 @@ def assert_iterates_match_post_decision(kernel, costs):
     for policy, nxt in zip(iterates, iterates[1:] + iterates[-1:]):
         _, h = assert_matches_post_decision(policy, kernel, costs)
         reference = ValueSolution(gain=0.0, h=h, ref_state=0)
-        assert policy_improvement(reference, kernel, costs) == nxt
+        assert policy_improvement(reference, kernel, costs, incumbent=policy) == nxt
     finals = (iterates[-1], policy_iteration(kernel, costs).policy)
     assert len({hashlib.sha256(p.actions.tobytes()).digest() for p in finals}) == 1
     return iterates
@@ -531,6 +617,100 @@ class TestPolicyEvaluation:
         assert abs(sol.gain - metrics.macro_ratio) <= 3 * metrics.macro_ratio_se
 
 
+class TestLevelRoute:
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
+    )
+    def test_matches_superlu_on_iterates(self, overrides):
+        _, _, _, _, kernel, costs = make_instance(**overrides)
+        for policy in policy_iterates(kernel, costs):
+            assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+
+    def test_class_at_level_zero_only(self, default_instance):
+        # the all-sleep start pushes nothing, so its class sits at C = 0, the
+        # end level, where reduction onto any other level would be singular
+        _, _, _, _, kernel, costs = default_instance
+        policy = PolicyTable.all_sleep(kernel.num_states)
+        assert closed_levels(policy, kernel) == {0}
+        assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+
+    def test_class_at_top_level_only(self):
+        # with no cache turnover, pushing whenever the battery allows fills
+        # the cache and then sleeps: one closed class, at C = N only
+        params, _, _, _, kernel, costs = make_instance(p_c=0.0)
+        push = kernel.feasible_mask()[Action.PUSH]
+        policy = PolicyTable(np.where(push, Action.PUSH, Action.SLEEP))
+        assert closed_levels(policy, kernel) == {params.num_contents}
+        assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(n_contents=0), dict(e_max=0)], ids=["one-level", "1x1-blocks"]
+    )
+    def test_degenerate_blocks(self, overrides):
+        _, _, _, _, kernel, costs = make_instance(**overrides)
+        for policy in policy_iterates(kernel, costs):
+            assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+
+    @given(instance=random_chains(max_actions=NUM_ACTIONS))
+    @settings(max_examples=20, deadline=None)
+    def test_hand_built_kernel_is_one_dense_level(self, instance):
+        kernel, costs = instance
+        assert kernel.levels == 1
+        for policy in random_policies(kernel, count=5):
+            assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
+    )
+    def test_unichain_solves_factor_nothing(self, monkeypatch, overrides):
+        def no_superlu(*args, **kwargs):
+            raise AssertionError("SuperLU factored a system")
+
+        _, _, _, _, kernel, costs = make_instance(**overrides)
+        monkeypatch.setattr("pushmdp.solver.splu", no_superlu)
+        restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
+        for k in (kernel, restricted):
+            result = policy_iteration(k, costs)
+            assert {r.route for r in result.iterations} == {"levels"}
+            assert bellman_residual(result.values, k, costs) <= 1e-9
+        assert non_push_optimal(kernel, costs).policy == result.policy
+
+    def test_equal_gain_classes_take_superlu(self):
+        # at p_u = 0 nothing is requested and, with no cache turnover, the
+        # all-sleep start keeps every pushed count: three closed classes of
+        # gain 0
+        _, _, _, _, kernel, costs = make_instance(
+            e_max=3, n_contents=2, m_rings=2, p_c=0.0, p_u=0.0
+        )
+        policy = PolicyTable.all_sleep(kernel.num_states)
+        assert closed_levels(policy, kernel) == {0, 1, 2}
+        assert assert_route_matches_superlu(policy, kernel, costs).route == "superlu"
+        assert policy_iteration(kernel, costs).iterations[0].route == "superlu"
+
+
+# The ranges of test_kernel_matches_reference_on_random_instances in
+# test_transition.py, boundary probabilities included.
+@given(
+    e_max=st.integers(0, 3),
+    n=st.integers(0, 3),
+    m=st.integers(1, 3),
+    p_c=PROBABILITY,
+    p_u=PROBABILITY,
+)
+@settings(max_examples=60, deadline=None)
+def test_level_route_on_random_instances(e_max, n, m, p_c, p_u):
+    params, _, grid, _, kernel, costs = make_instance(
+        e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
+    )
+    policies = [
+        PolicyTable.all_sleep(kernel.num_states),
+        unicast_priority_table(params, grid),
+        *random_policies(kernel, count=5),
+    ]
+    for policy in policies:
+        assert_route_matches_superlu(policy, kernel, costs, scaled=True)
+
+
 class TestRelativeValueIteration:
     def test_two_state_closed_form(self):
         kernel = dense_kernel({0: TWO_STATE_P})
@@ -615,6 +795,28 @@ class TestPolicyImprovement:
         sol = ValueSolution(gain=0.0, h=np.zeros(1), ref_state=0)
         assert policy_improvement(sol, kernel, costs)[0] == Action.PUSH
 
+    @pytest.mark.parametrize("gap, kept", [(0.0, True), (1e-15, True), (1e-12, False)])
+    def test_incumbent_kept_on_near_tie(self, gap, kept):
+        # 64 eps max(1, max|h|) is 1.4e-14 here: a closer rival leaves the
+        # incumbent in place, a clearly cheaper one replaces it
+        p = np.array([[1.0]])
+        kernel = dense_kernel({1: p, 2: p})
+        costs = costs_for(1, {1: np.array([0.5]), 2: np.array([0.5 + gap])})
+        sol = ValueSolution(gain=0.0, h=np.zeros(1), ref_state=0)
+        improved = policy_improvement(sol, kernel, costs, incumbent=PolicyTable([2]))
+        assert improved[0] == (Action.PUSH if kept else Action.UNICAST)
+        # without an incumbent the argmin takes the lowest code, as before
+        assert policy_improvement(sol, kernel, costs)[0] == Action.UNICAST
+
+    def test_tolerance_scales_with_h(self):
+        # the same gap of 1e-12 is a tie once |h| reaches 1e3
+        p = np.array([[1.0, 0.0], [0.0, 1.0]])
+        kernel = dense_kernel({1: p, 2: p})
+        costs = costs_for(2, {1: np.full(2, 0.5), 2: np.full(2, 0.5 + 1e-12)})
+        sol = ValueSolution(gain=0.0, h=np.array([0.0, 1e3]), ref_state=0)
+        improved = policy_improvement(sol, kernel, costs, incumbent=PolicyTable([2, 2]))
+        assert improved == PolicyTable([2, 2])
+
     def test_converged_policy_is_fixed_point(self, default_instance, default_solution):
         _, _, _, _, kernel, costs = default_instance
         again = policy_improvement(default_solution.values, kernel, costs)
@@ -646,6 +848,7 @@ class TestPolicyIteration:
         assert tuple(r.gain for r in records) == default_solution.trace
         assert records[0].changed > 0 and records[-1].changed == 0
         assert all(0 < r.post_decision_states < kernel.num_states for r in records)
+        assert all(r.route == "levels" for r in records)
 
     def test_reducible_start_records_fallback(self):
         # the all-sleep start has two closed classes of gain 1, which the
@@ -657,6 +860,7 @@ class TestPolicyIteration:
         assert [r.gain for r in records] == pytest.approx([1.0, 0.0], abs=1e-12)
         assert [r.changed for r in records] == [2, 0]
         assert [r.post_decision_states for r in records] == [2, 2]
+        assert [r.route for r in records] == ["superlu", "levels"]
 
     def test_reducible_start_falls_back(self):
         kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})
@@ -725,6 +929,16 @@ class TestPolicyIteration:
         assert bellman_residual(result.values, kernel, costs) <= 1e-9
         with pytest.raises(MultichainError):
             policy_iteration(kernel, costs)
+
+    def test_round_off_ties_keep_the_incumbent(self):
+        # the optimal gain here is round-off (about 1e-16), so hundreds of
+        # states have actions whose Q-values tie to the last bits; a fresh
+        # argmin on every step flipped them and cycled past 60 iterations
+        _, _, _, _, kernel, costs = make_instance(e_max=40, n_contents=60, p_u=0.1)
+        result = policy_iteration(kernel, costs, max_iter=60)
+        assert result.iterations[-1].changed == 0
+        assert bellman_residual(result.values, kernel, costs) <= 1e-9
+        assert policy_improvement(result.values, kernel, costs) != result.policy
 
     def test_iteration_cap(self):
         p = np.array([[1.0]])

@@ -503,6 +503,12 @@ class TestBuildKernel:
         assert restricted.rows is kernel.rows
         assert restricted.request is kernel.request
         assert restricted.templates is kernel.templates
+        # U row (push, b, c) moves the pushed count to c - 1, c or c + 1 only:
+        # the policy chains over (E, C) are block tridiagonal in N + 1 levels
+        assert kernel.levels == restricted.levels == params.num_contents + 1
+        u = kernel.rows
+        source = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr)) % kernel.levels
+        assert np.all(np.abs(u.indices % kernel.levels - source) <= 1)
 
     def test_hand_built_factored_form(self):
         zero = csr_matrix((2, 2))
@@ -512,6 +518,7 @@ class TestBuildKernel:
             assert np.array_equal(got, expect), name
         assert np.array_equal(kernel.request.toarray(), np.eye(2))
         assert_factors_match_templates(kernel, np.arange(2))
+        assert kernel.levels == 1
 
     def test_matches_reference_on_default(self):
         kernel, rows = assert_matches_reference()

@@ -458,7 +458,7 @@ def policy_iteration(
             IterationRecord(
                 sol.gain,
                 int(np.count_nonzero(improved.actions != policy.actions)),
-                np.unique(kernel.labels[policy.actions, states]).size,
+                np.count_nonzero(np.bincount(kernel.labels[policy.actions, states])),
                 evaluated - start,
                 time.perf_counter() - evaluated,
                 sol.route,

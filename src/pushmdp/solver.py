@@ -231,12 +231,16 @@ def _solve_levels(
     correction: where a level is left toward p only rarely its reduced block
     is ill-conditioned, and the first solve can lose digits of y.
 
-    p is the midpoint of the closed class's level span, which is an interval
-    because c moves by one.  From every state above p the chain then reaches
-    the levels below, and from every state below p those above, so each
-    reduced block is nonsingular.  An end level instead lets the reduced
-    quantities grow like hitting costs of rarely visited levels and loses
-    digits of y.  The residual is checked on the full equations.
+    p lies in the closed class's level span, which is an interval because c
+    moves by one.  From every state above p the chain then reaches the levels
+    below, and from every state below p those above, so each reduced block is
+    nonsingular.  p is the midpoint of the span: an end level far from the
+    class's mass loses digits of y to the hitting costs of rarely visited
+    levels.  A level whose class states all leave it toward p only with a
+    probability below sqrt(eps) (1e-16 when p_u = 1 - 1e-16) would make its
+    reduced block singular in floating point, so p moves past it, to the
+    side where the chain stays.  The residual is checked on the full
+    equations.
     """
     k = chain.shape[0]
     b = k // levels
@@ -250,9 +254,21 @@ def _solve_levels(
     flat[np.repeat(row_part, np.diff(chain.indptr)) + col_part[chain.indices]] = chain.data
     down, same, up = np.moveaxis(flat.reshape(levels, 3, b, b), 1, 0)
 
-    span = closed % levels
-    p = (int(span.min()) + int(span.max())) // 2
-    pin = int(closed[span == p][0]) // levels
+    # p is the midpoint of the class's level span, moved toward the class's
+    # states past any level whose class states all leave it toward p with
+    # probability below sqrt(eps): its reduced block would be conditioned
+    # worse than one residual correction repairs.
+    level, state = closed % levels, closed // levels
+    member = np.zeros((levels, b), dtype=bool)
+    member[level, state] = True
+    rise = np.where(member, up.sum(axis=2), 0.0).max(axis=1)
+    fall = np.where(member, down.sum(axis=2), 0.0).max(axis=1)
+    lo, hi = int(level.min()), int(level.max())
+    stuck = np.sqrt(np.finfo(float).eps)
+    p = (lo + hi) // 2
+    p = min([p, *(c for c in range(lo, p) if rise[c] < stuck)])
+    p = max([p, *(c for c in range(p + 1, hi + 1) if fall[c] < stuck)])
+    pin = int(state[level == p][0])
     # (levels in elimination order, block from the next level back, step)
     sweeps = ((range(levels - 1, p, -1), up, -1), (range(p), down, 1))
     # Eliminating level c leaves y_c = X_c y_next + v_c - gain z_c, where
@@ -268,19 +284,6 @@ def _solve_levels(
     bordered[:b, 0] = 1.0
     bordered[:b, 1:] = eye - same[p]
     bordered[b, 1 + pin] = 1.0
-    try:
-        for order, back, step in sweeps:
-            into = np.zeros((b, b + 1))
-            for c in order:
-                maps[c, :, b] += into[:, b]
-                inverse[c] = np.linalg.inv(eye - same[c] - into[:, :b])
-                maps[c] = inverse[c] @ maps[c]
-                into = back[c + step] @ maps[c]
-            bordered[:b, 0] += into[:, b]
-            bordered[:b, 1:] -= into[:, :b]
-        bordered = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPolicyError(str(exc)) from exc
 
     def substitute(rhs: np.ndarray) -> np.ndarray:
         rhs = rhs.reshape(b, levels).T
@@ -300,8 +303,24 @@ def _solve_levels(
                 y[c] = maps[c, :, :b] @ y[c + step] + v[c] - top[0] * maps[c, :, b]
         return np.concatenate((top[:1], y.T.ravel()))
 
-    x = substitute(cost)
-    x += substitute(cost - x[0] - x[1:] + chain @ x[1:])
+    # A block that is singular in floating point, though not in the chain's
+    # graph, shows as a LAPACK error or as an overflow or NaN downstream.
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for order, back, step in sweeps:
+                into = np.zeros((b, b + 1))
+                for c in order:
+                    maps[c, :, b] += into[:, b]
+                    inverse[c] = np.linalg.inv(eye - same[c] - into[:, :b])
+                    maps[c] = inverse[c] @ maps[c]
+                    into = back[c + step] @ maps[c]
+                bordered[:b, 0] += into[:, b]
+                bordered[:b, 1:] -= into[:, :b]
+            bordered = np.linalg.inv(bordered)
+            x = substitute(cost)
+            x += substitute(cost - x[0] - x[1:] + chain @ x[1:])
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise SingularPolicyError(str(exc)) from exc
     _check_residual(x, x[0] + x[1:] - chain @ x[1:] - cost)
     return x
 

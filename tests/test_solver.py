@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import bmat, csr_matrix, diags, identity
 from scipy.sparse.linalg import splu
@@ -119,18 +119,20 @@ def pre_request_chain(policy, kernel):
     return (kernel.request @ (to_rows @ kernel.rows)).tocsr()
 
 
-def superlu_policy_evaluation(policy, kernel, costs, pin):
+def superlu_policy_evaluation(policy, kernel, costs):
     """(gain, h) from the SuperLU route, whatever the policy's closed classes.
 
     Reference for cross-checks only: evaluation solved every policy this way
     before it solved a chain with one closed class level by level.  This is
-    the bordered system [[1, I - R], [0, e_pin]] on the pre-request chain R,
-    factored by SuperLU and refined once; h vanishes at state 0.
+    the bordered system [[1, I - R], [0, e_ref]] on the pre-request chain R,
+    pinned at state 0's pre-request state, factored by SuperLU and refined
+    once.
     """
     states = np.arange(kernel.num_states)
     labels = kernel.labels[policy.actions, states]
     g_pi = costs[policy.actions, states]
-    x = _solve_bordered(pre_request_chain(policy, kernel), kernel.request @ g_pi, [pin])
+    ref = kernel.request.indices[0]
+    x = _solve_bordered(pre_request_chain(policy, kernel), kernel.request @ g_pi, [ref])
     h = g_pi - x[0] + (kernel.rows @ x[1:])[labels]
     return float(x[0]), h - h[0]
 
@@ -139,17 +141,6 @@ def closed_levels(policy, kernel):
     """Pushed-count levels that hold a state of a closed class of R."""
     label, closed = _class_labels(pre_request_chain(policy, kernel))
     return set((np.flatnonzero(np.isin(label, closed)) % kernel.levels).tolist())
-
-
-def level_pin(policy, kernel):
-    """The pre-request state the level route pins, for a unichain R.
-
-    The first state of the closed class on the midpoint of its level span.
-    """
-    label, closed = _class_labels(pre_request_chain(policy, kernel))
-    members = np.flatnonzero(label == closed[0])
-    span = members % kernel.levels
-    return int(members[span == (span.min() + span.max()) // 2][0])
 
 
 def post_decision_policy_evaluation(policy, kernel, costs, ref_state=0):
@@ -305,7 +296,7 @@ def assert_route_matches_superlu(policy, kernel, costs, scaled=False):
     """Evaluation takes the route the closed classes name; levels match SuperLU.
 
     One closed class takes the level route, whose gain must be within 1e-14
-    and h within 1e-10 of SuperLU's with the same state pinned.  A positive
+    and h within 1e-10 of SuperLU's.  A positive
     probability below eps, where 1 - p rounds to 1, splits the class in
     floating point; on such a chain either route may find the system
     singular, so the level route must only reject it or solve it to a
@@ -336,8 +327,7 @@ def assert_route_matches_superlu(policy, kernel, costs, scaled=False):
         scale = max(1.0, np.max(np.abs(sol.h))) if scaled else 1.0
         assert bellman_residual(sol, kernel, costs, policy=policy) <= 1e-9 * scale
         return sol
-    pin = level_pin(policy, kernel)
-    gain, h = superlu_policy_evaluation(policy, kernel, costs, pin)
+    gain, h = superlu_policy_evaluation(policy, kernel, costs)
     sol = policy_evaluation(policy, kernel, costs)
     assert sol.route == "levels"
     slack, scale = 0.0, 1.0
@@ -346,7 +336,7 @@ def assert_route_matches_superlu(policy, kernel, costs, scaled=False):
         bordered = np.zeros((k + 1, k + 1))
         bordered[:k, 0] = 1.0
         bordered[:k, 1:] = np.eye(k) - chain.toarray()
-        bordered[k, 1 + pin] = 1.0
+        bordered[k, 1 + kernel.request.indices[0]] = 1.0
         slack = (k + 1) * np.linalg.cond(bordered) * np.finfo(float).eps
         scale = max(1.0, np.max(np.abs(h)))
     assert abs(sol.gain - gain) <= max(1e-14, slack)
@@ -697,6 +687,11 @@ class TestLevelRoute:
     p_c=PROBABILITY,
     p_u=PROBABILITY,
 )
+# level 0 left with probability 1e-16, a level left toward the rest with
+# probability 1e-9, and class gains 1e-10 apart
+@example(e_max=2, n=2, m=1, p_c=1.0, p_u=0.9999999999999999)
+@example(e_max=3, n=2, m=2, p_c=1.0, p_u=1e-9)
+@example(e_max=1, n=2, m=2, p_c=0.0, p_u=1e-10)
 @settings(max_examples=60, deadline=None)
 def test_level_route_on_random_instances(e_max, n, m, p_c, p_u):
     params, _, grid, _, kernel, costs = make_instance(
@@ -1133,6 +1128,7 @@ def test_sparse_evaluation_matches_dense_on_random_chains(instance):
     p_c=st.floats(0.05, 1.0),
     p_u=st.floats(0.0, 1.0),
 )
+@example(e_max=2, n=2, m=1, p_c=1.0, p_u=0.9999999999999999)
 @settings(max_examples=40, deadline=None)
 def test_sparse_evaluation_matches_dense_on_random_instances(e_max, n, m, p_c, p_u):
     _, _, _, _, kernel, costs = make_instance(

@@ -238,9 +238,9 @@ def _solve_levels(
     class's mass loses digits of y to the hitting costs of rarely visited
     levels.  A level whose class states all leave it toward p only with a
     probability below sqrt(eps) (1e-16 when p_u = 1 - 1e-16) would make its
-    reduced block singular in floating point, so p moves past it, to the
-    side where the chain stays.  The residual is checked on the full
-    equations.
+    reduced block singular in floating point (sqrt(eps) is also where one
+    residual correction stops repairing it), so p moves past it, to the side
+    where the chain stays.  The residual is checked on the full equations.
     """
     k = chain.shape[0]
     b = k // levels
@@ -254,10 +254,8 @@ def _solve_levels(
     flat[np.repeat(row_part, np.diff(chain.indptr)) + col_part[chain.indices]] = chain.data
     down, same, up = np.moveaxis(flat.reshape(levels, 3, b, b), 1, 0)
 
-    # p is the midpoint of the class's level span, moved toward the class's
-    # states past any level whose class states all leave it toward p with
-    # probability below sqrt(eps): its reduced block would be conditioned
-    # worse than one residual correction repairs.
+    # each level's largest probability, over its class states, of moving
+    # up and of moving down
     level, state = closed % levels, closed // levels
     member = np.zeros((levels, b), dtype=bool)
     member[level, state] = True
@@ -266,8 +264,8 @@ def _solve_levels(
     lo, hi = int(level.min()), int(level.max())
     stuck = np.sqrt(np.finfo(float).eps)
     p = (lo + hi) // 2
-    p = min([p, *(c for c in range(lo, p) if rise[c] < stuck)])
-    p = max([p, *(c for c in range(p + 1, hi + 1) if fall[c] < stuck)])
+    p = min([p, *(lv for lv in range(lo, p) if rise[lv] < stuck)])
+    p = max([p, *(lv for lv in range(p + 1, hi + 1) if fall[lv] < stuck)])
     pin = int(state[level == p][0])
     # (levels in elimination order, block from the next level back, step)
     sweeps = ((range(levels - 1, p, -1), up, -1), (range(p), down, 1))

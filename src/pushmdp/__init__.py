@@ -6,10 +6,8 @@ from .model import (
     Action,
     CalibrationError,
     DistanceGrid,
-    RadioParams,
     SystemParams,
     calibrate_radio,
-    required_power,
     zipf_pmf,
 )
 from .policies import (
@@ -57,7 +55,6 @@ __all__ = [
     "OracleResult",
     "PolicyIterationResult",
     "PolicyTable",
-    "RadioParams",
     "SimConfig",
     "SimMetrics",
     "SimulationError",
@@ -75,7 +72,6 @@ __all__ = [
     "policy_improvement",
     "policy_iteration",
     "relative_value_iteration",
-    "required_power",
     "simulate",
     "sweep",
     "threshold_profile",

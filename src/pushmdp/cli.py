@@ -16,7 +16,6 @@ import numpy as np
 
 from .model import (
     Action,
-    RadioParams,
     SystemParams,
     calibrate_radio,
     stage_cost_table,
@@ -61,11 +60,7 @@ DEFAULTS = {
     "m_rings": 4,
     "a_bar": 0.8,
     "alpha": 2.0,
-    "beta_db": 10.0,
-    "r0_over_w": 1.0,
     "radius_m": 50.0,
-    "pt_edge_w": 1.0,
-    "t_p_s": 1.0,
     "horizon": 1_000_000,
     "warmup": 10_000,
     "replications": 1,
@@ -124,38 +119,26 @@ def parse_pu_grid(raw: str) -> tuple[float, ...]:
 
 
 def build_scenario(settings: dict):
-    """Instantiate and calibrate the system from a settings mapping."""
+    """(params, arrival pmf, distance grid, popularity) from a settings mapping."""
     params = SystemParams(
         num_contents=settings["n_contents"],
         zipf_skew=settings["zipf_skew"],
         content_replace_prob=settings["p_c"],
         request_prob=settings["p_u"],
-        period_length=settings["t_p_s"],
         battery_levels=settings["e_max"],
         num_rings=settings["m_rings"],
-        energy_unit=1.0,  # placeholder; calibration overwrites it
         mean_arrival=settings["a_bar"],
     )
-    radio = RadioParams(
-        bandwidth=1.0,
-        pathloss_const=10.0 ** (settings["beta_db"] / 10.0),
-        pathloss_exp=settings["alpha"],
-        noise_plus_interference=1.0,  # placeholder; calibration overwrites it
-        min_rate=settings["r0_over_w"],
-        cell_radius=settings["radius_m"],
-        edge_power=settings["pt_edge_w"],
-    )
-    params, radio, grid = calibrate_radio(params, radio)
-    popularity = zipf_pmf(params)
-    return params, radio, grid, popularity
+    arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
+    grid = calibrate_radio(params.num_rings, settings["alpha"], settings["radius_m"])
+    return params, arrival, grid, zipf_pmf(params)
 
 
 def _build_all(settings: dict):
-    params, radio, grid, popularity = build_scenario(settings)
-    arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
+    params, arrival, grid, popularity = build_scenario(settings)
     kernel = build_kernel(params, grid, popularity, arrival)
     costs = stage_cost_table(params)
-    return params, radio, grid, popularity, kernel, costs
+    return params, grid, popularity, kernel, costs
 
 
 def _header(command: str, settings: dict, seed: int) -> list[str]:
@@ -174,7 +157,7 @@ def _write(out_dir: str, name: str, lines: list[str]) -> str:
 
 
 def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
-    params, _, grid, _, kernel, costs = _build_all(settings)
+    params, grid, _, kernel, costs = _build_all(settings)
     result = policy_iteration(kernel, costs)
     lines = _header("solve", settings, seed)
     lines.append("E Q C action h")
@@ -293,7 +276,7 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> int:
-    params, _, grid, popularity, kernel, costs = _build_all(settings)
+    params, grid, popularity, kernel, costs = _build_all(settings)
     checks: list[tuple[str, bool, str]] = []
 
     report = validate_kernel(kernel)
@@ -376,7 +359,7 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
 
 
 def cmd_oracle(settings: dict, out_dir: str, seed: int) -> int:
-    params, _, grid, popularity, kernel, costs = _build_all(settings)
+    params, grid, popularity, kernel, costs = _build_all(settings)
     result = policy_iteration(kernel, costs)
     try:
         oracle = brute_force_oracle(kernel, costs)
@@ -445,7 +428,8 @@ def main(argv=None) -> int:
             return cmd_oracle(settings, args.out, args.seed)
         raise AssertionError(args.command)
     except (ValueError, OSError) as exc:
-        # ConfigError and CalibrationError are ValueErrors: bad input exits 2
+        # ConfigError, CalibrationError and the model's own input checks are
+        # ValueErrors: bad input exits 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, SimulationError) as exc:

@@ -3,9 +3,12 @@
 The cell is slotted: each period the base station observes its state, then
 sleeps, unicasts a requested content to one user, or pushes (multicasts) the
 most popular content users do not hold yet.  Battery charge, transmit energies
-and harvest arrivals are discretized to integer energy units; user positions
-are discretized to distance rings whose unicast costs are forced to exactly
-1..M units by radio calibration.  The state is the triple
+and harvest arrivals are counted in integer energy units.  User positions are
+discretized to M distance rings: serving ring i costs exactly i units and a
+push costs M, the edge-ring cost.  Under a pure path-loss law the transmit
+energy grows as d^alpha, so ring i ends where it reaches i/M of the edge
+energy, at d_i = R (i/M)^(1/alpha), and no other link-budget constant enters.
+The state is the triple
 
     (battery level E, request ring Q, pushed-content count C)
 
@@ -14,7 +17,7 @@ with E in 0..E_max, Q in 0..M (0 means no serviceable request) and C in 0..N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -22,12 +25,10 @@ import numpy as np
 __all__ = [
     "Action",
     "SystemParams",
-    "RadioParams",
     "DistanceGrid",
     "CalibrationError",
     "zipf_pmf",
     "cumulative_popularity_table",
-    "required_power",
     "calibrate_radio",
     "state_table",
     "spend_table",
@@ -48,27 +49,24 @@ NUM_ACTIONS = len(Action)
 
 
 class CalibrationError(ValueError):
-    """Radio constants admit no distance grid with integer unicast costs."""
+    """Ring geometry admits no distance grid with one width per ring."""
 
 
 @dataclass(frozen=True)
 class SystemParams:
     """Content, traffic and battery parameters.
 
-    Energies are counted in integer multiples of ``energy_unit`` joules;
-    ``battery_levels`` is the capacity in units, so the physical capacity is
-    ``battery_levels * energy_unit``.  ``mean_arrival`` is the mean harvested
-    units per period (Poisson arrivals in the default setup).
+    ``battery_levels`` is the battery capacity in energy units and
+    ``mean_arrival`` the mean harvested units per period (Poisson arrivals in
+    the default setup).
     """
 
     num_contents: int
     zipf_skew: float
     content_replace_prob: float
     request_prob: float
-    period_length: float
     battery_levels: int
     num_rings: int
-    energy_unit: float
     mean_arrival: float
 
     def __post_init__(self):
@@ -82,54 +80,16 @@ class SystemParams:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.period_length <= 0:
-            raise ValueError("period_length must be > 0")
         if self.battery_levels < 0:
             raise ValueError("battery_levels must be >= 0")
         if self.num_rings < 1:
             raise ValueError("num_rings must be >= 1")
-        if self.energy_unit <= 0:
-            raise ValueError("energy_unit must be > 0")
         if self.mean_arrival <= 0:
             raise ValueError("mean_arrival must be > 0")
 
     @property
-    def battery_capacity(self) -> float:
-        """Physical battery capacity in joules."""
-        return self.battery_levels * self.energy_unit
-
-    @property
     def num_states(self) -> int:
         return (self.battery_levels + 1) * (self.num_rings + 1) * (self.num_contents + 1)
-
-
-@dataclass(frozen=True)
-class RadioParams:
-    """Link-budget constants for the unit-gain AWGN channel model."""
-
-    bandwidth: float               # Hz
-    pathloss_const: float          # linear gain at unit distance
-    pathloss_exp: float            # >= 2
-    noise_plus_interference: float # watts
-    min_rate: float                # bits/s guaranteed per transmission
-    cell_radius: float             # meters
-    edge_power: float              # watts needed at the cell edge
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
-        if self.pathloss_const <= 0:
-            raise ValueError("pathloss_const must be > 0")
-        if self.pathloss_exp < 2:
-            raise ValueError("pathloss_exp must be >= 2")
-        if self.noise_plus_interference <= 0:
-            raise ValueError("noise_plus_interference must be > 0")
-        if self.min_rate <= 0:
-            raise ValueError("min_rate must be > 0")
-        if self.cell_radius <= 0:
-            raise ValueError("cell_radius must be > 0")
-        if self.edge_power <= 0:
-            raise ValueError("edge_power must be > 0")
 
 
 @dataclass(frozen=True)
@@ -199,75 +159,24 @@ def cumulative_popularity_table(popularity: np.ndarray) -> np.ndarray:
     return table
 
 
-def _snr_gap(radio: RadioParams) -> float:
-    return 2.0 ** (radio.min_rate / radio.bandwidth) - 1.0
-
-
-def required_power(d: float, radio: RadioParams) -> float:
-    """Transmit power (W) sustaining the minimum rate at distance d.
-
-    Inverts the unit-gain AWGN rate equation
-    r = W * log2(1 + P * beta * d^-alpha / (sigma^2 + I)) at r = r_0:
-
-        P(d) = (2^(r_0/W) - 1) * (sigma^2 + I) * d^alpha / beta
-    """
-    if not 0.0 < d <= radio.cell_radius:
-        raise ValueError(f"distance {d} outside (0, {radio.cell_radius}]")
-    return (
-        _snr_gap(radio)
-        * radio.noise_plus_interference
-        * d ** radio.pathloss_exp
-        / radio.pathloss_const
-    )
-
-
-def _snap_noise_to_edge_power(radio: RadioParams) -> RadioParams:
-    # Nudge the solved noise constant by ulps so the float round trip through
-    # required_power reproduces the edge power bit-exactly when possible.
-    target = radio.edge_power
-    best = radio
-    best_err = abs(required_power(radio.cell_radius, radio) - target)
-    if best_err == 0.0:
-        return radio
-    for direction in (math.inf, -math.inf):
-        sigma = radio.noise_plus_interference
-        for _ in range(8):
-            sigma = math.nextafter(sigma, direction)
-            cand = replace(radio, noise_plus_interference=sigma)
-            err = abs(required_power(radio.cell_radius, cand) - target)
-            if err == 0.0:
-                return cand
-            if err < best_err:
-                best, best_err = cand, err
-    return best
-
-
 def calibrate_radio(
-    params: SystemParams, radio: RadioParams
-) -> tuple[SystemParams, RadioParams, DistanceGrid]:
-    """Solve the noise constant so the edge ring costs exactly M units.
+    num_rings: int, pathloss_exp: float, cell_radius: float
+) -> DistanceGrid:
+    """Distance grid on which ring i costs exactly i energy units.
 
-    Two conditions tie the constants together: an edge transmission runs at
-    ``radio.edge_power`` and costs ``num_rings`` energy units per period.  The
-    noise-plus-interference power is solved from the edge-power equation and
-    the energy unit follows as ``edge_power * period / num_rings``, which
-    yields the integer cost grid l_i = i.  Ring boundaries solve
-    required_power(d_i) * period = i * energy_unit, in closed form
-    d_i = R * (i/M)^(1/alpha) for the pure power law used here.
-    ``CalibrationError`` is raised when rounding leaves a ring no width.
-
-    Returns updated copies of (params, radio) plus the distance grid.
+    The energy to reach distance d grows as d^alpha, so ring i ends where it
+    reaches i/M of the edge energy: d_i = R * (i/M)^(1/alpha), and a user
+    placed uniformly in the cell falls in ring i with probability
+    (d_i^2 - d_{i-1}^2) / R^2.  ``CalibrationError`` is raised when rounding
+    leaves a ring no width or R^2 is not a positive finite number.
     """
-    m = params.num_rings
-    radius = radio.cell_radius
-    unit = radio.edge_power * params.period_length / m
-    sigma2 = radio.edge_power * radio.pathloss_const / (
-        _snr_gap(radio) * radius ** radio.pathloss_exp
-    )
-    radio = _snap_noise_to_edge_power(replace(radio, noise_plus_interference=sigma2))
-    params = replace(params, energy_unit=unit)
-
-    distances = [radius * (i / m) ** (1.0 / radio.pathloss_exp) for i in range(1, m)]
+    if not pathloss_exp >= 2:
+        raise ValueError("pathloss_exp must be >= 2")
+    if not cell_radius > 0:
+        raise ValueError("cell_radius must be > 0")
+    m = num_rings
+    radius = cell_radius
+    distances = [radius * (i / m) ** (1.0 / pathloss_exp) for i in range(1, m)]
     distances.append(radius)
     for i, (inner, outer) in enumerate(zip([0.0, *distances], distances), start=1):
         if not inner < outer:
@@ -275,18 +184,20 @@ def calibrate_radio(
                 f"ring {i} of {m} has no width in (0, {radius}]; "
                 "radio parameters are inconsistent"
             )
+    area = radius * radius
+    if not 0.0 < area < math.inf:
+        raise CalibrationError(f"cell radius {radius} squares to {area}")
 
     ring_probs = []
     prev = 0.0
     for d in distances:
-        ring_probs.append((d * d - prev * prev) / (radius * radius))
+        ring_probs.append((d * d - prev * prev) / area)
         prev = d
-    grid = DistanceGrid(
+    return DistanceGrid(
         distances=tuple(distances),
         unicast_costs=tuple(range(m + 1)),
         ring_probs=tuple(ring_probs),
     )
-    return params, radio, grid
 
 
 def state_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

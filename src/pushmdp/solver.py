@@ -172,9 +172,10 @@ def policy_evaluation(
     ref_state's pre-request state, or the first class when that state is
     transient, and each other class's reference replaces its own equation.
     When they differ the policy has no single gain, and MultichainError is
-    raised with the class gains.  On either route an exactly singular system,
-    non-finite values or a residual of the full equations above tolerance
-    raise SingularPolicyError.
+    raised with the class gains; so it is when they differ by less and the
+    pinned system then fails.  Otherwise, on either route, an exactly
+    singular system, non-finite values or a residual of the full equations
+    above tolerance raise SingularPolicyError.
     """
     policy.validate(kernel)
     n = kernel.num_states
@@ -199,14 +200,21 @@ def policy_evaluation(
             sub = chain[members][:, members]
             gains.append(_solve_bordered(sub, cost[members], [0])[0])
             refs.append(ref if label[ref] == c else members[0])
+        message = (
+            f"policy chain has {closed.size} closed classes with gains "
+            f"{min(gains):.6g} to {max(gains):.6g}"
+        )
         if max(gains) - min(gains) > 1e-10:
-            raise MultichainError(
-                f"policy chain has {closed.size} closed classes with gains "
-                f"{min(gains):.6g} to {max(gains):.6g}",
-                tuple(gains),
-            )
+            raise MultichainError(message, tuple(gains))
         refs.sort(key=lambda r: r != ref)
-        x = _solve_bordered(chain, cost, refs)
+        try:
+            x = _solve_bordered(chain, cost, refs)
+        except SingularPolicyError as exc:
+            # gains apart by less than 1e-10 can still leave the pinned
+            # system inconsistent
+            if max(gains) > min(gains):
+                raise MultichainError(message, tuple(gains)) from exc
+            raise
     h = g_pi - x[0] + (u @ x[1:])[labels]
     h = h - h[ref_state]
     return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state, route=route)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, identity, vstack
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .model import (
@@ -160,32 +160,21 @@ class TransitionKernel:
     read from U.  ``templates``, U D in CSR with sorted indices (one
     next-state pmf per post-decision state, positive probabilities only), is
     derived on first use; the per-action matrices and the text dump are
-    views of it.
-
-    Built by hand from one matrix per action and no labels, U is the stacked
-    matrices without stored zeros, D the identity, and every pair gets its
-    own row.  ``allowed`` holds the actions a restriction kept.
+    views of it.  ``allowed`` holds the actions a restriction kept.
 
     ``levels`` counts the pushed-count levels N+1 of the pre-request states,
     which run x = E'*levels + C'.  Every row of U moves the pushed count by
-    at most one, so the policy chains over x are block tridiagonal in C'.  A
-    hand-built kernel has one level.
+    at most one, so the policy chains over x are block tridiagonal in C'.
     """
 
     rows: csr_matrix
-    labels: np.ndarray | None = None
-    request: csc_matrix | None = None
+    labels: np.ndarray
+    request: csc_matrix
+    levels: int
     allowed: frozenset[Action] = frozenset(Action)
-    levels: int = 1
     _matrices: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.labels is None:
-            n = self.rows[0].shape[0]
-            self.labels = np.arange(len(self.rows) * n).reshape(-1, n)
-            self.rows = vstack(self.rows, format="csr")
-            self.rows.eliminate_zeros()
-            self.request = identity(n, format="csc")
         self.labels.setflags(write=False)
 
     @cached_property

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.sparse import identity, vstack
 
 from pushmdp.cli import DEFAULTS, build_scenario
 from pushmdp.model import Action, stage_cost_table
 from pushmdp.policies import non_push_optimal, unicast_priority_table
 from pushmdp.solver import policy_iteration
-from pushmdp.transition import ArrivalPmf, build_kernel
+from pushmdp.transition import TransitionKernel, build_kernel
 
 # A probability for hypothesis draws, the boundaries 0 and 1 drawn on purpose:
 # they empty or fill a content or request factor, which changes a template
@@ -16,7 +17,7 @@ PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def make_scenario(**overrides):
-    """(params, radio, grid, popularity) for defaults plus overrides."""
+    """(params, arrival, grid, popularity) for defaults plus overrides."""
     settings = dict(DEFAULTS)
     for key, value in overrides.items():
         if key not in settings:
@@ -49,11 +50,23 @@ def kernel_row(kernel, state, action):
 
 def make_instance(**overrides):
     """Scenario plus built kernel and stage costs."""
-    params, radio, grid, popularity = make_scenario(**overrides)
-    arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
+    params, arrival, grid, popularity = make_scenario(**overrides)
     kernel = build_kernel(params, grid, popularity, arrival)
     costs = stage_cost_table(params)
-    return params, radio, grid, popularity, kernel, costs
+    return params, arrival, grid, popularity, kernel, costs
+
+
+def hand_built_kernel(matrices):
+    """Kernel from one n-by-n matrix per action; an all-zero row is infeasible.
+
+    U stacks the matrices without stored zeros, D is the identity, every pair
+    gets its own row, and the pre-request chain has one level.
+    """
+    n = matrices[0].shape[0]
+    rows = vstack(matrices, format="csr")
+    rows.eliminate_zeros()
+    labels = np.arange(len(matrices) * n).reshape(-1, n)
+    return TransitionKernel(rows, labels, identity(n, format="csc"), levels=1)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_instance
-from pushmdp.model import Action, required_power, state_table
+from pushmdp.model import Action, state_table
 from pushmdp.policies import (
     non_push_optimal,
     threshold_profile,
@@ -228,19 +228,20 @@ def test_criterion_7_exactness_suite(
 
 
 def test_criterion_8_radio_calibration(capsys, default_scenario):
-    params, radio, grid, _ = default_scenario
+    params, _, grid, _ = default_scenario
     expected_d = [25.0, 35.355339059327378, 43.30127018922193, 50.0]
     d_err = max(
         abs(d - e) for d, e in zip(grid.distances, expected_d)
     )
     prob_err = max(abs(p - 0.25) for p in grid.ring_probs)
-    edge_exact = required_power(radio.cell_radius, radio) == radio.edge_power
-    ok = d_err <= 1e-3 and prob_err <= 1e-12 and edge_exact
+    m = params.num_rings
+    integer_costs = grid.unicast_costs == tuple(range(m + 1)) and grid.push_cost == m
+    ok = d_err <= 1e-3 and prob_err <= 1e-12 and integer_costs
     _report(
         capsys,
         8,
         ok,
         f"ring distances within {d_err:.2g} m of [25, 35.355, 43.301, 50] "
         f"(<= 1e-3), ring probabilities within {prob_err:.2g} of 0.25 "
-        f"(<= 1e-12), edge power reproduced exactly: {edge_exact}",
+        f"(<= 1e-12), unicast costs 0..{m} and push cost {m}: {integer_costs}",
     )

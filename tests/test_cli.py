@@ -18,13 +18,17 @@ import pushmdp
 from pushmdp.cli import (
     DEFAULTS,
     ConfigError,
+    build_scenario,
     load_settings,
     main,
     parse_config_file,
     parse_pu_grid,
 )
+from pushmdp.transition import ArrivalPmf
 
 TINY = ["--set", "e_max=2", "--set", "n_contents=2", "--set", "m_rings=1"]
+# link-budget keys that reached no output and were removed
+REMOVED_KEYS = ["beta_db", "r0_over_w", "pt_edge_w", "t_p_s"]
 
 
 class TestConfigParsing:
@@ -72,6 +76,24 @@ class TestConfigParsing:
             load_settings(None, ["p_u"])
         with pytest.raises(ConfigError, match="bogus"):
             load_settings(None, ["bogus=1"])
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_keys_rejected(self, key, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_settings(None, [f"{key}=1"])
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_settings(str(cfg), [])
+        assert main(["solve", "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    def test_build_scenario_returns_arrival_pmf(self):
+        settings = load_settings(None, ["e_max=7", "a_bar=1.3"])
+        params, arrival, grid, popularity = build_scenario(settings)
+        assert arrival == ArrivalPmf.poisson(1.3, 7)
+        assert grid.num_rings == params.num_rings == DEFAULTS["m_rings"]
+        assert len(popularity) == params.num_contents
 
     def test_pu_grid_parser(self):
         assert parse_pu_grid("0.1, 0.5 ,1.0") == (0.1, 0.5, 1.0)
@@ -126,6 +148,22 @@ class TestSolveCommand:
         code = main(["solve", "--out", str(tmp_path), "--set", "e_max=abc"])
         assert code == 2
         assert "e_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ("radius_m=1e-300", "squares to 0"),
+            ("alpha=1e17", "no width"),
+            ("alpha=1.5", "pathloss_exp must be >= 2"),
+            ("radius_m=0", "cell_radius must be > 0"),
+        ],
+    )
+    def test_bad_geometry_exits_two(self, item, message, tmp_path, capsys):
+        code = main(["solve", "--out", str(tmp_path), "--set", item])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
 
     def test_multichain_start_exits_one(self, tmp_path, capsys):
         sets = ["e_max=3", "n_contents=3", "m_rings=1", "p_c=0", "p_u=0.379"]

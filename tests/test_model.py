@@ -10,12 +10,10 @@ from pushmdp.model import (
     Action,
     CalibrationError,
     DistanceGrid,
-    RadioParams,
     SystemParams,
     calibrate_radio,
     cumulative_popularity_table,
     feasible_table,
-    required_power,
     spend_table,
     stage_cost_table,
     state_table,
@@ -35,10 +33,8 @@ def default_params(**over):
         zipf_skew=0.5,
         content_replace_prob=0.3,
         request_prob=0.7,
-        period_length=1.0,
         battery_levels=15,
         num_rings=4,
-        energy_unit=0.25,
         mean_arrival=0.8,
     )
     base.update(over)
@@ -111,82 +107,55 @@ class TestCumulativePopularity:
         assert table[20] == 1.0
 
 
-def default_radio(**over):
-    base = dict(
-        bandwidth=1.0,
-        pathloss_const=10.0,
-        pathloss_exp=2.0,
-        noise_plus_interference=0.004,
-        min_rate=1.0,
-        cell_radius=50.0,
-        edge_power=1.0,
-    )
-    base.update(over)
-    return RadioParams(**base)
-
-
-class TestRequiredPower:
-    def test_quadratic_pathloss(self):
-        radio = default_radio()
-        # (2^1 - 1) * 0.004 * d^2 / 10
-        assert required_power(50.0, radio) == pytest.approx(1.0, abs=1e-15)
-        assert required_power(25.0, radio) == pytest.approx(0.25, abs=1e-15)
-
-    def test_monotone_in_distance(self):
-        radio = default_radio()
-        d = np.linspace(1.0, 50.0, 40)
-        p = [required_power(x, radio) for x in d]
-        assert np.all(np.diff(p) > 0)
-
-    def test_outside_cell_rejected(self):
-        radio = default_radio()
-        for bad in (0.0, -1.0, 50.0001):
-            with pytest.raises(ValueError):
-                required_power(bad, radio)
-
-
 class TestCalibration:
     def test_default_scenario(self):
-        params, radio, grid, _ = make_scenario()
+        _, _, grid, _ = make_scenario()
         # closed form d_i = R * (i/M)^(1/alpha) for the quadratic pathloss
         expect = [50.0 * math.sqrt(i / 4.0) for i in (1, 2, 3, 4)]
         assert grid.distances == pytest.approx(expect, abs=1e-9)
         assert grid.unicast_costs == (0, 1, 2, 3, 4)
         assert grid.ring_probs == pytest.approx([0.25] * 4, abs=1e-12)
-        assert params.energy_unit == pytest.approx(0.25, abs=1e-15)
-
-    def test_edge_power_roundtrip_exact(self):
-        _, radio, _, _ = make_scenario()
-        assert required_power(radio.cell_radius, radio) == radio.edge_power
 
     def test_default_distances_exact(self):
         _, _, grid, _ = make_scenario()
         assert grid.distances == (25.0, 35.35533905932738, 43.30127018922193, 50.0)
 
     def test_costs_match_distances(self):
-        params, radio, grid, _ = make_scenario(alpha=3.0, m_rings=5)
-        for i, d in enumerate(grid.distances[:-1], start=1):
-            energy = required_power(d, radio) * params.period_length
-            assert energy == pytest.approx(i * params.energy_unit, rel=1e-10)
+        # the transmit energy grows as d^alpha, so at the outer edge of ring i
+        # it is i/M of the edge energy, which costs M units
+        _, _, grid, _ = make_scenario(alpha=3.0, m_rings=5)
+        edge = grid.distances[-1]
+        for i, d in enumerate(grid.distances, start=1):
+            energy = (d / edge) ** 3.0 * grid.push_cost
+            assert energy == pytest.approx(grid.unicast_costs[i], rel=1e-10)
 
     def test_ring_without_width_rejected(self):
         # (i/M)^(1/alpha) rounds to 1 for every ring: no ring but the last
         # has a distance of its own
-        radio = default_radio(pathloss_exp=1e17, cell_radius=1.0)
         with pytest.raises(CalibrationError, match="no width"):
-            calibrate_radio(default_params(), radio)
+            calibrate_radio(4, 1e17, 1.0)
+
+    @pytest.mark.parametrize("radius", [1e-300, 1e300])
+    def test_radius_squared_out_of_range_rejected(self, radius):
+        # every ring has a width, but R^2 underflows to 0 or overflows to inf
+        with pytest.raises(CalibrationError, match="squares to"):
+            calibrate_radio(4, 2.0, radius)
+
+    @pytest.mark.parametrize(
+        "alpha, radius", [(1.5, 50.0), (math.nan, 50.0), (2.0, 0.0), (2.0, math.nan)]
+    )
+    def test_bad_geometry_rejected(self, alpha, radius):
+        with pytest.raises(ValueError, match="must be"):
+            calibrate_radio(4, alpha, radius)
 
     @given(
         alpha=st.floats(2.0, 5.0),
         m=st.integers(1, 8),
         radius=st.floats(10.0, 500.0),
-        edge=st.floats(0.1, 10.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_grid_well_formed(self, alpha, m, radius, edge):
-        params = default_params(num_rings=m)
-        radio = default_radio(pathloss_exp=alpha, cell_radius=radius, edge_power=edge)
-        params2, radio2, grid = calibrate_radio(params, radio)
+    def test_grid_well_formed(self, alpha, m, radius):
+        grid = calibrate_radio(m, alpha, radius)
         assert grid.num_rings == m
         assert grid.distances[-1] == radius
         assert grid.unicast_costs == tuple(range(m + 1))

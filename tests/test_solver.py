@@ -29,14 +29,14 @@ from pushmdp.solver import (
 )
 from pushmdp.transition import TransitionKernel, validate_kernel
 
-from conftest import PROBABILITY, make_instance
+from conftest import PROBABILITY, hand_built_kernel, make_instance
 
 
 def dense_kernel(mats: dict[int, np.ndarray]) -> TransitionKernel:
     """Hand-built kernel from dense per-action matrices (zero rows absent)."""
     n = next(iter(mats.values())).shape[0]
-    return TransitionKernel(
-        tuple(csr_matrix(mats.get(a, np.zeros((n, n)))) for a in range(NUM_ACTIONS))
+    return hand_built_kernel(
+        [csr_matrix(mats.get(a, np.zeros((n, n)))) for a in range(NUM_ACTIONS)]
     )
 
 
@@ -478,6 +478,19 @@ class TestPolicyEvaluation:
         costs = costs_for(3, {0: np.array([0.0, 1.0, 0.5])})
         with pytest.raises(MultichainError):
             policy_evaluation(PolicyTable([0, 0, 0]), kernel, costs)
+
+    def test_nearly_equal_gain_classes_rejected_as_multichain(self):
+        # three closed classes whose gains differ, but by less than the
+        # 1e-10 early check; the pinned system is then inconsistent
+        params, _, grid, _, kernel, costs = make_instance(
+            e_max=1, n_contents=2, m_rings=2, p_c=0, p_u=1e-10
+        )
+        policy = unicast_priority_table(params, grid)
+        with pytest.raises(MultichainError, match="3 closed classes") as exc:
+            policy_evaluation(policy, kernel, costs)
+        gains = sorted(exc.value.class_gains)
+        assert gains == pytest.approx([0.0, 2.0710678e-11, 5e-11], abs=1e-17)
+        assert isinstance(exc.value.__cause__, SingularPolicyError)
 
     @pytest.mark.parametrize("name", list(EQUAL_GAIN_CHAINS))
     def test_equal_gain_classes_solved_directly(self, name):

@@ -20,7 +20,6 @@ from pushmdp.model import (
 from pushmdp.transition import (
     ArrivalPmf,
     KernelReport,
-    TransitionKernel,
     build_kernel,
     content_row,
     energy_row,
@@ -31,6 +30,7 @@ from pushmdp.transition import (
 
 from conftest import (
     PROBABILITY,
+    hand_built_kernel,
     kernel_row,
     make_instance,
     make_scenario,
@@ -249,7 +249,7 @@ def tampered(kernel, action, edit):
     m = matrices[action].copy()
     edit(m.data[m.indptr[0] : m.indptr[1]])
     matrices[action] = m
-    return TransitionKernel(tuple(matrices))
+    return hand_built_kernel(matrices)
 
 
 class TestPoissonPmf:
@@ -488,7 +488,7 @@ class TestBuildKernel:
 
     def test_hand_built_labels_are_distinct(self):
         zero = csr_matrix((2, 2))
-        kernel = TransitionKernel((csr_matrix(np.eye(2)), zero, zero))
+        kernel = hand_built_kernel([csr_matrix(np.eye(2)), zero, zero])
         assert np.unique(kernel.labels).size == kernel.labels.size
 
     @pytest.mark.parametrize(
@@ -512,7 +512,7 @@ class TestBuildKernel:
 
     def test_hand_built_factored_form(self):
         zero = csr_matrix((2, 2))
-        kernel = TransitionKernel((csr_matrix([[0.5, 0.5], [0.0, 1.0]]), zero, zero))
+        kernel = hand_built_kernel([csr_matrix([[0.5, 0.5], [0.0, 1.0]]), zero, zero])
         for name in ("indptr", "indices", "data"):
             got, expect = getattr(kernel.templates, name), getattr(kernel.rows, name)
             assert np.array_equal(got, expect), name
@@ -587,7 +587,7 @@ class TestValidateKernel:
         # state 2 keeps itself by a self-loop but no other state leads to it
         p = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
         zero = csr_matrix((3, 3))
-        kernel = TransitionKernel((csr_matrix(p), zero, zero))
+        kernel = hand_built_kernel([csr_matrix(p), zero, zero])
         report = validate_kernel(kernel)
         assert report.never_entered == (2,)
         assert report.num_rows == 3

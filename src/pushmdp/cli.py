@@ -33,12 +33,15 @@ from .sim import (
     SimConfig,
     SimulationError,
     simulate,
+    simulate_many,
+    simulation_workers,
     sweep,
 )
 from .solver import (
     ConvergenceError,
     bellman_residual,
     brute_force_oracle,
+    oracle_guard,
     policy_evaluation,
     policy_iteration,
 )
@@ -118,19 +121,43 @@ def parse_pu_grid(raw: str) -> tuple[float, ...]:
     return grid
 
 
+# config key of each SystemParams field
+_PARAM_KEYS = {
+    "num_contents": "n_contents",
+    "zipf_skew": "zipf_skew",
+    "content_replace_prob": "p_c",
+    "request_prob": "p_u",
+    "battery_levels": "e_max",
+    "num_rings": "m_rings",
+    "mean_arrival": "a_bar",
+}
+# config key of each calibrate_radio argument
+_RADIO_KEYS = {"num_rings": "m_rings", "pathloss_exp": "alpha", "cell_radius": "radius_m"}
+
+
+def _input_error(exc: ValueError, keys: dict) -> ConfigError:
+    """exc prefixed with the config key of the field its message starts with.
+
+    A message that names no field (a calibration that fails on the values
+    together) gets every key of the call.
+    """
+    field = str(exc).split(" ", 1)[0]
+    named = [keys[field]] if field in keys else list(keys.values())
+    label = "config key" if len(named) == 1 else "config keys"
+    return ConfigError(f"{label} {', '.join(repr(k) for k in named)}: {exc}")
+
+
 def build_scenario(settings: dict):
     """(params, arrival pmf, distance grid, popularity) from a settings mapping."""
-    params = SystemParams(
-        num_contents=settings["n_contents"],
-        zipf_skew=settings["zipf_skew"],
-        content_replace_prob=settings["p_c"],
-        request_prob=settings["p_u"],
-        battery_levels=settings["e_max"],
-        num_rings=settings["m_rings"],
-        mean_arrival=settings["a_bar"],
-    )
+    try:
+        params = SystemParams(**{f: settings[k] for f, k in _PARAM_KEYS.items()})
+    except ValueError as exc:
+        raise _input_error(exc, _PARAM_KEYS) from None
     arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
-    grid = calibrate_radio(params.num_rings, settings["alpha"], settings["radius_m"])
+    try:
+        grid = calibrate_radio(**{f: settings[k] for f, k in _RADIO_KEYS.items()})
+    except ValueError as exc:
+        raise _input_error(exc, _RADIO_KEYS) from None
     return params, arrival, grid, zipf_pmf(params)
 
 
@@ -233,9 +260,15 @@ def _reduction(nopush: float, push: float) -> float:
     return (nopush - push) / nopush if nopush > 0 else float("nan")
 
 
+def _print_workers(num_runs: int) -> None:
+    # stdout only: the artifacts must not depend on the machine
+    print(f"simulating {num_runs} runs on {simulation_workers(num_runs)} worker(s)")
+
+
 def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
     params, _, grid, popularity = build_scenario(settings)
     pu_grid = parse_pu_grid(settings["pu_grid"])
+    _print_workers(len(pu_grid) * len(BASELINE_NAMES) * settings["replications"])
     rows = sweep(
         params,
         grid,
@@ -325,15 +358,22 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
         ("unicast-priority", greedy, greedy_gain),
     ]
     children = np.random.SeedSequence(seed).spawn(len(named))
-    for (name, table, gain), child in zip(named, children):
-        child_seed = int(child.generate_state(1, np.uint64)[0])
-        config = SimConfig(
-            policy=table,
-            horizon=settings["horizon"],
-            seed=child_seed,
-            warmup=settings["warmup"],
+    jobs = [
+        (
+            SimConfig(
+                policy=table,
+                horizon=settings["horizon"],
+                seed=int(child.generate_state(1, np.uint64)[0]),
+                warmup=settings["warmup"],
+            ),
+            params,
+            grid,
+            popularity,
         )
-        metrics = simulate(config, params, grid, popularity)
+        for (_, table, _), child in zip(named, children)
+    ]
+    _print_workers(len(jobs))
+    for (name, _, gain), metrics in zip(named, simulate_many(jobs)):
         gap = abs(gain - metrics.macro_ratio)
         limit = 3.0 * metrics.macro_ratio_se
         checks.append(
@@ -360,12 +400,10 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
 
 def cmd_oracle(settings: dict, out_dir: str, seed: int) -> int:
     params, grid, popularity, kernel, costs = _build_all(settings)
+    # an instance too large to enumerate is refused (exit 2) before any solve
+    oracle_guard(kernel)
     result = policy_iteration(kernel, costs)
-    try:
-        oracle = brute_force_oracle(kernel, costs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    oracle = brute_force_oracle(kernel, costs)
     diff = abs(result.values.gain - oracle.gain)
     lines = _header("oracle", settings, seed)
     lines.append(f"lambda_policy_iteration {result.values.gain:.17g}")

@@ -24,6 +24,8 @@ any measurement window.
 """
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -49,6 +51,8 @@ __all__ = [
     "SimMetrics",
     "SimulationError",
     "simulate",
+    "simulate_many",
+    "simulation_workers",
     "SweepRow",
     "sweep",
     "BASELINE_NAMES",
@@ -352,6 +356,42 @@ def simulate(
     return metrics
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on; 1 off Linux, where no worker is forked."""
+    if sys.platform != "linux":
+        # fork is unsafe on macOS with the system BLAS loaded
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def simulation_workers(num_jobs: int) -> int:
+    """Worker processes ``simulate_many`` uses for ``num_jobs`` jobs; 1 is in-process."""
+    return max(1, min(num_jobs, _available_cpus()))
+
+
+def simulate_many(jobs) -> list[SimMetrics]:
+    """``simulate(*job)`` for each (config, params, grid, popularity) job, in order.
+
+    Each job is fixed by its own seed, so the runs are independent and are
+    spread over ``simulation_workers(len(jobs))`` forked worker processes;
+    the metrics are those of the in-process runs, bit for bit.  With one
+    worker the jobs run in this process.  Fork is named explicitly because
+    forkserver and spawn re-import numpy and scipy in every worker, which
+    costs more than a default run.
+    """
+    jobs = list(jobs)
+    workers = simulation_workers(len(jobs))
+    if workers == 1:
+        return [simulate(*job) for job in jobs]
+    # imported here so that a command that simulates nothing does not pay for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(simulate, *zip(*jobs)))
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One (policy, request-probability) point of the performance curve."""
@@ -384,54 +424,56 @@ def sweep(
     optimizing policies re-solved at every grid point.  Each
     (p_u, policy, replication) triple gets an independent child seed derived
     from the master seed; rows report both the solver gain and the simulated
-    ratio so their agreement can be checked downstream.
+    ratio so their agreement can be checked downstream.  Every point is
+    solved first, then all the runs go through ``simulate_many`` at once.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    master = np.random.SeedSequence(seed)
-    rows: list[SweepRow] = []
+    pu_grid = tuple(pu_grid)
     for p_u in pu_grid:
         if not 0.0 < p_u <= 1.0:
             raise ValueError(f"p_u grid point {p_u} outside (0, 1]")
+    master = np.random.SeedSequence(seed)
+    points = []  # (params, policy name, solver gain, child seeds), in row order
+    jobs = []
+    for p_u in pu_grid:
         pp = replace(params, request_prob=float(p_u))
         arrival = ArrivalPmf.poisson(pp.mean_arrival, pp.battery_levels)
         kernel = build_kernel(pp, grid, popularity, arrival)
         costs = stage_cost_table(pp)
-        solved = {name: _baseline(name, pp, grid, kernel, costs) for name in policies}
         for name in policies:
-            table, gain = solved[name]
-            children = master.spawn(replications)
-            ratios = []
-            ses = []
-            child_seeds = []
-            for child in children:
-                child_seed = int(child.generate_state(1, np.uint64)[0])
-                child_seeds.append(child_seed)
-                cfg = SimConfig(
-                    policy=table,
-                    horizon=horizon,
-                    warmup=warmup,
-                    seed=child_seed,
-                )
-                m = simulate(cfg, pp, grid, popularity)
-                ratios.append(m.macro_ratio)
-                ses.append(m.macro_ratio_se)
-            if replications == 1:
-                ratio, se = ratios[0], ses[0]
-            else:
-                ratio = float(np.mean(ratios))
-                se = float(np.std(ratios, ddof=1) / np.sqrt(replications))
-            rows.append(
-                SweepRow(
-                    policy=name,
-                    p_u=float(p_u),
-                    p_c=pp.content_replace_prob,
-                    a_bar=pp.mean_arrival,
-                    ratio_sim=ratio,
-                    se=se,
-                    ratio_solver=gain,
-                    horizon=horizon,
-                    seed=child_seeds[0],
-                )
+            table, gain = _baseline(name, pp, grid, kernel, costs)
+            seeds = [
+                int(child.generate_state(1, np.uint64)[0])
+                for child in master.spawn(replications)
+            ]
+            points.append((pp, name, gain, seeds))
+            jobs += [
+                (SimConfig(policy=table, horizon=horizon, warmup=warmup, seed=s),
+                 pp, grid, popularity)
+                for s in seeds
+            ]
+    runs = iter(simulate_many(jobs))
+    rows: list[SweepRow] = []
+    for pp, name, gain, seeds in points:
+        metrics = [next(runs) for _ in seeds]
+        if replications == 1:
+            ratio, se = metrics[0].macro_ratio, metrics[0].macro_ratio_se
+        else:
+            ratios = [m.macro_ratio for m in metrics]
+            ratio = float(np.mean(ratios))
+            se = float(np.std(ratios, ddof=1) / np.sqrt(replications))
+        rows.append(
+            SweepRow(
+                policy=name,
+                p_u=pp.request_prob,
+                p_c=pp.content_replace_prob,
+                a_bar=pp.mean_arrival,
+                ratio_sim=ratio,
+                se=se,
+                ratio_solver=gain,
+                horizon=horizon,
+                seed=seeds[0],
             )
+        )
     return rows

@@ -47,6 +47,7 @@ __all__ = [
     "relative_value_iteration",
     "bellman_residual",
     "brute_force_oracle",
+    "oracle_guard",
     "OracleResult",
 ]
 
@@ -106,6 +107,10 @@ class PolicyTable:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolicyTable is immutable")
+
+    def __reduce__(self):
+        # unpickling __slots__ would go through the blocking __setattr__
+        return PolicyTable, (self.actions,)
 
     def __len__(self):
         return len(self.actions)
@@ -579,6 +584,21 @@ def _stationary_batch(p_sel: np.ndarray) -> np.ndarray:
     return pi
 
 
+def oracle_guard(
+    kernel: TransitionKernel, max_states: int = 64, max_policies: int = 1_000_000
+) -> list[np.ndarray]:
+    """Each state's feasible actions; ValueError if there are too many to enumerate."""
+    n = kernel.num_states
+    if n > max_states:
+        raise ValueError(f"{n} states exceed the oracle guard of {max_states}")
+    mask = kernel.feasible_mask()
+    feas = [np.flatnonzero(mask[:, s]) for s in range(n)]
+    total = int(np.prod(np.array([len(f) for f in feas], dtype=object)))
+    if total > max_policies:
+        raise ValueError(f"{total} policies exceed the oracle guard of {max_policies}")
+    return feas
+
+
 def brute_force_oracle(
     kernel: TransitionKernel,
     costs: np.ndarray,
@@ -591,17 +611,13 @@ def brute_force_oracle(
     lists, computes each policy's stationary distribution and takes the
     expected stage cost under it.  Every policy's chain must have a unique
     stationary distribution: the first policy whose does not, in enumeration
-    order, raises SingularPolicyError.  Guarded to tiny instances.
+    order, raises SingularPolicyError.  Guarded to tiny instances by
+    ``oracle_guard``.
     """
+    feas = oracle_guard(kernel, max_states, max_policies)
     n = kernel.num_states
-    if n > max_states:
-        raise ValueError(f"{n} states exceed the oracle guard of {max_states}")
-    mask = kernel.feasible_mask()
-    feas = [np.flatnonzero(mask[:, s]) for s in range(n)]
     radix = np.array([len(f) for f in feas])
     total = int(np.prod(radix.astype(object)))
-    if total > max_policies:
-        raise ValueError(f"{total} policies exceed the oracle guard of {max_policies}")
 
     p_all = np.stack([kernel.action_matrix(a).toarray() for a in Action])
     chunk = max(16, int(5_000_000 // (n * n)))

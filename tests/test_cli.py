@@ -1,5 +1,6 @@
 """Config ingestion, subcommand behavior and artifact files."""
 import importlib.metadata
+import multiprocessing
 import os
 import re
 import shutil
@@ -15,6 +16,7 @@ except ModuleNotFoundError:  # Python 3.10: tomli, if present, in the test
     tomllib = None
 
 import pushmdp
+from pushmdp import cli, sim
 from pushmdp.cli import (
     DEFAULTS,
     ConfigError,
@@ -156,6 +158,7 @@ class TestSolveCommand:
             ("alpha=1e17", "no width"),
             ("alpha=1.5", "pathloss_exp must be >= 2"),
             ("radius_m=0", "cell_radius must be > 0"),
+            ("e_max=-1", "battery_levels must be >= 0"),
         ],
     )
     def test_bad_geometry_exits_two(self, item, message, tmp_path, capsys):
@@ -164,6 +167,8 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+        # the key the user set is named, not only the model's field
+        assert f"'{item.split('=')[0]}'" in err
 
     def test_multichain_start_exits_one(self, tmp_path, capsys):
         sets = ["e_max=3", "n_contents=3", "m_rings=1", "p_c=0", "p_u=0.379"]
@@ -245,6 +250,36 @@ class TestValidateCommand:
         assert dump.splitlines()[0].startswith("0 SLEEP ")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+class TestSimulationWorkers:
+    """validate and sweep write the same bytes from worker processes and in-process."""
+
+    SHORT = ["--set", "horizon=50000", "--set", "warmup=1000"]
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["validate"], ["validate.txt"]),
+            (["sweep"] + SHORT, ["sweep.txt", "summary.txt"]),
+            (
+                ["sweep", "--set", "replications=2", "--set", "pu_grid=0.3,0.9"] + SHORT,
+                ["sweep.txt", "summary.txt"],
+            ),
+        ],
+        ids=["validate", "sweep", "sweep-replications"],
+    )
+    def test_workers_match_in_process(self, argv, names, tmp_path, capsys, monkeypatch):
+        written = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(sim, "_available_cpus", lambda: cpus)
+            out = tmp_path / str(cpus)
+            assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 0
+            assert f" on {cpus} worker(s)" in capsys.readouterr().out
+            assert multiprocessing.active_children() == []
+            written[cpus] = {name: (out / name).read_bytes() for name in names}
+        assert written[2] == written[1]
+
+
 class TestOracleCommand:
     def test_tiny_instance_match(self, tmp_path):
         out = tmp_path / "art"
@@ -260,10 +295,17 @@ class TestOracleCommand:
         )
         assert diff <= 1e-9
 
-    def test_large_instance_guarded(self, tmp_path, capsys):
-        code = main(["oracle", "--out", str(tmp_path)])
-        assert code == 2
-        assert "oracle guard" in capsys.readouterr().err
+    def test_large_instance_guarded(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the oracle guard was checked")
+
+        monkeypatch.setattr(cli, "policy_iteration", no_solve)
+        # too many states; 64 states but too many policies
+        for sets in ([], ["e_max=3", "n_contents=3", "m_rings=3"]):
+            argv = ["oracle", "--out", str(tmp_path)]
+            code = main(argv + [arg for item in sets for arg in ("--set", item)])
+            assert code == 2
+            assert "oracle guard" in capsys.readouterr().err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,5 +1,7 @@
 """Trajectory simulation: determinism, agreement with the kernel, sweeps."""
 import bisect
+import multiprocessing
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -18,6 +20,8 @@ from pushmdp.sim import (
     SimulationError,
     _batch_se,
     simulate,
+    simulate_many,
+    simulation_workers,
     sweep,
 )
 from pushmdp.solver import PolicyTable
@@ -595,3 +599,41 @@ class TestSweep:
                 horizon=2_000,
                 warmup=100,
             )
+
+
+class TestSimulateMany:
+    def test_serial_fallback(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(sim.sys, "platform", "darwin")
+            assert simulation_workers(9) == 1
+        monkeypatch.setattr(sim, "_available_cpus", lambda: 4)
+        assert [simulation_workers(n) for n in (0, 1, 3, 9)] == [1, 1, 3, 4]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+    def test_workers_match_in_process(self, default_scenario, default_greedy, monkeypatch):
+        params, _, grid, pop = default_scenario
+        jobs = [
+            (SimConfig(policy=policy, horizon=30_000, seed=seed, warmup=1_000), params, grid, pop)
+            for policy, seed in ((default_greedy, 3), ("unicast-priority", 4), (default_greedy, 5))
+        ]
+        monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
+        assert simulate_many(jobs) == [simulate(*job) for job in jobs]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+    def test_worker_error_reaches_caller(self, default_scenario, monkeypatch):
+        params, _, grid, pop = default_scenario
+        bad = PolicyTable(np.ones(params.num_states, dtype=np.int64))
+        jobs = [
+            (SimConfig(policy=policy, horizon=20_000, warmup=0), params, grid, pop)
+            for policy in (PolicyTable.all_sleep(params.num_states), bad)
+        ]
+        messages = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(sim, "_available_cpus", lambda: cpus)
+            with pytest.raises(SimulationError) as raised:
+                simulate_many(jobs)
+            messages.append(str(raised.value))
+            assert multiprocessing.active_children() == []
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("period 0:")

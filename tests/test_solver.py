@@ -1,5 +1,6 @@
 """Policy iteration, value iteration and the enumeration oracle."""
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -1045,6 +1046,13 @@ class TestPolicyTable:
             table.actions = np.zeros(2)
         with pytest.raises(ValueError):
             table.actions[0] = 2
+
+    def test_pickle_round_trip(self):
+        table = PolicyTable([0, 1, 2])
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and hash(copy) == hash(table)
+        with pytest.raises(ValueError):
+            copy.actions[0] = 2
 
     def test_bad_codes_rejected(self):
         with pytest.raises(ValueError):

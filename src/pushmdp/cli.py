@@ -32,6 +32,8 @@ from .sim import (
     BASELINE_NAMES,
     SimConfig,
     SimulationError,
+    baseline,
+    child_seeds,
     simulate,
     simulate_many,
     simulation_workers,
@@ -222,9 +224,17 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> int:
-    params, _, grid, popularity = build_scenario(settings)
+    params, arrival, grid, popularity = build_scenario(settings)
+    # the gain goes unread: unicast-priority is neither evaluated nor given a kernel
+    table, _ = baseline(
+        policy_name,
+        params,
+        grid,
+        lambda: build_kernel(params, grid, popularity, arrival),
+        gain=False,
+    )
     config = SimConfig(
-        policy=policy_name,
+        policy=table,
         horizon=settings["horizon"],
         seed=seed,
         warmup=settings["warmup"],
@@ -357,20 +367,12 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
         ("non-push", nonpush.policy, nonpush.values.gain),
         ("unicast-priority", greedy, greedy_gain),
     ]
-    children = np.random.SeedSequence(seed).spawn(len(named))
+    seeds = child_seeds(np.random.SeedSequence(seed), len(named))
+    horizon, warmup = settings["horizon"], settings["warmup"]
     jobs = [
-        (
-            SimConfig(
-                policy=table,
-                horizon=settings["horizon"],
-                seed=int(child.generate_state(1, np.uint64)[0]),
-                warmup=settings["warmup"],
-            ),
-            params,
-            grid,
-            popularity,
-        )
-        for (_, table, _), child in zip(named, children)
+        (SimConfig(policy=table, horizon=horizon, seed=child, warmup=warmup),
+         params, grid, popularity)
+        for (_, table, _), child in zip(named, seeds)
     ]
     _print_workers(len(jobs))
     for (name, _, gain), metrics in zip(named, simulate_many(jobs)):

@@ -74,7 +74,9 @@ class SystemParams:
         # they exercise boundary handling in the kernel builder.
         if self.num_contents < 0:
             raise ValueError("num_contents must be >= 0")
-        if self.zipf_skew < 0:
+        # NaN fails this check and mean_arrival's; zipf_skew = inf sends every
+        # request to the top content and stays valid
+        if not self.zipf_skew >= 0:
             raise ValueError("zipf_skew must be >= 0")
         for name in ("content_replace_prob", "request_prob"):
             p = getattr(self, name)
@@ -84,8 +86,8 @@ class SystemParams:
             raise ValueError("battery_levels must be >= 0")
         if self.num_rings < 1:
             raise ValueError("num_rings must be >= 1")
-        if self.mean_arrival <= 0:
-            raise ValueError("mean_arrival must be > 0")
+        if not 0 < self.mean_arrival < math.inf:
+            raise ValueError("mean_arrival must be finite and > 0")
 
     @property
     def num_states(self) -> int:

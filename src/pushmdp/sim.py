@@ -14,8 +14,9 @@ integer thresholds on the pushed count (see ``_Draws``): evict iff
 c >= drop_min, hit iff c' >= hit_min, else observe ring miss_q.  Per-state
 tables built once per run give the post-spend battery and the post-push count
 under the policy, so the Python loop is only the recurrence s -> s' on plain
-ints.  Counters, recorded arrays and the feasibility check are computed per
-chunk of visited states afterwards.
+ints.  The feasibility check, the counts and the recorded states are taken per
+chunk of visited states afterwards.  ``simulate`` runs policy tables only;
+``baseline`` maps the names in ``BASELINE_NAMES`` to tables.
 
 Requests generated at the end of period k are observed (and possibly
 handed to the macro cell) in period k+1; counters attribute them to the
@@ -27,6 +28,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -56,6 +58,8 @@ __all__ = [
     "SweepRow",
     "sweep",
     "BASELINE_NAMES",
+    "baseline",
+    "child_seeds",
 ]
 
 _BLOCK = 1 << 18
@@ -75,14 +79,19 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Horizon, seeding and measurement settings for one run."""
+    """Policy table, horizon, seeding and measurement settings for one run.
 
-    policy: PolicyTable | str
+    ``policy`` is a PolicyTable; ``baseline`` gives the table of a name.
+    """
+
+    policy: PolicyTable
     horizon: int = 1_000_000
     seed: int = 0
     warmup: int = 10_000
 
     def __post_init__(self):
+        if not isinstance(self.policy, PolicyTable):
+            raise TypeError(f"policy must be a PolicyTable, not {self.policy!r}")
         if self.warmup < 0 or self.horizon <= self.warmup:
             raise ValueError("need horizon > warmup >= 0")
         if not 0 <= self.seed < 2**64:
@@ -91,10 +100,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimMetrics:
-    """Counters and rates over the post-warmup measurement window.
+    """Counts over the post-warmup measurement window, and the macro ratio.
 
-    Rates are per measured period; standard errors come from batch means,
-    which absorb the serial correlation of the underlying chain.
+    ``macro_ratio`` is macro_handled per measured period, the figure the
+    solver's gain predicts; its standard error comes from batch means, which
+    absorb the serial correlation of the underlying chain.
     ``periods_per_s`` is the run's simulated periods per wall-clock second;
     it varies between identical runs, so equality ignores it.
     """
@@ -107,14 +117,6 @@ class SimMetrics:
     energy_overflow_units: int
     macro_ratio: float
     macro_ratio_se: float
-    request_rate: float
-    request_rate_se: float
-    hit_rate: float
-    hit_rate_se: float
-    overflow_rate: float
-    overflow_rate_se: float
-    seed: int
-    warmup: int
     periods_per_s: float = field(compare=False)
 
 
@@ -126,40 +128,39 @@ def _batch_se(series: np.ndarray, batches: int) -> float:
     return float(means.std(ddof=1) / np.sqrt(batches))
 
 
-def _baseline(
+def baseline(
     name: str,
     params: SystemParams,
     grid: DistanceGrid,
-    kernel: TransitionKernel,
-    costs: np.ndarray,
+    kernel: Callable[[], TransitionKernel],
+    gain: bool = True,
 ) -> tuple[PolicyTable, float]:
-    """Policy table and solver gain of one named baseline."""
+    """Policy table and solver gain of one named baseline.
+
+    ``kernel()`` returns the scenario's kernel; it is called only when the
+    policy is solved or evaluated on it.  unicast-priority's table needs no
+    kernel, and with ``gain=False`` it is not evaluated and its gain is nan:
+    where its chain has closed classes of different gains (e_max=3, p_c=0)
+    the evaluation would raise.
+    """
+    costs = stage_cost_table(params)
     if name == "optimal-push":
-        res = policy_iteration(kernel, costs)
+        res = policy_iteration(kernel(), costs)
     elif name == "non-push":
-        res = non_push_optimal(kernel, costs)
+        res = non_push_optimal(kernel(), costs)
     elif name == "unicast-priority":
         table = unicast_priority_table(params, grid)
-        return table, policy_evaluation(table, kernel, costs).gain
+        if not gain:
+            return table, float("nan")
+        return table, policy_evaluation(table, kernel(), costs).gain
     else:
         raise ValueError(f"unknown policy name {name!r}; known: {BASELINE_NAMES}")
     return res.policy, res.values.gain
 
 
-def _resolve_policy(
-    policy: PolicyTable | str,
-    params: SystemParams,
-    grid: DistanceGrid,
-    popularity: np.ndarray,
-) -> PolicyTable:
-    if isinstance(policy, PolicyTable):
-        return policy
-    if policy == "unicast-priority":
-        # the greedy table needs no kernel, and its gain would go unused
-        return unicast_priority_table(params, grid)
-    arrival = ArrivalPmf.poisson(params.mean_arrival, params.battery_levels)
-    kernel = build_kernel(params, grid, popularity, arrival)
-    return _baseline(policy, params, grid, kernel, stage_cost_table(params))[0]
+def child_seeds(master: np.random.SeedSequence, count: int) -> list[int]:
+    """64-bit seeds of the next ``count`` children spawned from ``master``."""
+    return [int(child.generate_state(1, np.uint64)[0]) for child in master.spawn(count)]
 
 
 class _Draws(NamedTuple):
@@ -234,17 +235,17 @@ def simulate(
     popularity: np.ndarray,
     record: bool = False,
 ):
-    """Run one seeded trajectory from the empty state (0, 0, 0).
+    """Run ``config.policy`` on one seeded trajectory from state (0, 0, 0).
 
-    Deterministic given (config, params, grid, popularity).  With
-    ``record=True`` also returns (state index, action) arrays over the full
-    horizon for distribution checks.
+    Deterministic given (config, params, grid, popularity).  Builds no kernel
+    and solves nothing.  With ``record=True`` also returns the visited state
+    indices over the full horizon, for distribution checks; the actions are
+    ``config.policy.actions[states]``.
     """
-    table = _resolve_policy(config.policy, params, grid, popularity)
-    if len(table) != params.num_states:
+    actions = config.policy.actions
+    if len(actions) != params.num_states:
         raise ValueError("policy table size does not match the state space")
     start = time.perf_counter()
-    actions = table.actions
     horizon, warmup = config.horizon, config.warmup
     n_meas = horizon - warmup
 
@@ -273,13 +274,11 @@ def simulate(
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
 
+    # per period only for the batch means of its standard error
     macro_ind = np.zeros(n_meas, dtype=np.uint8)
-    req_ind = np.zeros(n_meas, dtype=np.uint8)
-    hit_ind = np.zeros(n_meas, dtype=np.uint8)
-    over_ind = np.zeros(n_meas, dtype=np.int32)
+    requests = hits = overflow = 0
     if record:
         rec_states = np.zeros(horizon, dtype=np.int32)
-        rec_actions = np.zeros(horizon, dtype=np.int8)
 
     s = 0
     req_prev = False
@@ -314,7 +313,6 @@ def simulate(
                 )
             if record:
                 rec_states[k0 : k0 + len(st)] = st
-                rec_actions[k0 : k0 + len(st)] = actions[st]
             # requests drawn in period k are observed in period k + 1
             req_obs = np.concatenate(([req_prev], d.requested[lo : hi - 1]))
             req_prev = bool(d.requested[hi - 1])
@@ -324,35 +322,26 @@ def simulate(
                 st_m = st[skip:]
                 req_m = req_obs[skip:]
                 macro_ind[j] = macro_tab[st_m]
-                req_ind[j] = req_m
+                requests += int(np.count_nonzero(req_m))
                 # a miss always leaves a request ring, so Q = 0 means a hit
-                hit_ind[j] = req_m & (q_tab[st_m] == 0)
-                over_ind[j] = np.maximum(
-                    post_spend[st_m] + d.arrivals[lo + skip : hi] - cap, 0
-                )
+                hits += int(np.count_nonzero(req_m & (q_tab[st_m] == 0)))
+                spill = post_spend[st_m] + d.arrivals[lo + skip : hi] - cap
+                overflow += int(np.maximum(spill, 0).sum())
         del d  # free this block's draws before the next block is taken
 
     metrics = SimMetrics(
         total_periods=horizon,
         measured_periods=n_meas,
-        requests_generated=int(req_ind.sum()),
+        requests_generated=requests,
         macro_handled=int(macro_ind.sum()),
-        cache_hits=int(hit_ind.sum()),
-        energy_overflow_units=int(over_ind.sum()),
+        cache_hits=hits,
+        energy_overflow_units=overflow,
         macro_ratio=float(macro_ind.mean()),
         macro_ratio_se=_batch_se(macro_ind, _BATCHES),
-        request_rate=float(req_ind.mean()),
-        request_rate_se=_batch_se(req_ind, _BATCHES),
-        hit_rate=float(hit_ind.mean()),
-        hit_rate_se=_batch_se(hit_ind, _BATCHES),
-        overflow_rate=float(over_ind.mean()),
-        overflow_rate_se=_batch_se(over_ind, _BATCHES),
-        seed=config.seed,
-        warmup=warmup,
         periods_per_s=horizon / (time.perf_counter() - start),
     )
     if record:
-        return metrics, (rec_states, rec_actions)
+        return metrics, rec_states
     return metrics
 
 
@@ -412,20 +401,20 @@ def sweep(
     grid: DistanceGrid,
     popularity: np.ndarray,
     pu_grid,
-    policies=BASELINE_NAMES,
     replications: int = 1,
     horizon: int = 1_000_000,
     warmup: int = 10_000,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """Solve and simulate each policy at each request probability.
+    """Solve and simulate each of ``BASELINE_NAMES`` at each request probability.
 
     The request pmf depends on p_u, so the kernel is rebuilt and the
     optimizing policies re-solved at every grid point.  Each
-    (p_u, policy, replication) triple gets an independent child seed derived
-    from the master seed; rows report both the solver gain and the simulated
-    ratio so their agreement can be checked downstream.  Every point is
-    solved first, then all the runs go through ``simulate_many`` at once.
+    (p_u, policy, replication) triple gets an independent seed from
+    ``child_seeds`` of the master seed, in row order; rows report both the
+    solver gain and the simulated ratio so their agreement can be checked
+    downstream.  Every point is solved first, then all the runs go through
+    ``simulate_many`` at once.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -440,13 +429,9 @@ def sweep(
         pp = replace(params, request_prob=float(p_u))
         arrival = ArrivalPmf.poisson(pp.mean_arrival, pp.battery_levels)
         kernel = build_kernel(pp, grid, popularity, arrival)
-        costs = stage_cost_table(pp)
-        for name in policies:
-            table, gain = _baseline(name, pp, grid, kernel, costs)
-            seeds = [
-                int(child.generate_state(1, np.uint64)[0])
-                for child in master.spawn(replications)
-            ]
+        for name in BASELINE_NAMES:
+            table, gain = baseline(name, pp, grid, lambda: kernel)
+            seeds = child_seeds(master, replications)
             points.append((pp, name, gain, seeds))
             jobs += [
                 (SimConfig(policy=table, horizon=horizon, warmup=warmup, seed=s),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import bmat, csr_matrix, diags, identity
@@ -256,6 +256,7 @@ def _solve_levels(
     where the chain stays.  The residual is checked on the full equations.
     """
     k = chain.shape[0]
+    route = f"levels route, {k}-state chain"
     b = k // levels
     # blocks[c, c' - c + 1, e, e'] holds chain[x, x'] for x = e*levels + c and
     # x' = e'*levels + c'; the flat index splits into a row and a column part,
@@ -331,8 +332,8 @@ def _solve_levels(
             x = substitute(cost)
             x += substitute(cost - x[0] - x[1:] + chain @ x[1:])
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        raise SingularPolicyError(str(exc)) from exc
-    _check_residual(x, x[0] + x[1:] - chain @ x[1:] - cost)
+        raise SingularPolicyError(f"{route}: {exc}") from exc
+    _check_residual(x, x[0] + x[1:] - chain @ x[1:] - cost, route)
     return x
 
 
@@ -343,6 +344,7 @@ def _solve_bordered(chain: csr_matrix, cost: np.ndarray, refs: list) -> np.ndarr
     own equation.  The residual is checked on the full, unmodified system.
     """
     k = chain.shape[0]
+    route = f"superlu route, {k}-state chain"
     ones = csr_matrix(np.ones((k, 1)))
     border = csr_matrix(([1.0], ([0], [refs[0]])), shape=(1, k))
     a = bmat([[ones, identity(k) - chain], [None, border]], format="csc")
@@ -357,21 +359,21 @@ def _solve_bordered(chain: csr_matrix, cost: np.ndarray, refs: list) -> np.ndarr
     try:
         lu = splu(m)
     except RuntimeError as exc:
-        raise SingularPolicyError(str(exc)) from exc
+        raise SingularPolicyError(f"{route}: {exc}") from exc
     x = lu.solve(rhs)
     x += lu.solve(rhs - m @ x)
-    _check_residual(x, a @ x - b)
+    _check_residual(x, a @ x - b, route)
     return x
 
 
-def _check_residual(x: np.ndarray, residual: np.ndarray) -> None:
-    """Raise SingularPolicyError unless x is finite and residual within tolerance."""
+def _check_residual(x: np.ndarray, residual: np.ndarray, route: str) -> None:
+    """Raise SingularPolicyError, naming route, if x is not finite or residual large."""
     if not np.all(np.isfinite(x)):
-        raise SingularPolicyError("evaluation produced non-finite values")
+        raise SingularPolicyError(f"{route}: evaluation produced non-finite values")
     worst = np.max(np.abs(residual))
     if worst > 1e-8 * max(1.0, np.max(np.abs(x))):
         raise SingularPolicyError(
-            f"evaluation residual {worst:.3g} indicates a singular system"
+            f"{route}: evaluation residual {worst:.3g} indicates a singular system"
         )
 
 
@@ -446,18 +448,16 @@ class IterationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class PolicyIterationResult:
-    """Final policy and values, the gain per iteration and per-step records.
-
-    Unpacks as (policy, values, trace); ``iterations`` is read by name.
-    """
+    """Final policy and values, and one record per iteration."""
 
     policy: PolicyTable
     values: ValueSolution
-    trace: tuple[float, ...]
     iterations: tuple[IterationRecord, ...]
 
-    def __iter__(self) -> Iterator:
-        return iter((self.policy, self.values, self.trace))
+    @property
+    def trace(self) -> tuple[float, ...]:
+        """The evaluated gain of each iteration, in order."""
+        return tuple(r.gain for r in self.iterations)
 
 
 def policy_iteration(
@@ -495,8 +495,7 @@ def policy_iteration(
             )
         )
         if improved == policy:
-            trace = tuple(r.gain for r in records)
-            return PolicyIterationResult(policy, sol, trace, tuple(records))
+            return PolicyIterationResult(policy, sol, tuple(records))
         policy = improved
     raise ConvergenceError(f"no fixed point within {max_iter} iterations")
 

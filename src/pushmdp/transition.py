@@ -75,7 +75,8 @@ class ArrivalPmf:
     def __post_init__(self):
         if not self.probs:
             raise ValueError("arrival pmf needs at least one entry")
-        if any(p < 0 for p in self.probs):
+        # written so that NaN fails it
+        if not all(p >= 0 for p in self.probs):
             raise ValueError("arrival probabilities must be >= 0")
         if math.fsum(self.probs) > 1.0 + 1e-12:
             raise ValueError("arrival probabilities must sum to <= 1")
@@ -227,7 +228,7 @@ class TransitionKernel:
         matrices = [self.action_matrix(a) for a in Action]
         return sum(matrices[1:], matrices[0])
 
-    def to_text(self, limit: int | None = None) -> str:
+    def to_text(self) -> str:
         """Readable dump of the sparse rows, for debugging and CLI export."""
         lines = []
         t = self.templates
@@ -238,9 +239,6 @@ class TransitionKernel:
             idx, p = t.indices[span].tolist(), t.data[span].tolist()
             entries = " ".join(f"{j}:{pj:.12g}" for j, pj in zip(idx, p))
             lines.append(f"{s} {Action(a).name} {entries}")
-            if limit is not None and len(lines) >= limit:
-                lines.append("...")
-                break
         return "\n".join(lines) + "\n"
 
 
@@ -316,10 +314,6 @@ class KernelReport:
     negative_entries: int
     strong_components: int
     never_entered: tuple[int, ...]
-
-    @property
-    def strongly_connected(self) -> bool:
-        return self.strong_components == 1
 
 
 def validate_kernel(kernel: TransitionKernel) -> KernelReport:

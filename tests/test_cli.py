@@ -26,7 +26,7 @@ from pushmdp.cli import (
     parse_config_file,
     parse_pu_grid,
 )
-from pushmdp.transition import ArrivalPmf
+from pushmdp.transition import ArrivalPmf, build_kernel
 
 TINY = ["--set", "e_max=2", "--set", "n_contents=2", "--set", "m_rings=1"]
 # link-budget keys that reached no output and were removed
@@ -189,6 +189,27 @@ class TestSolveCommand:
         assert code == 2
         assert "nope.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "item, key", [("a_bar=nan", "a_bar"), ("a_bar=inf", "a_bar"),
+                      ("zipf_skew=nan", "zipf_skew")],
+    )
+    def test_non_finite_input_exits_two(self, item, key, tmp_path, capsys):
+        # a non-finite a_bar that reached the kernel build corrupted memory
+        sets = ["e_max=3", "n_contents=2", item]
+        argv = ["solve", "--out", str(tmp_path)]
+        code = main(argv + [arg for s in sets for arg in ("--set", s)])
+        assert code == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_singular_evaluation_names_route(self, tmp_path, capsys):
+        sets = ["e_max=0", "n_contents=1", "m_rings=1", "p_c=1e-260", "p_u=0"]
+        argv = ["solve", "--out", str(tmp_path)]
+        code = main(argv + [arg for s in sets for arg in ("--set", s)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "levels route, 2-state chain: " in err
+        assert "Singular matrix" in err
+
 
 class TestSimulateCommand:
     def test_metrics_file(self, tmp_path):
@@ -206,6 +227,42 @@ class TestSimulateCommand:
         assert row[0] == "unicast-priority"
         assert row[-1] == "5"
         assert 0.0 <= float(row[4]) <= 1.0
+
+    def test_named_policy_matches_table(self, tmp_path, monkeypatch):
+        # metrics.txt of each name is that of a run of the table sim.baseline
+        # gives for it, apart from the timing line
+        sets = ["horizon=20000", "warmup=1000", "e_max=2", "n_contents=2", "m_rings=1"]
+        argv = ["--seed", "5"] + [arg for s in sets for arg in ("--set", s)]
+        params, arrival, grid, pop = build_scenario(load_settings(None, sets))
+
+        def kernel():
+            return build_kernel(params, grid, pop, arrival)
+
+        def metrics(name, out):
+            assert main(["simulate", "--policy", name, "--out", str(out)] + argv) == 0
+            lines = (out / "metrics.txt").read_text().splitlines()
+            return [line for line in lines if not line.startswith("# periods_per_s")]
+
+        for name in sim.BASELINE_NAMES:
+            by_name = metrics(name, tmp_path / name)
+            table, _ = sim.baseline(name, params, grid, kernel, gain=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "baseline", lambda *args, **kwargs: (table, 0.0))
+                by_table = metrics(name, tmp_path / f"{name}-table")
+            assert by_name == by_table
+
+    def test_greedy_by_name_needs_no_kernel(self, tmp_path, monkeypatch):
+        # a push costs M=4 > e_max, so the greedy chain has one closed class
+        # per pushed count and the solver cannot give it a single gain; the
+        # simulator never asks for that gain
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel built for unicast-priority")
+
+        monkeypatch.setattr(cli, "build_kernel", no_kernel)
+        sets = ["e_max=3", "p_c=0", "horizon=5000", "warmup=100"]
+        argv = ["simulate", "--policy", "unicast-priority", "--out", str(tmp_path)]
+        assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+        assert "# measured_periods = 4900" in (tmp_path / "metrics.txt").read_text()
 
 
 class TestSweepCommand:

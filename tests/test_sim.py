@@ -43,7 +43,8 @@ def reference_simulate(config, params, grid, popularity, record=False):
 
     Reference for cross-checks only: it draws the same blocks in the same
     order and steps one period at a time with scalar reads, ``bisect`` and
-    inline feasibility checks.  ``config.policy`` must be a PolicyTable.
+    inline feasibility checks.  With ``record=True`` it also returns the
+    visited states and the actions taken.
     """
     actions = config.policy.actions
     horizon, warmup = config.horizon, config.warmup
@@ -142,14 +143,6 @@ def reference_simulate(config, params, grid, popularity, record=False):
         energy_overflow_units=int(over_ind.sum()),
         macro_ratio=float(macro_ind.mean()),
         macro_ratio_se=_batch_se(macro_ind, _BATCHES),
-        request_rate=float(req_ind.mean()),
-        request_rate_se=_batch_se(req_ind, _BATCHES),
-        hit_rate=float(hit_ind.mean()),
-        hit_rate_se=_batch_se(hit_ind, _BATCHES),
-        overflow_rate=float(over_ind.mean()),
-        overflow_rate_se=_batch_se(over_ind, _BATCHES),
-        seed=config.seed,
-        warmup=warmup,
         periods_per_s=float("nan"),
     )
     if record:
@@ -203,7 +196,8 @@ def random_feasible_policy(params, grid, seed) -> PolicyTable:
 
 
 def assert_matches_reference(config, params, grid, pop):
-    metrics, (states, actions) = simulate(config, params, grid, pop, record=True)
+    metrics, states = simulate(config, params, grid, pop, record=True)
+    actions = config.policy.actions[states]
     ref, (ref_states, ref_actions) = reference_simulate(
         config, params, grid, pop, record=True
     )
@@ -213,19 +207,25 @@ def assert_matches_reference(config, params, grid, pop):
             assert repr(getattr(metrics, f.name)) == repr(getattr(ref, f.name)), f.name
     np.testing.assert_array_equal(states, ref_states)
     np.testing.assert_array_equal(actions, ref_actions)
-    assert states.dtype == ref_states.dtype and actions.dtype == ref_actions.dtype
+    assert states.dtype == ref_states.dtype
 
 
 class TestSimConfigValidation:
     def test_warmup_bounds(self):
+        table = PolicyTable.all_sleep(4)
         with pytest.raises(ValueError):
-            SimConfig(policy="optimal-push", horizon=100, warmup=100)
+            SimConfig(policy=table, horizon=100, warmup=100)
         with pytest.raises(ValueError):
-            SimConfig(policy="optimal-push", warmup=-1)
+            SimConfig(policy=table, warmup=-1)
 
     def test_seed_bounds(self):
         with pytest.raises(ValueError):
-            SimConfig(policy="optimal-push", seed=2**64)
+            SimConfig(policy=PolicyTable.all_sleep(4), seed=2**64)
+
+    def test_policy_name_rejected(self):
+        # names are resolved to tables by sim.baseline, not by the simulator
+        with pytest.raises(TypeError, match="PolicyTable"):
+            SimConfig(policy="optimal-push")
 
 
 class TestSimulate:
@@ -250,8 +250,9 @@ class TestSimulate:
 
     def test_no_traffic_no_requests(self):
         params, _, grid, pop = make_scenario(p_u=0.0)
+        table = unicast_priority_table(params, grid)
         m = simulate(
-            SimConfig(policy="unicast-priority", horizon=20_000, seed=4, warmup=500),
+            SimConfig(policy=table, horizon=20_000, seed=4, warmup=500),
             params, grid, pop,
         )
         assert m.requests_generated == 0
@@ -268,7 +269,10 @@ class TestSimulate:
         # the cache stays empty, so the miss ratio approaches p_u
         assert m.cache_hits == 0
         assert abs(m.macro_ratio - params.request_prob) <= 3 * m.macro_ratio_se
-        assert abs(m.request_rate - params.request_prob) <= 3 * m.request_rate_se
+        # one request is drawn per period, iid Bernoulli(p_u)
+        p_u, n = params.request_prob, m.measured_periods
+        binomial_se = np.sqrt(p_u * (1 - p_u) / n)
+        assert abs(m.requests_generated / n - p_u) <= 3 * binomial_se
 
     def test_counter_identities(self, default_scenario, default_greedy):
         params, _, grid, pop = default_scenario
@@ -279,8 +283,6 @@ class TestSimulate:
         assert m.macro_handled + m.cache_hits <= m.requests_generated
         assert m.requests_generated <= m.measured_periods
         assert m.macro_ratio == m.macro_handled / m.measured_periods
-        assert m.request_rate == m.requests_generated / m.measured_periods
-        assert m.macro_ratio <= m.request_rate
 
     def test_infeasible_policy_reports_period(self, default_scenario):
         params, _, grid, pop = default_scenario
@@ -291,25 +293,15 @@ class TestSimulate:
                 params, grid, pop,
             )
 
-    def test_greedy_by_name_needs_no_kernel(self):
-        # a push costs M=4 > e_max, so the greedy chain has one closed class
-        # per pushed count and the solver cannot give it a single gain; the
-        # simulator never asks for that gain
-        params, _, grid, pop = make_scenario(e_max=3, p_c=0.0)
-        m = simulate(
-            SimConfig(policy="unicast-priority", horizon=5_000, warmup=100),
-            params, grid, pop,
-        )
-        assert m.measured_periods == 4_900
-
     def test_large_overflow_counted(self):
         # about 40,000 units spill per period, beyond a 16-bit counter
         params, _, grid, pop = make_scenario(a_bar=40_000.0)
+        table = unicast_priority_table(params, grid)
         m = simulate(
-            SimConfig(policy="unicast-priority", horizon=2_000, warmup=10),
+            SimConfig(policy=table, horizon=2_000, warmup=10),
             params, grid, pop,
         )
-        assert m.overflow_rate > 39_000
+        assert m.energy_overflow_units / m.measured_periods > 39_000
 
     def test_reports_throughput(self, default_scenario, default_greedy):
         params, _, grid, pop = default_scenario
@@ -319,35 +311,23 @@ class TestSimulate:
         )
         assert np.isfinite(m.periods_per_s) and m.periods_per_s > 0
 
-    def test_named_policy_matches_table(self, default_scenario, default_greedy):
-        params, _, grid, pop = default_scenario
-        by_name = simulate(
-            SimConfig(policy="unicast-priority", horizon=20_000, seed=5, warmup=500),
-            params, grid, pop,
-        )
-        by_table = simulate(
-            SimConfig(policy=default_greedy, horizon=20_000, seed=5, warmup=500),
-            params, grid, pop,
-        )
-        assert by_name == by_table
-
     def test_unknown_name_rejected(self, default_scenario):
-        params, _, grid, pop = default_scenario
-        with pytest.raises(ValueError):
-            simulate(
-                SimConfig(policy="round-robin", horizon=1_000, warmup=0),
-                params, grid, pop,
-            )
+        params, _, grid, _ = default_scenario
+
+        def no_kernel():
+            raise AssertionError("kernel built for an unknown name")
+
+        with pytest.raises(ValueError, match="round-robin"):
+            sim.baseline("round-robin", params, grid, no_kernel)
 
     def test_record_shapes(self, default_scenario, default_greedy):
         params, _, grid, pop = default_scenario
-        m, (states, actions) = simulate(
+        m, states = simulate(
             SimConfig(policy=default_greedy, horizon=2_000, warmup=100),
             params, grid, pop, record=True,
         )
-        assert len(states) == len(actions) == 2_000
+        assert len(states) == 2_000
         assert states.min() >= 0 and states.max() < params.num_states
-        assert set(np.unique(actions)) <= {0, 1, 2}
 
 
 # Edge scenarios: boundary probabilities, no catalog, an empty battery, one
@@ -427,7 +407,7 @@ class TestMatchesReferenceLoop:
 
     def test_same_error_mid_trajectory(self, default_scenario, default_greedy):
         params, _, grid, pop = default_scenario
-        _, (states, _) = simulate(
+        _, states = simulate(
             SimConfig(policy=default_greedy, horizon=100_000, seed=4, warmup=0),
             params, grid, pop, record=True,
         )
@@ -502,11 +482,12 @@ class TestAgreementWithKernel:
 
     def test_trajectory_frequencies_chi_square(self, default_instance, default_solution):
         params, _, grid, pop, kernel, _ = default_instance
-        _, (states, actions) = simulate(
+        _, states = simulate(
             SimConfig(policy=default_solution.policy, horizon=300_000, seed=13,
                       warmup=0),
             params, grid, pop, record=True,
         )
+        actions = default_solution.policy.actions[states]
         pair_codes = states[:-1] * 3 + actions[:-1]
         visited, counts = np.unique(pair_codes, return_counts=True)
         code = visited[np.argmax(counts)]
@@ -558,32 +539,38 @@ class TestSweep:
                 assert abs(r.ratio_sim - r.ratio_solver) <= 5 * r.se
 
     def test_single_point_single_policy(self, default_scenario):
+        # one grid point gives one row per baseline, each policy once
         params, _, grid, pop = default_scenario
         rows = sweep(
             params, grid, pop,
             pu_grid=(0.7,),
-            policies=("unicast-priority",),
             horizon=60_000,
             warmup=2_000,
             seed=23,
         )
-        assert len(rows) == 1
-        assert rows[0].p_u == 0.7
-        assert rows[0].p_c == params.content_replace_prob
+        assert [r.policy for r in rows] == list(sim.BASELINE_NAMES)
+        assert all(r.p_u == 0.7 for r in rows)
+        assert all(r.p_c == params.content_replace_prob for r in rows)
 
     def test_replications_aggregate_into_one_row(self, default_scenario):
         params, _, grid, pop = default_scenario
         rows = sweep(
             params, grid, pop,
             pu_grid=(0.7,),
-            policies=("unicast-priority",),
             replications=3,
             horizon=40_000,
             warmup=2_000,
             seed=29,
         )
-        assert len(rows) == 1
-        assert rows[0].se > 0.0
+        assert len(rows) == len(sim.BASELINE_NAMES)
+        assert all(r.se > 0.0 for r in rows)
+
+    def test_child_seeds_follow_the_spawn_order(self):
+        # successive calls on one master continue where the last one stopped
+        master = np.random.SeedSequence(7)
+        seeds = sim.child_seeds(master, 2) + sim.child_seeds(master, 1)
+        children = np.random.SeedSequence(7).spawn(3)
+        assert seeds == [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
     def test_bad_inputs_rejected(self, default_scenario):
         params, _, grid, pop = default_scenario
@@ -591,14 +578,6 @@ class TestSweep:
             sweep(params, grid, pop, pu_grid=(0.0,), horizon=2_000, warmup=100)
         with pytest.raises(ValueError):
             sweep(params, grid, pop, pu_grid=(0.5,), replications=0)
-        with pytest.raises(ValueError):
-            sweep(
-                params, grid, pop,
-                pu_grid=(0.5,),
-                policies=("mystery",),
-                horizon=2_000,
-                warmup=100,
-            )
 
 
 class TestSimulateMany:
@@ -614,7 +593,11 @@ class TestSimulateMany:
         params, _, grid, pop = default_scenario
         jobs = [
             (SimConfig(policy=policy, horizon=30_000, seed=seed, warmup=1_000), params, grid, pop)
-            for policy, seed in ((default_greedy, 3), ("unicast-priority", 4), (default_greedy, 5))
+            for policy, seed in (
+                (default_greedy, 3),
+                (PolicyTable.all_sleep(params.num_states), 4),
+                (default_greedy, 5),
+            )
         ]
         monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
         assert simulate_many(jobs) == [simulate(*job) for job in jobs]

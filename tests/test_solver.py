@@ -959,12 +959,6 @@ class TestPolicyIteration:
         assert result.policy[0] == Action.UNICAST
         assert result.values.gain == pytest.approx(0.0, abs=1e-12)
 
-    def test_unpacks_as_tuple(self, default_solution):
-        policy, values, trace = default_solution
-        assert policy is default_solution.policy
-        assert values is default_solution.values
-        assert trace is default_solution.trace
-
 
 class TestTemplateQValues:
     @pytest.mark.parametrize(

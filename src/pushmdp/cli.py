@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -201,7 +200,7 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
     # function of its settings and seed.
     lines += [
         f"# iter {j} lambda {r.gain:.17g} changed {r.changed} "
-        f"post_decision_states {r.post_decision_states} route {r.route}"
+        f"post_decision_states {r.post_decision_states}"
         for j, r in enumerate(result.iterations, start=1)
     ]
     _write(out_dir, "solution.txt", lines)
@@ -217,8 +216,6 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
     evaluation_s = sum(r.evaluation_s for r in result.iterations)
     improvement_s = sum(r.improvement_s for r in result.iterations)
     print(f"evaluation {evaluation_s:.3f} s, improvement {improvement_s:.3f} s")
-    routes = Counter(r.route for r in result.iterations)
-    print("evaluation routes: " + ", ".join(f"{k} {v}" for k, v in sorted(routes.items())))
     print(f"wrote solution.txt and {params.num_contents + 1} threshold grids to {out_dir}")
     return 0
 

@@ -47,6 +47,10 @@ class Action(IntEnum):
 
 NUM_ACTIONS = len(Action)
 
+# The largest mean numpy's Generator.poisson draws (its POISSON_LAM_MAX), with
+# which the simulator draws arrivals.
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 class CalibrationError(ValueError):
     """Ring geometry admits no distance grid with one width per ring."""
@@ -86,8 +90,11 @@ class SystemParams:
             raise ValueError("battery_levels must be >= 0")
         if self.num_rings < 1:
             raise ValueError("num_rings must be >= 1")
-        if not 0 < self.mean_arrival < math.inf:
-            raise ValueError("mean_arrival must be finite and > 0")
+        if not 0 < self.mean_arrival <= POISSON_MEAN_MAX:
+            raise ValueError(
+                f"mean_arrival must be > 0 and at most {POISSON_MEAN_MAX:.17g}, "
+                "the largest Poisson mean numpy draws"
+            )
 
     @property
     def num_states(self) -> int:

@@ -5,18 +5,17 @@ equations on the policy's pre-request chain over (E, C): the request ring is
 drawn after the battery and content moves, from the next pushed count alone,
 so one unknown per battery level and pushed count suffices, (E+1)(N+1) for
 every policy.  The pushed count moves by at most one per period, so that
-chain is block tridiagonal in the kernel's N+1 levels.  A chain with one
-closed class is solved level by level, by dense eliminations onto a middle
-level ("levels" route); a chain with several closed classes that share one
-gain by a sparse bordered system factored with SuperLU, one reference state
-pinned per class ("superlu" route).  Both refine the solution by one
-residual correction.  When the classes differ in gain the policy has no
-single gain and MultichainError is raised.  Q-values, for the improvement
-step, the Bellman residual and value iteration, come from the same factors:
-P h for every pair is U (D h) read back through the labels, so no solver
-derives the kernel's template rows.  Improvement keeps the incumbent action
-on ties within round-off.  A brute-force policy enumerator serves as an
-independent oracle on tiny instances.
+chain is block tridiagonal in the kernel's N+1 levels, and it is solved
+level by level, by dense eliminations onto a middle level, then refined by
+one residual correction.  A chain with several closed classes that share
+one gain is solved the same way, with one reference state pinned per class
+as a row of the level layout.  When the classes differ in gain the policy
+has no single gain and MultichainError is raised.  Q-values, for the
+improvement step, the Bellman residual and value iteration, come from the
+same factors: P h for every pair is U (D h) read back through the labels, so
+no solver derives the kernel's template rows.  Improvement keeps the
+incumbent action on ties within round-off.  A brute-force policy enumerator
+serves as an independent oracle on tiny instances.
 """
 from __future__ import annotations
 
@@ -26,9 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, diags, identity
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .model import NUM_ACTIONS, Action
 from .transition import TransitionKernel
@@ -73,16 +71,11 @@ class MultichainError(ConvergenceError):
 
 @dataclass(frozen=True)
 class ValueSolution:
-    """Gain (long-run average cost per period) and differential values.
-
-    ``route`` names how policy_evaluation solved them, "levels" or
-    "superlu", and is None for values from anywhere else.
-    """
+    """Gain (long-run average cost per period) and differential values."""
 
     gain: float
     h: np.ndarray
     ref_state: int
-    route: str | None = None
 
     def __post_init__(self):
         if not 0 <= self.ref_state < len(self.h):
@@ -164,23 +157,22 @@ def policy_evaluation(
     and D draws the request ring.  So w = D h solves the m-state bordered
     system gain*1 + (I - R) w = D g_u, w = 0 at one pinned state, with
     R = (D S) U, and h(s) = g(s, u(s)) - gain + (U w)(t(s)), shifted to vanish
-    at ref_state.
+    at ref_state.  R is solved level by level in the pushed count (see
+    _solve_levels).
 
-    The route depends on the closed classes of R (D S U has as many as
-    S U D).  With one closed class, the "levels" route solves R level by
-    level in the pushed count (see _solve_levels).  With several, w is free by
-    one constant per class, and each class's gain is pi D g_u for its
-    stationary distribution pi.  When the gains agree to 1e-10, the
-    "superlu" route pins one reference state per class (Puterman 1994,
-    sections 8.6 and 9.2) in a sparse system that SuperLU factors once and
-    refines by one residual correction: the border pins the class that holds
-    ref_state's pre-request state, or the first class when that state is
-    transient, and each other class's reference replaces its own equation.
+    With one closed class of R (D S U has as many as S U D) the system is
+    nonsingular.  With several, w is free by one constant per class, and
+    each class's gain is pi D g_u for its stationary distribution pi, solved
+    on the class's own levels with every other state there pinned.  When the
+    gains agree to 1e-10, one reference state is pinned per class (Puterman
+    1994, sections 8.6 and 9.2): ref_state's pre-request state for its own
+    class, or the first class's first state when that state is transient,
+    and each other class's first state, whose equation then reads w = 0.
     When they differ the policy has no single gain, and MultichainError is
     raised with the class gains; so it is when they differ by less and the
-    pinned system then fails.  Otherwise, on either route, an exactly
-    singular system, non-finite values or a residual of the full equations
-    above tolerance raise SingularPolicyError.
+    full equations then fail.  Otherwise an exactly singular system,
+    non-finite values or a residual of the full equations above tolerance
+    raise SingularPolicyError.
     """
     policy.validate(kernel)
     n = kernel.num_states
@@ -195,38 +187,55 @@ def policy_evaluation(
     ref = d.indices[ref_state]
     label, closed = _class_labels(chain)
     if closed.size == 1:
-        route = "levels"
         x = _solve_levels(chain, cost, kernel.levels, np.flatnonzero(label == closed[0]))
     else:
-        route = "superlu"
-        gains, refs = [], []
+        level = np.arange(chain.shape[0]) % kernel.levels
+        gains, classes = [], []
         for c in closed:
             members = np.flatnonzero(label == c)
-            sub = chain[members][:, members]
-            gains.append(_solve_bordered(sub, cost[members], [0])[0])
-            refs.append(ref if label[ref] == c else members[0])
+            # solved on the class's own levels, not on the whole chain once
+            # per class, which would take time quadratic in the levels
+            lo, hi = level[members].min(), level[members].max()
+            span = np.flatnonzero((level >= lo) & (level <= hi))
+            inside = np.isin(span, members)
+            x = _solve_levels(
+                chain[span][:, span], cost[span], hi - lo + 1,
+                np.flatnonzero(inside), np.flatnonzero(~inside),
+            )
+            gains.append(x[0])
+            classes.append(members)
         message = (
             f"policy chain has {closed.size} closed classes with gains "
             f"{min(gains):.6g} to {max(gains):.6g}"
         )
         if max(gains) - min(gains) > 1e-10:
             raise MultichainError(message, tuple(gains))
-        refs.sort(key=lambda r: r != ref)
+        # ref's own class, or the first when ref is transient
+        own = int(np.argmax(closed == label[ref]))
+        members = classes.pop(own)
+        if closed[own] == label[ref]:
+            members = np.append(ref, members[members != ref])
         try:
-            x = _solve_bordered(chain, cost, refs)
+            x = _solve_levels(chain, cost, kernel.levels, members, [m[0] for m in classes])
+            route = f"levels route, {chain.shape[0]}-state chain"
+            _check_residual(x, x[0] + x[1:] - chain @ x[1:] - cost, route)
         except SingularPolicyError as exc:
-            # gains apart by less than 1e-10 can still leave the pinned
-            # system inconsistent
+            # gains apart by less than 1e-10 can still leave the full
+            # equations unsolved
             if max(gains) > min(gains):
                 raise MultichainError(message, tuple(gains)) from exc
             raise
     h = g_pi - x[0] + (u @ x[1:])[labels]
     h = h - h[ref_state]
-    return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state, route=route)
+    return ValueSolution(gain=float(x[0]), h=h, ref_state=ref_state)
 
 
 def _solve_levels(
-    chain: csr_matrix, cost: np.ndarray, levels: int, closed: np.ndarray
+    chain: csr_matrix,
+    cost: np.ndarray,
+    levels: int,
+    closed: np.ndarray,
+    pinned: np.ndarray | list | None = None,
 ) -> np.ndarray:
     """(gain, y) solving gain*1 + (I - chain) y = cost by level reduction.
 
@@ -239,25 +248,38 @@ def _solve_levels(
     each by inverting its reduced diagonal block, which writes its y as a
     linear map of the next level's y and the gain.  At p the (b+1)-unknown
     system for the gain and y_p is solved with y = 0 at a state of
-    ``closed``, the one closed class, and the maps are applied back outward.
-    As on the SuperLU route the solution is refined by one residual
-    correction: where a level is left toward p only rarely its reduced block
-    is ill-conditioned, and the first solve can lose digits of y.
+    ``closed``, a closed class, and the maps are applied back outward.  The
+    solution is refined by one residual correction: where a level is left
+    toward p only rarely its reduced block is ill-conditioned, and the first
+    solve can lose digits of y.
+
+    The equation of each ``pinned`` state reads y = 0 instead: its chain
+    row, cost and gain coefficient are zeroed, which keeps the block
+    layout.  y is then free by a multiple of the probabilities of absorption
+    into ``closed``, the solution with zero right-hand side and y = 1 at the
+    state pinned at p, and that multiple is taken out so that y vanishes at
+    closed[0] too.  Every other closed class must hold a pinned state.
 
     p lies in the closed class's level span, which is an interval because c
     moves by one.  From every state above p the chain then reaches the levels
-    below, and from every state below p those above, so each reduced block is
-    nonsingular.  p is the midpoint of the span: an end level far from the
-    class's mass loses digits of y to the hitting costs of rarely visited
-    levels.  A level whose class states all leave it toward p only with a
-    probability below sqrt(eps) (1e-16 when p_u = 1 - 1e-16) would make its
-    reduced block singular in floating point (sqrt(eps) is also where one
-    residual correction stops repairing it), so p moves past it, to the side
-    where the chain stays.  The residual is checked on the full equations.
+    below, or a pinned state, and from every state below p those above, so
+    each reduced block is nonsingular.  p is the midpoint of the span: an
+    end level far from the class's mass loses digits of y to the hitting
+    costs of rarely visited levels.  A level whose class states all leave it
+    toward p only with a probability below sqrt(eps) (1e-16 when
+    p_u = 1 - 1e-16) would make its reduced block singular in floating point
+    (sqrt(eps) is also where one residual correction stops repairing it), so
+    p moves past it, to the side where the chain stays.  The residual is
+    checked on the equations solved, pinned rows included.
     """
     k = chain.shape[0]
     route = f"levels route, {k}-state chain"
     b = k // levels
+    free = np.ones(k)
+    if pinned is not None:
+        pinned = np.asarray(pinned)
+        free[pinned] = 0.0
+    cost = free * cost
     # blocks[c, c' - c + 1, e, e'] holds chain[x, x'] for x = e*levels + c and
     # x' = e'*levels + c'; the flat index splits into a row and a column part,
     # and a CSR product stores each entry once, so one scatter fills them
@@ -267,6 +289,9 @@ def _solve_levels(
     flat = np.zeros(levels * 3 * b * b)
     flat[np.repeat(row_part, np.diff(chain.indptr)) + col_part[chain.indices]] = chain.data
     down, same, up = np.moveaxis(flat.reshape(levels, 3, b, b), 1, 0)
+    if pinned is not None:
+        for block in (down, same, up):
+            block[pinned % levels, pinned // levels] = 0.0
 
     # each level's largest probability, over its class states, of moving
     # up and of moving down
@@ -291,16 +316,16 @@ def _solve_levels(
     maps = np.empty((levels, b, b + 1))
     maps[p + 1:, :, :b] = down[p + 1:]
     maps[:p, :, :b] = up[:p]
-    maps[:, :, b] = 1.0
+    maps[:, :, b] = free.reshape(b, levels).T
     bordered = np.zeros((b + 1, b + 1))
-    bordered[:b, 0] = 1.0
+    bordered[:b, 0] = maps[p, :, b]
     bordered[:b, 1:] = eye - same[p]
     bordered[b, 1 + pin] = 1.0
 
-    def substitute(rhs: np.ndarray) -> np.ndarray:
+    def substitute(rhs: np.ndarray, border: float = 0.0) -> np.ndarray:
         rhs = rhs.reshape(b, levels).T
         v = np.empty((levels, b))
-        top = np.append(rhs[p], 0.0)
+        top = np.append(rhs[p], border)
         for order, back, step in sweeps:
             into = np.zeros(b)
             for c in order:
@@ -330,39 +355,12 @@ def _solve_levels(
                 bordered[:b, 1:] -= into[:, :b]
             bordered = np.linalg.inv(bordered)
             x = substitute(cost)
-            x += substitute(cost - x[0] - x[1:] + chain @ x[1:])
+            x += substitute(cost - free * x[0] - x[1:] + free * (chain @ x[1:]))
+            if pinned is not None:
+                x[1:] -= x[1 + closed[0]] * substitute(np.zeros(k), 1.0)[1:]
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise SingularPolicyError(f"{route}: {exc}") from exc
-    _check_residual(x, x[0] + x[1:] - chain @ x[1:] - cost, route)
-    return x
-
-
-def _solve_bordered(chain: csr_matrix, cost: np.ndarray, refs: list) -> np.ndarray:
-    """(gain, y) solving gain*1 + (I - chain) y = cost with y = 0 at refs.
-
-    The border row pins refs[0]; each further reference's pin replaces its
-    own equation.  The residual is checked on the full, unmodified system.
-    """
-    k = chain.shape[0]
-    route = f"superlu route, {k}-state chain"
-    ones = csr_matrix(np.ones((k, 1)))
-    border = csr_matrix(([1.0], ([0], [refs[0]])), shape=(1, k))
-    a = bmat([[ones, identity(k) - chain], [None, border]], format="csc")
-    b = np.append(cost, 0.0)
-    m, rhs = a, b
-    if len(refs) > 1:
-        others = np.asarray(refs[1:])
-        keep = np.ones(k + 1)
-        keep[others] = 0.0
-        pins = csr_matrix((np.ones(others.size), (others, others + 1)), shape=a.shape)
-        m, rhs = (diags(keep) @ a + pins).tocsc(), keep * b
-    try:
-        lu = splu(m)
-    except RuntimeError as exc:
-        raise SingularPolicyError(f"{route}: {exc}") from exc
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - m @ x)
-    _check_residual(x, a @ x - b, route)
+    _check_residual(x, free * x[0] + x[1:] - free * (chain @ x[1:]) - cost, route)
     return x
 
 
@@ -434,8 +432,7 @@ class IterationRecord(NamedTuple):
     ``changed`` counts the states whose action the improvement step changed
     (0 at a fixed point); ``post_decision_states`` counts the distinct
     post-decision states the policy visits.  ``evaluation_s`` and
-    ``improvement_s`` are the wall seconds of the two steps, and ``route``
-    names how the evaluation solved ("levels" or "superlu").
+    ``improvement_s`` are the wall seconds of the two steps.
     """
 
     gain: float
@@ -443,7 +440,6 @@ class IterationRecord(NamedTuple):
     post_decision_states: int
     evaluation_s: float
     improvement_s: float
-    route: str
 
 
 @dataclass(frozen=True)
@@ -491,7 +487,6 @@ def policy_iteration(
                 np.count_nonzero(np.bincount(kernel.labels[policy.actions, states])),
                 evaluated - start,
                 time.perf_counter() - evaluated,
-                sol.route,
             )
         )
         if improved == policy:

@@ -56,17 +56,18 @@ def make_instance(**overrides):
     return params, arrival, grid, popularity, kernel, costs
 
 
-def hand_built_kernel(matrices):
+def hand_built_kernel(matrices, levels=1):
     """Kernel from one n-by-n matrix per action; an all-zero row is infeasible.
 
-    U stacks the matrices without stored zeros, D is the identity, every pair
-    gets its own row, and the pre-request chain has one level.
+    U stacks the matrices without stored zeros, D is the identity, and every
+    pair gets its own row.  The pre-request chain has ``levels`` levels, so
+    the matrices must move x = e*levels + c to levels c-1..c+1 only.
     """
     n = matrices[0].shape[0]
     rows = vstack(matrices, format="csr")
     rows.eliminate_zeros()
     labels = np.arange(len(matrices) * n).reshape(-1, n)
-    return TransitionKernel(rows, labels, identity(n, format="csc"), levels=1)
+    return TransitionKernel(rows, labels, identity(n, format="csc"), levels=levels)
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,19 @@ def default_params(**over):
     return SystemParams(**base)
 
 
+class TestSystemParams:
+    def test_arrival_mean_within_numpy_poisson_range(self):
+        # numpy draws no Poisson variate with a larger mean ("lam value too
+        # large"), so such a mean is refused before anything is built
+        largest = 9.223372006484771e18
+        assert default_params(mean_arrival=largest).mean_arrival == largest
+        np.random.default_rng(0).poisson(largest)
+        with pytest.raises(ValueError, match="^mean_arrival must be > 0 and at most"):
+            default_params(mean_arrival=9.23e18)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(9.23e18)
+
+
 class TestZipf:
     def test_top_rank_weight(self):
         f = zipf_pmf(default_params())

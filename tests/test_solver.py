@@ -24,20 +24,20 @@ from pushmdp.solver import (
     policy_improvement,
     policy_iteration,
     relative_value_iteration,
+    _check_residual,
     _class_labels,
     _q_values,
-    _solve_bordered,
 )
 from pushmdp.transition import TransitionKernel, validate_kernel
 
 from conftest import PROBABILITY, hand_built_kernel, make_instance
 
 
-def dense_kernel(mats: dict[int, np.ndarray]) -> TransitionKernel:
+def dense_kernel(mats: dict[int, np.ndarray], levels: int = 1) -> TransitionKernel:
     """Hand-built kernel from dense per-action matrices (zero rows absent)."""
     n = next(iter(mats.values())).shape[0]
     return hand_built_kernel(
-        [csr_matrix(mats.get(a, np.zeros((n, n)))) for a in range(NUM_ACTIONS)]
+        [csr_matrix(mats.get(a, np.zeros((n, n)))) for a in range(NUM_ACTIONS)], levels
     )
 
 
@@ -120,22 +120,81 @@ def pre_request_chain(policy, kernel):
     return (kernel.request @ (to_rows @ kernel.rows)).tocsr()
 
 
-def superlu_policy_evaluation(policy, kernel, costs):
+def reference_bordered(chain: csr_matrix, cost: np.ndarray, refs: list) -> np.ndarray:
+    """(gain, y) solving gain*1 + (I - chain) y = cost with y = 0 at refs.
+
+    The border row pins refs[0]; each further reference's pin replaces its
+    own equation.  The residual is checked on the full, unmodified system.
+
+    Reference for cross-checks only: evaluation solved chains with several
+    closed classes this way, factored by SuperLU, before it pinned them in
+    the level layout.
+    """
+    k = chain.shape[0]
+    route = f"superlu route, {k}-state chain"
+    ones = csr_matrix(np.ones((k, 1)))
+    border = csr_matrix(([1.0], ([0], [refs[0]])), shape=(1, k))
+    a = bmat([[ones, identity(k) - chain], [None, border]], format="csc")
+    b = np.append(cost, 0.0)
+    m, rhs = a, b
+    if len(refs) > 1:
+        others = np.asarray(refs[1:])
+        keep = np.ones(k + 1)
+        keep[others] = 0.0
+        pins = csr_matrix((np.ones(others.size), (others, others + 1)), shape=a.shape)
+        m, rhs = (diags(keep) @ a + pins).tocsc(), keep * b
+    try:
+        lu = splu(m)
+    except RuntimeError as exc:
+        raise SingularPolicyError(f"{route}: {exc}") from exc
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - m @ x)
+    _check_residual(x, a @ x - b, route)
+    return x
+
+
+def reference_pins(chain, cost, ref):
+    """One reference state per closed class of chain, ref's class first.
+
+    A class's reference is ref when ref belongs to it and its first state
+    otherwise; when ref is transient the first class leads.  Raises
+    MultichainError when the class gains, each from reference_bordered on
+    the class alone, differ by more than 1e-10.
+    """
+    label, closed = _class_labels(chain)
+    if closed.size == 1:
+        return [ref]
+    gains, refs = [], []
+    for c in closed:
+        members = np.flatnonzero(label == c)
+        sub = chain[members][:, members]
+        gains.append(reference_bordered(sub, cost[members], [0])[0])
+        refs.append(ref if label[ref] == c else members[0])
+    if max(gains) - min(gains) > 1e-10:
+        raise MultichainError("closed classes differ in gain", tuple(gains))
+    refs.sort(key=lambda r: r != ref)
+    return refs
+
+
+def superlu_policy_evaluation(policy, kernel, costs, ref_state=0):
     """(gain, h) from the SuperLU route, whatever the policy's closed classes.
 
     Reference for cross-checks only: evaluation solved every policy this way
-    before it solved a chain with one closed class level by level.  This is
-    the bordered system [[1, I - R], [0, e_ref]] on the pre-request chain R,
-    pinned at state 0's pre-request state, factored by SuperLU and refined
-    once.
+    before it solved the pre-request chain R level by level.  This is the
+    bordered system [[1, I - R], [0, e_ref]], pinned at ref_state's
+    pre-request state, with one further reference pinned per other closed
+    class (reference_pins), factored by SuperLU and refined once.
     """
     states = np.arange(kernel.num_states)
     labels = kernel.labels[policy.actions, states]
     g_pi = costs[policy.actions, states]
-    ref = kernel.request.indices[0]
-    x = _solve_bordered(pre_request_chain(policy, kernel), kernel.request @ g_pi, [ref])
+    chain = pre_request_chain(policy, kernel)
+    cost = kernel.request @ g_pi
+    x = reference_bordered(
+        chain, cost, reference_pins(chain, cost, kernel.request.indices[ref_state])
+    )
     h = g_pi - x[0] + (kernel.rows @ x[1:])[labels]
-    return float(x[0]), h - h[0]
+    return float(x[0]), h - h[ref_state]
 
 
 def closed_levels(policy, kernel):
@@ -155,20 +214,7 @@ def post_decision_policy_evaluation(policy, kernel, costs, ref_state=0):
     chain, rows, post = post_decision_chain(policy, kernel)
     g_pi = costs[policy.actions, np.arange(kernel.num_states)]
     cost = rows @ g_pi
-    ref = post[ref_state]
-    refs = [ref]
-    label, closed = _class_labels(chain)
-    if closed.size > 1:
-        gains, refs = [], []
-        for c in closed:
-            members = np.flatnonzero(label == c)
-            sub = chain[members][:, members]
-            gains.append(_solve_bordered(sub, cost[members], [0])[0])
-            refs.append(ref if label[ref] == c else members[0])
-        if max(gains) - min(gains) > 1e-10:
-            raise MultichainError("closed classes differ in gain", tuple(gains))
-        refs.sort(key=lambda r: r != ref)
-    x = _solve_bordered(chain, cost, refs)
+    x = reference_bordered(chain, cost, reference_pins(chain, cost, post[ref_state]))
     h = g_pi - x[0] + x[1:][post]
     return float(x[0]), h - h[ref_state]
 
@@ -293,16 +339,29 @@ def assert_matches(reference, policy, kernel, costs):
     assert np.max(np.abs(sol.h - h)) <= 1e-10
 
 
-def assert_route_matches_superlu(policy, kernel, costs, scaled=False):
-    """Evaluation takes the route the closed classes name; levels match SuperLU.
+def dense_bordered(chain, refs):
+    """reference_bordered's matrix, dense: the border pins refs[0] and each
+    further reference's pin replaces its own equation."""
+    k = chain.shape[0]
+    m = np.zeros((k + 1, k + 1))
+    m[:k, 0] = 1.0
+    m[:k, 1:] = np.eye(k) - chain.toarray()
+    m[k, 1 + refs[0]] = 1.0
+    for r in refs[1:]:
+        m[r] = 0.0
+        m[r, 1 + r] = 1.0
+    return m
 
-    One closed class takes the level route, whose gain must be within 1e-14
-    and h within 1e-10 of SuperLU's.  A positive
-    probability below eps, where 1 - p rounds to 1, splits the class in
-    floating point; on such a chain either route may find the system
-    singular, so the level route must only reject it or solve it to a
-    fixed-policy residual of 1e-9.  Several classes take the SuperLU route,
-    unchanged, or are rejected.  Returns the solution, or None on a
+
+def assert_levels_match_superlu(policy, kernel, costs, scaled=False):
+    """Evaluation matches SuperLU: gain within 1e-14, h within 1e-10.
+
+    A chain with several closed classes may be rejected; when it is solved,
+    SuperLU pins one reference per class as evaluation does.  A positive
+    probability below eps, where 1 - p rounds to 1, splits a class in
+    floating point; on such a chain either solver may find the system
+    singular, so evaluation must only reject it or solve it to a
+    fixed-policy residual of 1e-9.  Returns the solution, or None on a
     rejection.
 
     ``scaled``, for tiny chains whose rare moves make the system
@@ -312,33 +371,24 @@ def assert_route_matches_superlu(policy, kernel, costs, scaled=False):
     h and residual bounds by max(1, max|h|).
     """
     chain = pre_request_chain(policy, kernel)
-    if _class_labels(chain)[1].size > 1:
-        try:
-            sol = policy_evaluation(policy, kernel, costs)
-        except (MultichainError, SingularPolicyError):
+    tiny = chain.data[chain.data > 0].min() < np.finfo(float).eps
+    try:
+        sol = policy_evaluation(policy, kernel, costs)
+    except (MultichainError, SingularPolicyError):
+        if tiny or _class_labels(chain)[1].size > 1:
             return None
-        assert sol.route == "superlu"
-        return sol
-    if chain.data[chain.data > 0].min() < np.finfo(float).eps:
-        try:
-            sol = policy_evaluation(policy, kernel, costs)
-        except SingularPolicyError:
-            return None
-        assert sol.route == "levels"
+        raise
+    if tiny:
         scale = max(1.0, np.max(np.abs(sol.h))) if scaled else 1.0
         assert bellman_residual(sol, kernel, costs, policy=policy) <= 1e-9 * scale
         return sol
     gain, h = superlu_policy_evaluation(policy, kernel, costs)
-    sol = policy_evaluation(policy, kernel, costs)
-    assert sol.route == "levels"
     slack, scale = 0.0, 1.0
     if scaled:
-        k = chain.shape[0]
-        bordered = np.zeros((k + 1, k + 1))
-        bordered[:k, 0] = 1.0
-        bordered[:k, 1:] = np.eye(k) - chain.toarray()
-        bordered[k, 1 + kernel.request.indices[0]] = 1.0
-        slack = (k + 1) * np.linalg.cond(bordered) * np.finfo(float).eps
+        cost = kernel.request @ costs[policy.actions, np.arange(kernel.num_states)]
+        refs = reference_pins(chain, cost, kernel.request.indices[0])
+        slack = (chain.shape[0] + 1) * np.linalg.cond(dense_bordered(chain, refs))
+        slack *= np.finfo(float).eps
         scale = max(1.0, np.max(np.abs(h)))
     assert abs(sol.gain - gain) <= max(1e-14, slack)
     assert np.max(np.abs(sol.h - h)) <= max(1e-10, slack) * scale
@@ -408,15 +458,16 @@ TWO_STATE_G = np.array([0.0, 1.0])
 RETURN_P = np.array([[0.7, 0.3], [0.95, 0.05]])
 
 # reducible single-action chains whose closed classes share the gain 1:
-# (transition matrix, stage costs)
+# (transition matrix, stage costs, levels)
 EQUAL_GAIN_CHAINS = {
     # two absorbing states
-    "identity": (np.eye(2), np.ones(2)),
+    "identity": (np.eye(2), np.ones(2), 1),
     # two absorbing states fed by a transient one; pinning both absorbing
     # states while the border sits on the transient state gives gain 2
     "transient-feeds-two": (
         np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]]),
         np.array([1.0, 1.0, 3.0]),
+        1,
     ),
     # an aperiodic and a periodic two-state class, each with gain 1, and a
     # transient state that feeds both
@@ -429,6 +480,23 @@ EQUAL_GAIN_CHAINS = {
             [0.3, 0.0, 0.0, 0.3, 0.4],
         ]),
         np.array([0.0, 2.0, 1.5, 0.5, 5.0]),
+        1,
+    ),
+    # x = e*3 + c over 3 levels c: the class {(0, 0), (0, 1)} has stationary
+    # (1/3, 2/3) and the periodic class {(1, 1), (1, 2)} (1/2, 1/2), each
+    # spanning two levels, and the transient states (0, 2) and (1, 0) feed
+    # both
+    "two-levels-each": (
+        np.array([
+            [0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+            [0.25, 0.75, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.25, 0.0, 0.0, 0.25],
+            [0.3, 0.2, 0.0, 0.2, 0.3, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+        ]),
+        np.array([2.0, 0.5, 3.0, 4.0, 0.5, 1.5]),
+        3,
     ),
 }
 
@@ -495,9 +563,13 @@ class TestPolicyEvaluation:
 
     @pytest.mark.parametrize("name", list(EQUAL_GAIN_CHAINS))
     def test_equal_gain_classes_solved_directly(self, name):
-        p, g = EQUAL_GAIN_CHAINS[name]
+        # h is not unique up to one constant here: it must vanish at each
+        # closed class's reference, which is ref_state for its own class and
+        # the class's first state for the others, or for every class when
+        # ref_state is transient
+        p, g, levels = EQUAL_GAIN_CHAINS[name]
         n = len(g)
-        kernel = dense_kernel({0: p})
+        kernel = dense_kernel({0: p}, levels)
         costs = costs_for(n, {0: g})
         policy = PolicyTable.all_sleep(n)
         assert _class_labels(csr_matrix(p))[1].size == 2
@@ -508,6 +580,8 @@ class TestPolicyEvaluation:
             assert abs(sol.gain - reference_gain) <= 1e-10
             assert sol.h[ref_state] == 0.0
             assert bellman_residual(sol, kernel, costs, policy=policy) <= 1e-12
+            _, h = superlu_policy_evaluation(policy, kernel, costs, ref_state)
+            assert np.max(np.abs(sol.h - h)) <= 1e-10
 
     @pytest.mark.parametrize("overrides", RANDOM_POLICY_INSTANCES)
     def test_random_policies_solved_or_rejected(self, overrides, capfd):
@@ -628,7 +702,7 @@ class TestLevelRoute:
     def test_matches_superlu_on_iterates(self, overrides):
         _, _, _, _, kernel, costs = make_instance(**overrides)
         for policy in policy_iterates(kernel, costs):
-            assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+            assert assert_levels_match_superlu(policy, kernel, costs) is not None
 
     def test_class_at_level_zero_only(self, default_instance):
         # the all-sleep start pushes nothing, so its class sits at C = 0, the
@@ -636,7 +710,7 @@ class TestLevelRoute:
         _, _, _, _, kernel, costs = default_instance
         policy = PolicyTable.all_sleep(kernel.num_states)
         assert closed_levels(policy, kernel) == {0}
-        assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+        assert assert_levels_match_superlu(policy, kernel, costs) is not None
 
     def test_class_at_top_level_only(self):
         # with no cache turnover, pushing whenever the battery allows fills
@@ -645,7 +719,7 @@ class TestLevelRoute:
         push = kernel.feasible_mask()[Action.PUSH]
         policy = PolicyTable(np.where(push, Action.PUSH, Action.SLEEP))
         assert closed_levels(policy, kernel) == {params.num_contents}
-        assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+        assert assert_levels_match_superlu(policy, kernel, costs) is not None
 
     @pytest.mark.parametrize(
         "overrides", [dict(n_contents=0), dict(e_max=0)], ids=["one-level", "1x1-blocks"]
@@ -653,7 +727,7 @@ class TestLevelRoute:
     def test_degenerate_blocks(self, overrides):
         _, _, _, _, kernel, costs = make_instance(**overrides)
         for policy in policy_iterates(kernel, costs):
-            assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+            assert assert_levels_match_superlu(policy, kernel, costs) is not None
 
     @given(instance=random_chains(max_actions=NUM_ACTIONS))
     @settings(max_examples=20, deadline=None)
@@ -661,25 +735,20 @@ class TestLevelRoute:
         kernel, costs = instance
         assert kernel.levels == 1
         for policy in random_policies(kernel, count=5):
-            assert assert_route_matches_superlu(policy, kernel, costs).route == "levels"
+            assert assert_levels_match_superlu(policy, kernel, costs) is not None
 
     @pytest.mark.parametrize(
         "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
     )
-    def test_unichain_solves_factor_nothing(self, monkeypatch, overrides):
-        def no_superlu(*args, **kwargs):
-            raise AssertionError("SuperLU factored a system")
-
+    def test_unichain_solves_factor_nothing(self, overrides):
         _, _, _, _, kernel, costs = make_instance(**overrides)
-        monkeypatch.setattr("pushmdp.solver.splu", no_superlu)
         restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
         for k in (kernel, restricted):
             result = policy_iteration(k, costs)
-            assert {r.route for r in result.iterations} == {"levels"}
             assert bellman_residual(result.values, k, costs) <= 1e-9
         assert non_push_optimal(kernel, costs).policy == result.policy
 
-    def test_equal_gain_classes_take_superlu(self):
+    def test_equal_gain_classes_match_superlu(self):
         # at p_u = 0 nothing is requested and, with no cache turnover, the
         # all-sleep start keeps every pushed count: three closed classes of
         # gain 0
@@ -688,8 +757,8 @@ class TestLevelRoute:
         )
         policy = PolicyTable.all_sleep(kernel.num_states)
         assert closed_levels(policy, kernel) == {0, 1, 2}
-        assert assert_route_matches_superlu(policy, kernel, costs).route == "superlu"
-        assert policy_iteration(kernel, costs).iterations[0].route == "superlu"
+        assert assert_levels_match_superlu(policy, kernel, costs) is not None
+        assert policy_iteration(kernel, costs).iterations[0].gain == 0.0
 
 
 # The ranges of test_kernel_matches_reference_on_random_instances in
@@ -717,7 +786,7 @@ def test_level_route_on_random_instances(e_max, n, m, p_c, p_u):
         *random_policies(kernel, count=5),
     ]
     for policy in policies:
-        assert_route_matches_superlu(policy, kernel, costs, scaled=True)
+        assert_levels_match_superlu(policy, kernel, costs, scaled=True)
 
 
 class TestRelativeValueIteration:
@@ -857,7 +926,6 @@ class TestPolicyIteration:
         assert tuple(r.gain for r in records) == default_solution.trace
         assert records[0].changed > 0 and records[-1].changed == 0
         assert all(0 < r.post_decision_states < kernel.num_states for r in records)
-        assert all(r.route == "levels" for r in records)
 
     def test_reducible_start_records_fallback(self):
         # the all-sleep start has two closed classes of gain 1, which the
@@ -869,7 +937,6 @@ class TestPolicyIteration:
         assert [r.gain for r in records] == pytest.approx([1.0, 0.0], abs=1e-12)
         assert [r.changed for r in records] == [2, 0]
         assert [r.post_decision_states for r in records] == [2, 2]
-        assert [r.route for r in records] == ["superlu", "levels"]
 
     def test_reducible_start_falls_back(self):
         kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})

@@ -13,9 +13,10 @@ level, the pushed count and whether the action pushes.  The request ring is
 drawn last, from the next pushed count alone, so every such row is U D: U
 holds the battery and content moves to the pre-request state (E', C'), and D
 draws the ring.  The kernel keeps U, D and each pair's post-decision label,
-and the solvers read only these.  The template rows U D are a view, derived
-on first use for the kernel check, the text dump and the per-action
-matrices.  A kernel row lists only next states of positive probability.
+and the solvers and the kernel check's connectivity read only these.  The
+template rows U D are a view, derived on first use for the kernel check's
+row sums and signs, the text dump and the per-action matrices.  A kernel row
+lists only next states of positive probability.
 """
 from __future__ import annotations
 
@@ -152,7 +153,8 @@ class TransitionKernel:
     ``rows`` (U) is a CSR matrix with one row per post-decision state over
     the pre-request states x = E'(N+1) + C', holding the battery and content
     moves.  ``request`` (D) is a CSC matrix with one stored entry per state
-    s = (E, Q, C), the weight p(Q | C) in row x = E(N+1) + C, zeros kept.
+    s = (E, Q, C), the weight p(Q | C) in row x = E(N+1) + C, zeros kept;
+    any other count raises ValueError.
     ``labels[a, s]`` is the post-decision row of the pair (s, a); pairs with
     equal labels share one row, in any action, and an infeasible pair's
     label points at an empty row.
@@ -177,6 +179,14 @@ class TransitionKernel:
 
     def __post_init__(self):
         self.labels.setflags(write=False)
+        # the solvers and the kernel check read w(s) at request.data[s]
+        stored = np.diff(self.request.indptr)
+        if np.any(stored != 1):
+            s = int(np.flatnonzero(stored != 1)[0])
+            raise ValueError(
+                f"request factor D must store one entry per state, "
+                f"state {s} has {stored[s]}"
+            )
 
     @cached_property
     def templates(self) -> csr_matrix:
@@ -322,32 +332,74 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     ``never_entered`` lists states no other state can reach in one step under
     any feasible action; they are transient decorations of the chain and a
     strong-component count above one is expected whenever they exist.
-    Every figure is read from the template rows, each weighted by the number
-    of feasible pairs that use it, without gathering the action matrices.
+    Row sums and negatives are read from the template rows, each weighted by
+    the number of feasible pairs that use it.  Connectivity is read from the
+    factors: D stores one weight w(s') per state s', in the row of its
+    pre-request state x, so the template entry (r, s') is the single product
+    U[r, x] w(s'), an edge when it is not 0.
     """
     n = kernel.num_states
+    u, d = kernel.rows, kernel.request
+    k, m = u.shape
     t = kernel.templates
-    k = t.shape[0]
-    actions, states = np.nonzero(kernel.feasible_mask())
-    pair_row = kernel.labels[actions, states]
+    mask = kernel.feasible_mask().T
+    states = np.nonzero(mask)[0]
+    pair_row = kernel.labels.T[mask]
     users = np.bincount(pair_row, minlength=k)
+    # the pair (s, r) keeps s iff U[r, x(s)] w(s) is not 0
+    own = np.asarray(u[pair_row, d.indices[states]]).ravel() * d.data[states]
+    looped = np.bincount(states[own != 0], minlength=n)
+    del own
     # reduceat sums from each start to the next, so every nonempty row starts one
     nonempty = np.diff(t.indptr) > 0
     sums = np.add.reduceat(t.data, t.indptr[:-1][nonempty])[users[nonempty] > 0]
     negative_rows = np.searchsorted(t.indptr, np.flatnonzero(t.data < 0), "right") - 1
+
+    # The states of each x with a nonzero weight.  Rounding is monotone, so a
+    # U entry whose product with the least such |w| is nonzero reaches all of
+    # them; each other entry, whose products underflow for some, gets a node
+    # of its own with an edge to each state where its product is nonzero.
+    dx = d.tocsr()
+    dx.eliminate_zeros()
+    least = np.full(m, np.inf)
+    spanned = np.diff(dx.indptr) > 0
+    least[spanned] = np.minimum.reduceat(np.abs(dx.data), dx.indptr[:-1][spanned])
+    product = least[u.indices]
+    product *= u.data
+    split = np.flatnonzero(product == 0)
+    del product
+    start = dx.indptr[u.indices[split]]
+    lens = dx.indptr[u.indices[split] + 1] - start
+    slot = np.repeat(start + lens - np.cumsum(lens), lens) + np.arange(lens.sum())
+    hit = np.repeat(u.data[split], lens) * dx.data[slot] != 0
+    owner = np.repeat(np.arange(split.size), lens)[hit]
+    split_sizes = np.bincount(owner, minlength=split.size)
+
     # s -> s' is feasible iff s reaches s' through the row of one of its
     # pairs, so the strong components of the union are those of the graph
-    # states -> rows -> states, counted on its state nodes.
-    to_rows = csr_matrix((np.ones(pair_row.size), (states, pair_row)), shape=(n, k))
-    indptr = np.concatenate((to_rows.indptr, to_rows.nnz + t.indptr[1:]))
-    indices = np.concatenate((n + to_rows.indices, t.indices))
-    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + k, n + k))
+    # states -> rows -> (x or split entries) -> states, on its state nodes.
+    pairs = np.bincount(states, minlength=n)
+    sizes = np.concatenate((pairs, np.diff(u.indptr), np.diff(dx.indptr), split_sizes))
+    indptr = np.zeros(sizes.size + 1, dtype=np.int32)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    a = pair_row.size
+    b = a + u.nnz
+    c = b + dx.nnz
+    indices[:a] = pair_row + n
+    np.add(u.indices, n + k, out=indices[a:b])
+    indices[a + split] = n + k + m + np.arange(split.size)
+    indices[b:c] = dx.indices
+    indices[c:] = dx.indices[slot[hit]]
+    size = sizes.size
+    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
     _, component = connected_components(graph, directed=True, connection="strong")
-    # Pairs entering each state, less the pairs whose row holds their own
-    # state: a self-loop is not an entry.
-    entries = (np.concatenate((np.zeros(n), users)) @ graph)[:n]
-    self_loop = np.asarray(t[pair_row, states]).ravel() != 0
-    entries -= np.bincount(states, weights=self_loop, minlength=n)
+    # Pairs entering each state, two steps from their rows, less the pairs
+    # whose row holds their own state: a self-loop is not an entry.
+    on_rows = np.zeros(size)
+    on_rows[n : n + k] = users
+    entries = (on_rows @ graph @ graph)[:n]
+    entries -= looped
     return KernelReport(
         num_states=n,
         num_rows=int(pair_row.size),

@@ -1,11 +1,12 @@
 """Per-factor pmfs, kernel assembly, and kernel diagnostics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from pushmdp.model import (
@@ -20,6 +21,7 @@ from pushmdp.model import (
 from pushmdp.transition import (
     ArrivalPmf,
     KernelReport,
+    TransitionKernel,
     build_kernel,
     content_row,
     energy_row,
@@ -522,6 +524,14 @@ class TestBuildKernel:
         assert_factors_match_templates(kernel, np.arange(2))
         assert kernel.levels == 1
 
+    def test_request_factor_needs_one_entry_per_state(self):
+        zero = csr_matrix((2, 2))
+        kernel = hand_built_kernel([csr_matrix(np.eye(2)), zero, zero])
+        # state 0 weighted in the rows of both pre-request states
+        request = csc_matrix(([1.0, 0.5, 1.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2))
+        with pytest.raises(ValueError, match="one entry per state, state 0 has 2"):
+            TransitionKernel(kernel.rows, kernel.labels, request, levels=1)
+
     def test_matches_reference_on_default(self):
         kernel, rows = assert_matches_reference()
         # validate --dump-kernel writes this text
@@ -612,6 +622,45 @@ class TestValidateKernel:
         report = validate_kernel(bad)
         assert report == reference_validate_kernel(bad)
         assert report.negative_entries == 1
+
+    def test_underflowing_products_are_no_edges(self):
+        # p_u = 1e-323 leaves weights near the least subnormal, so some U
+        # entries have products that underflow for some states of their x only
+        _, _, _, _, kernel, _ = make_instance(
+            e_max=3, n_contents=3, m_rings=1, p_c=0.5, p_u=1e-323
+        )
+        u, d = kernel.rows, kernel.request
+        weights = [d.data[(d.indices == x) & (d.data != 0)] for x in range(u.shape[1])]
+        partial = 0
+        for j, x in enumerate(u.indices):
+            zero = u.data[j] * weights[x] == 0
+            partial += bool(zero.any() and not zero.all())
+        assert partial > 0
+        report = validate_kernel(kernel)
+        assert report == reference_validate_kernel(kernel)
+        assert (report.strong_components, report.never_entered) == union_connectivity(
+            kernel
+        )
+
+    def test_transient_memory_below_template_size(self):
+        _, _, _, _, kernel, _ = make_instance(e_max=30, n_contents=40)
+        t = kernel.templates
+        size = t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
+        # the first call may fill the kernel's caches; the second allocates
+        # only its own working arrays
+        validate_kernel(kernel)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            validate_kernel(kernel)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 0.6 * size
 
     @pytest.mark.parametrize(
         "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]

@@ -298,12 +298,11 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
 
     summary = _header("sweep", settings, seed)
     summary.append("p_u reduction_solver reduction_sim")
-    by_point = {(r.policy, r.p_u): r for r in rows}
-    for p_u in pu_grid:
-        push = by_point.get(("optimal-push", p_u))
-        nopush = by_point.get(("non-push", p_u))
-        if push is None or nopush is None:
-            continue
+    # one row per policy, point by point: a repeated p_u keeps its own rows
+    width = len(BASELINE_NAMES)
+    for j, p_u in enumerate(pu_grid):
+        point = {r.policy: r for r in rows[j * width : (j + 1) * width]}
+        push, nopush = point["optimal-push"], point["non-push"]
         red_solver = _reduction(nopush.ratio_solver, push.ratio_solver)
         red_sim = _reduction(nopush.ratio_sim, push.ratio_sim)
         summary.append(f"{p_u:.17g} {red_solver:.17g} {red_sim:.17g}")

@@ -251,6 +251,10 @@ def feasible_table(params: SystemParams, grid: DistanceGrid) -> np.ndarray:
     An action is feasible when the battery covers its spend; unicast also
     needs a pending request and push an un-pushed content.
     """
+    if grid.num_rings != params.num_rings:
+        raise ValueError(
+            f"num_rings is {params.num_rings} but the grid has {grid.num_rings} rings"
+        )
     e, q, c = state_table(params)
     mask = spend_table(grid)[:, q] <= e
     mask[Action.UNICAST] &= q >= 1

@@ -25,7 +25,6 @@ from .transition import TransitionKernel
 __all__ = [
     "non_push_optimal",
     "unicast_priority_table",
-    "SliceThreshold",
     "ThresholdProfile",
     "threshold_profile",
     "format_threshold_grid",
@@ -54,33 +53,26 @@ def unicast_priority_table(params: SystemParams, grid: DistanceGrid) -> PolicyTa
     return PolicyTable(np.where(feasible[Action.UNICAST], Action.UNICAST, idle))
 
 
-@dataclass(frozen=True)
-class SliceThreshold:
-    """Sleep/act structure of one (request, pushed) slice along the battery.
+@dataclass(frozen=True, eq=False)
+class ThresholdProfile:
+    """Sleep/act structure of every (request, pushed) slice along the battery.
 
-    ``threshold`` is the smallest battery level at which the policy acts, or
-    None when the slice sleeps at every level; ``clean`` says whether the
-    slice acts at *every* level at or above the threshold.
+    Both arrays are indexed [q, c].  ``threshold`` is the smallest battery
+    level at which the slice acts, or -1 when it sleeps at every level;
+    ``clean`` says whether the slice acts at *every* level at or above the
+    threshold.  ``violations`` lists the unclean slices in row-major order.
     """
 
-    threshold: int | None
-    clean: bool
-    actions: tuple[Action, ...]
-
-
-@dataclass(frozen=True)
-class ThresholdProfile:
-    """Per-(request, pushed) sleep thresholds of a policy."""
-
-    slices: dict[tuple[int, int], SliceThreshold]
+    threshold: np.ndarray
+    clean: np.ndarray
 
     @property
     def all_clean(self) -> bool:
-        return all(s.clean for s in self.slices.values())
+        return bool(self.clean.all())
 
     @property
     def violations(self) -> tuple[tuple[int, int], ...]:
-        return tuple(k for k, s in sorted(self.slices.items()) if not s.clean)
+        return tuple((q, c) for q, c in np.argwhere(~self.clean).tolist())
 
 
 def _battery_slices(policy: PolicyTable, params: SystemParams) -> np.ndarray:
@@ -93,24 +85,13 @@ def threshold_profile(policy: PolicyTable, params: SystemParams) -> ThresholdPro
     """Classify every (request, pushed) slice of a policy.
 
     A slice is clean when it sleeps strictly below some battery level and
-    acts at that level and above (the all-sleep slice is clean with no
-    threshold).
+    acts at that level and above (the all-sleep slice is clean, with
+    threshold -1).
     """
-    acts = _battery_slices(policy, params)
-    awake = acts != Action.SLEEP
-    acting = awake.any(axis=0)
-    first = awake.argmax(axis=0)
-    clean = ~acting | (awake.sum(axis=0) == awake.shape[0] - first)
-    members = list(Action)
-    slices = {
-        (q, c): SliceThreshold(
-            int(first[q, c]) if acting[q, c] else None,
-            bool(clean[q, c]),
-            tuple(members[a] for a in acts[:, q, c].tolist()),
-        )
-        for q, c in np.ndindex(acts.shape[1:])
-    }
-    return ThresholdProfile(slices=slices)
+    awake = _battery_slices(policy, params) != Action.SLEEP
+    first = np.where(awake.any(axis=0), awake.argmax(axis=0), -1)
+    clean = (first < 0) | (awake.sum(axis=0) == awake.shape[0] - first)
+    return ThresholdProfile(first, clean)
 
 
 def format_threshold_grid(

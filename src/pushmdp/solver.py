@@ -177,14 +177,12 @@ def policy_evaluation(
     policy.validate(kernel)
     n = kernel.num_states
     states = np.arange(n)
-    u, d = kernel.rows, kernel.request
+    u, pre, weight = kernel.rows, kernel.pre, kernel.weight
     labels = kernel.labels[policy.actions, states]
-    # d stores one entry per state, in the row of its pre-request state
-    weights = csr_matrix((d.data, (d.indices, labels)), shape=(d.shape[0], u.shape[0]))
-    chain = weights @ u
+    chain = csr_matrix((weight, (pre, labels)), shape=u.shape[::-1]) @ u
     g_pi = costs[policy.actions, states]
-    cost = d @ g_pi
-    ref = d.indices[ref_state]
+    cost = np.bincount(pre, weight * g_pi, minlength=chain.shape[0])
+    ref = pre[ref_state]
     label, closed = _class_labels(chain)
     if closed.size == 1:
         x = _solve_levels(chain, cost, kernel.levels, np.flatnonzero(label == closed[0]))
@@ -397,7 +395,8 @@ def _q_values(kernel, costs, h):
     order than the template rows' products with h, so the two can differ in
     their last bits.
     """
-    y = kernel.rows @ (kernel.request @ h)
+    u = kernel.rows
+    y = u @ np.bincount(kernel.pre, kernel.weight * h, minlength=u.shape[1])
     return np.where(kernel.feasible_mask(), costs + y[kernel.labels], np.inf)
 
 

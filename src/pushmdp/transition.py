@@ -12,11 +12,11 @@ Each factor has a small dense row builder.  A kernel row depends on its
 level, the pushed count and whether the action pushes.  The request ring is
 drawn last, from the next pushed count alone, so every such row is U D: U
 holds the battery and content moves to the pre-request state (E', C'), and D
-draws the ring.  The kernel keeps U, D and each pair's post-decision label,
-and the solvers and the kernel check's connectivity read only these.  The
-template rows U D are a view, derived on first use for the kernel check's
-row sums and signs, the text dump and the per-action matrices.  A kernel row
-lists only next states of positive probability.
+draws the ring.  The kernel keeps U, D as two per-state arrays and each
+pair's post-decision label; the solvers and the kernel check's connectivity
+read only these.  The template rows U D are a view, derived on first use for
+the kernel check's row sums and signs, the text dump and the per-action
+matrices.  A kernel row lists only next states of positive probability.
 """
 from __future__ import annotations
 
@@ -71,7 +71,6 @@ class ArrivalPmf:
     """
 
     probs: tuple[float, ...]
-    mean: float
 
     def __post_init__(self):
         if not self.probs:
@@ -84,8 +83,7 @@ class ArrivalPmf:
 
     @classmethod
     def poisson(cls, mean: float, capacity: int) -> "ArrivalPmf":
-        probs = tuple(poisson_pmf(mean, i) for i in range(capacity + 1))
-        return cls(probs=probs, mean=mean)
+        return cls(tuple(poisson_pmf(mean, i) for i in range(capacity + 1)))
 
     def prefix(self, count: int) -> float:
         """Pr(arrivals <= count); -1 gives 0."""
@@ -152,9 +150,9 @@ class TransitionKernel:
 
     ``rows`` (U) is a CSR matrix with one row per post-decision state over
     the pre-request states x = E'(N+1) + C', holding the battery and content
-    moves.  ``request`` (D) is a CSC matrix with one stored entry per state
-    s = (E, Q, C), the weight p(Q | C) in row x = E(N+1) + C, zeros kept;
-    any other count raises ValueError.
+    moves.  D holds one entry per state s = (E, Q, C), the request weight
+    ``weight[s]`` = p(Q | C) in row ``pre[s]`` = E(N+1) + C, zeros kept, so
+    D h is ``np.bincount(pre, weight * h)``.
     ``labels[a, s]`` is the post-decision row of the pair (s, a); pairs with
     equal labels share one row, in any action, and an infeasible pair's
     label points at an empty row.
@@ -172,32 +170,28 @@ class TransitionKernel:
 
     rows: csr_matrix
     labels: np.ndarray
-    request: csc_matrix
+    pre: np.ndarray
+    weight: np.ndarray
     levels: int
     allowed: frozenset[Action] = frozenset(Action)
     _matrices: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.labels.setflags(write=False)
-        # the solvers and the kernel check read w(s) at request.data[s]
-        stored = np.diff(self.request.indptr)
-        if np.any(stored != 1):
-            s = int(np.flatnonzero(stored != 1)[0])
-            raise ValueError(
-                f"request factor D must store one entry per state, "
-                f"state {s} has {stored[s]}"
-            )
+        for table in (self.labels, self.pre, self.weight):
+            table.setflags(write=False)
 
     @cached_property
     def templates(self) -> csr_matrix:
+        shape = (self.rows.shape[1], self.num_states)
+        request = csc_matrix((self.weight, self.pre, np.arange(shape[1] + 1)), shape)
         # a product that is exactly 0 is not stored
-        templates = (self.rows @ self.request).tocsr()
+        templates = (self.rows @ request).tocsr()
         templates.sort_indices()
         return templates
 
     @property
     def num_states(self) -> int:
-        return self.request.shape[1]
+        return self.pre.size
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only (action, state) table, True where the pair has a row."""
@@ -263,9 +257,10 @@ def build_kernel(
     A row depends on its (state, action) only through the post-spend battery
     level b, the pushed count c and whether the action pushes; each such case
     is one row of U, the outer product of its battery and content rows over
-    the pre-request states.  D holds the request row of each state's pushed
-    count.  The kernel derives its template rows from the two on request.
+    the pre-request states.  D weights each state by its pushed count's
+    request row.  The kernel derives its template rows from the two on request.
     """
+    feasible = feasible_table(params, grid)
     e1 = params.battery_levels + 1
     n1 = params.num_contents + 1
     pop_cum = cumulative_popularity_table(popularity)
@@ -300,18 +295,14 @@ def build_kernel(
         shape=(num_templates + 1, e1 * n1),
     )
 
-    feasible = feasible_table(params, grid)
     e_all, q_all, c_all = state_table(params)
-    weights = csc_matrix(
-        (request[c_all, q_all], e_all * n1 + c_all, np.arange(params.num_states + 1)),
-        shape=(e1 * n1, params.num_states),
-    )
     spend = spend_table(grid)
     labels = np.empty((len(Action), params.num_states), dtype=np.int64)
     for action in Action:
         t = ((action == Action.PUSH) * e1 + e_all - spend[action, q_all]) * n1 + c_all
         labels[action] = np.where(feasible[action], t, num_templates)
-    return TransitionKernel(rows, labels, weights, levels=n1)
+    pre = e_all * n1 + c_all
+    return TransitionKernel(rows, labels, pre, request[c_all, q_all], levels=n1)
 
 
 @dataclass(frozen=True)
@@ -334,12 +325,12 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     strong-component count above one is expected whenever they exist.
     Row sums and negatives are read from the template rows, each weighted by
     the number of feasible pairs that use it.  Connectivity is read from the
-    factors: D stores one weight w(s') per state s', in the row of its
-    pre-request state x, so the template entry (r, s') is the single product
-    U[r, x] w(s'), an edge when it is not 0.
+    factors: each state s' has one weight w(s') in the row of its
+    pre-request state x(s'), so the template entry (r, s') is the single
+    product U[r, x(s')] w(s'), an edge when it is not 0.
     """
     n = kernel.num_states
-    u, d = kernel.rows, kernel.request
+    u, pre, weight = kernel.rows, kernel.pre, kernel.weight
     k, m = u.shape
     t = kernel.templates
     mask = kernel.feasible_mask().T
@@ -347,7 +338,7 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     pair_row = kernel.labels.T[mask]
     users = np.bincount(pair_row, minlength=k)
     # the pair (s, r) keeps s iff U[r, x(s)] w(s) is not 0
-    own = np.asarray(u[pair_row, d.indices[states]]).ravel() * d.data[states]
+    own = np.asarray(u[pair_row, pre[states]]).ravel() * weight[states]
     looped = np.bincount(states[own != 0], minlength=n)
     del own
     # reduceat sums from each start to the next, so every nonempty row starts one
@@ -359,8 +350,8 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     # U entry whose product with the least such |w| is nonzero reaches all of
     # them; each other entry, whose products underflow for some, gets a node
     # of its own with an edge to each state where its product is nonzero.
-    dx = d.tocsr()
-    dx.eliminate_zeros()
+    nonzero = np.flatnonzero(weight)
+    dx = csr_matrix((weight[nonzero], (pre[nonzero], nonzero)), shape=(m, n))
     least = np.full(m, np.inf)
     spanned = np.diff(dx.indptr) > 0
     least[spanned] = np.minimum.reduceat(np.abs(dx.data), dx.indptr[:-1][spanned])

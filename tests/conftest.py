@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.sparse import identity, vstack
+from scipy.sparse import csc_matrix, vstack
 
 from pushmdp.cli import DEFAULTS, build_scenario
 from pushmdp.model import Action, stage_cost_table
@@ -67,7 +67,19 @@ def hand_built_kernel(matrices, levels=1):
     rows = vstack(matrices, format="csr")
     rows.eliminate_zeros()
     labels = np.arange(len(matrices) * n).reshape(-1, n)
-    return TransitionKernel(rows, labels, identity(n, format="csc"), levels=levels)
+    return TransitionKernel(rows, labels, np.arange(n), np.ones(n), levels=levels)
+
+
+def request_factor(kernel):
+    """D as a CSC matrix: weight[s] stored in row pre[s] of column s, zeros kept.
+
+    Reference for cross-checks only: the kernel stored D this way before it
+    kept the two per-state arrays.
+    """
+    n = kernel.num_states
+    return csc_matrix(
+        (kernel.weight, kernel.pre, np.arange(n + 1)), shape=(kernel.rows.shape[1], n)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from pushmdp import cli, sim
 from pushmdp.cli import (
     DEFAULTS,
     ConfigError,
+    _reduction,
     build_scenario,
     load_settings,
     main,
@@ -309,6 +310,33 @@ class TestSweepCommand:
         assert len(lines) == 1 + 3
         summary = (out / "summary.txt").read_text()
         assert "reduction_solver" in summary
+
+    def test_repeated_point_keeps_its_own_rows(self, tmp_path):
+        out = tmp_path / "art"
+        code = main(
+            ["sweep", "--out", str(out), "--set", "pu_grid=0.5,0.5",
+             "--set", "e_max=5", "--set", "n_contents=4",
+             "--set", "horizon=20000", "--set", "warmup=1000"]
+        )
+        assert code == 0
+        rows = [
+            l.split() for l in (out / "sweep.txt").read_text().splitlines()
+            if l and not l.startswith("#")
+        ][1:]
+        summary = [
+            l.split() for l in (out / "summary.txt").read_text().splitlines()
+            if l and not l.startswith("#")
+        ][1:]
+        assert len(rows) == 2 * 3 and len(summary) == 2
+        # the two points run on different seeds, so their simulated ratios differ
+        assert summary[0][2] != summary[1][2]
+        for j, (p_u, red_solver, red_sim) in enumerate(summary):
+            point = {r[0]: r for r in rows[3 * j : 3 * j + 3]}
+            push, nopush = point["optimal-push"], point["non-push"]
+            assert p_u == push[1] == nopush[1] == "0.5"
+            for got, column in ((red_solver, 6), (red_sim, 4)):
+                expect = _reduction(float(nopush[column]), float(push[column]))
+                assert got == f"{expect:.17g}"
 
 
 class TestValidateCommand:

@@ -19,7 +19,10 @@ from pushmdp.model import (
     state_table,
     zipf_pmf,
 )
-from pushmdp.transition import ArrivalPmf, energy_row
+from pushmdp.policies import unicast_priority_table
+from pushmdp.sim import SimConfig, simulate
+from pushmdp.solver import PolicyTable
+from pushmdp.transition import ArrivalPmf, build_kernel, energy_row
 
 from conftest import make_scenario, state_at
 
@@ -295,6 +298,24 @@ class TestFeasibilityAndCost:
             for a in Action:
                 assert fmask[a, idx] == (a in acts)
                 assert ctable[a, idx] == reference_stage_cost(q, a)
+
+    @pytest.mark.parametrize("grid_rings", [3, 1], ids=["wider", "narrower"])
+    def test_ring_count_mismatch_raises(self, grid_rings):
+        # num_rings and the grid's ring count come from one config key in the
+        # CLI, but a library caller passes them apart
+        params, arrival, _, popularity = make_scenario(e_max=4, n_contents=3, m_rings=2)
+        grid = calibrate_radio(grid_rings, 2.0, 50.0)
+        policy = PolicyTable.all_sleep(params.num_states)
+        config = SimConfig(policy, horizon=10, warmup=0)
+        message = f"num_rings is 2 but the grid has {grid_rings} rings"
+        for call in (
+            lambda: feasible_table(params, grid),
+            lambda: build_kernel(params, grid, popularity, arrival),
+            lambda: simulate(config, params, grid, popularity),
+            lambda: unicast_priority_table(params, grid),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestBatteryUpdate:

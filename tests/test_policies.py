@@ -23,6 +23,26 @@ def reference_unicast_priority(e, q, c, grid, params):
     return Action.SLEEP
 
 
+def reference_threshold_profile(policy, params):
+    """Per-slice loop over (q, c) that the profile arrays replaced; reference only.
+
+    (threshold, clean): the first acting battery level or -1, and whether the
+    slice acts at every level from there up.
+    """
+    shape = (params.num_rings + 1, params.num_contents + 1)
+    threshold = np.full(shape, -1)
+    clean = np.ones(shape, dtype=bool)
+    for q, c in np.ndindex(shape):
+        acts = [
+            policy[state_at(params, e, q, c)] != Action.SLEEP
+            for e in range(params.battery_levels + 1)
+        ]
+        if any(acts):
+            threshold[q, c] = acts.index(True)
+            clean[q, c] = all(acts[threshold[q, c] :])
+    return threshold, clean
+
+
 def greedy_at(table, params):
     """Look up a policy table by (battery, request, pushed)."""
     return lambda e, q, c: table[state_at(params, e, q, c)]
@@ -102,8 +122,8 @@ class TestThresholdProfile:
     def test_all_sleep_never_acts(self):
         params = self.params()
         profile = threshold_profile(PolicyTable.all_sleep(params.num_states), params)
-        assert profile.all_clean
-        assert all(s.threshold is None for s in profile.slices.values())
+        assert profile.all_clean and profile.violations == ()
+        assert np.array_equal(profile.threshold, np.full((2, 2), -1))
 
     def test_clean_threshold_detected(self):
         params = self.params()
@@ -113,8 +133,8 @@ class TestThresholdProfile:
         )
         profile = threshold_profile(table, params)
         assert profile.all_clean
-        for (q, c), sl in profile.slices.items():
-            assert sl.threshold == (3 if q == 1 else None)
+        # the q = 0 slices never act
+        assert np.array_equal(profile.threshold, [[-1, -1], [3, 3]])
 
     def test_violation_flagged(self):
         params = self.params()
@@ -125,8 +145,12 @@ class TestThresholdProfile:
         )
         profile = threshold_profile(table, params)
         assert not profile.all_clean
-        assert (1, 0) in profile.violations
-        assert profile.slices[(1, 0)].threshold == 2
+        assert np.array_equal(profile.clean, [[True, True], [False, False]])
+        assert np.array_equal(profile.threshold, [[-1, -1], [2, 2]])
+        # Python ints, so validate.txt prints (1, 0) and not np.int64(1)
+        assert profile.violations == ((1, 0), (1, 1))
+        assert all(type(i) is int for v in profile.violations for i in v)
+        assert str(profile.violations[:1]) == "((1, 0),)"
 
     def test_acts_everywhere(self):
         params = self.params()
@@ -135,14 +159,25 @@ class TestThresholdProfile:
             lambda e, q: Action.UNICAST if q == 1 else Action.SLEEP,
         )
         profile = threshold_profile(table, params)
-        assert profile.slices[(1, 0)].threshold == 0
-        assert profile.slices[(1, 0)].clean
+        assert profile.threshold[1, 0] == 0
+        assert profile.clean[1, 0]
+
+    @pytest.mark.parametrize("p_u", [0.7, 0.3])
+    def test_matches_reference_on_solved_policy(self, p_u):
+        params, _, _, _, kernel, costs = make_instance(p_u=p_u)
+        policy = non_push_optimal(kernel, costs).policy
+        threshold, clean = reference_threshold_profile(policy, params)
+        profile = threshold_profile(policy, params)
+        assert np.array_equal(profile.threshold, threshold)
+        assert np.array_equal(profile.clean, clean)
+        assert (profile.threshold == -1).any()
 
     def test_profile_is_deterministic(self, default_solution, default_scenario):
         params, *_ = default_scenario
         p1 = threshold_profile(default_solution.policy, params)
         p2 = threshold_profile(default_solution.policy, params)
-        assert p1 == p2
+        assert np.array_equal(p1.threshold, p2.threshold)
+        assert np.array_equal(p1.clean, p2.clean)
 
 
 class TestThresholdGrid:

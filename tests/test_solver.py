@@ -30,7 +30,7 @@ from pushmdp.solver import (
 )
 from pushmdp.transition import TransitionKernel, validate_kernel
 
-from conftest import PROBABILITY, hand_built_kernel, make_instance
+from conftest import PROBABILITY, hand_built_kernel, make_instance, request_factor
 
 
 def dense_kernel(mats: dict[int, np.ndarray], levels: int = 1) -> TransitionKernel:
@@ -117,7 +117,7 @@ def pre_request_chain(policy, kernel):
     to_rows = csr_matrix(
         (np.ones(n), (np.arange(n), labels)), shape=(n, kernel.rows.shape[0])
     )
-    return (kernel.request @ (to_rows @ kernel.rows)).tocsr()
+    return (request_factor(kernel) @ (to_rows @ kernel.rows)).tocsr()
 
 
 def reference_bordered(chain: csr_matrix, cost: np.ndarray, refs: list) -> np.ndarray:
@@ -189,10 +189,9 @@ def superlu_policy_evaluation(policy, kernel, costs, ref_state=0):
     labels = kernel.labels[policy.actions, states]
     g_pi = costs[policy.actions, states]
     chain = pre_request_chain(policy, kernel)
-    cost = kernel.request @ g_pi
-    x = reference_bordered(
-        chain, cost, reference_pins(chain, cost, kernel.request.indices[ref_state])
-    )
+    cost = request_factor(kernel) @ g_pi
+    refs = reference_pins(chain, cost, kernel.pre[ref_state])
+    x = reference_bordered(chain, cost, refs)
     h = g_pi - x[0] + (kernel.rows @ x[1:])[labels]
     return float(x[0]), h - h[ref_state]
 
@@ -385,8 +384,9 @@ def assert_levels_match_superlu(policy, kernel, costs, scaled=False):
     gain, h = superlu_policy_evaluation(policy, kernel, costs)
     slack, scale = 0.0, 1.0
     if scaled:
-        cost = kernel.request @ costs[policy.actions, np.arange(kernel.num_states)]
-        refs = reference_pins(chain, cost, kernel.request.indices[0])
+        g_pi = costs[policy.actions, np.arange(kernel.num_states)]
+        cost = request_factor(kernel) @ g_pi
+        refs = reference_pins(chain, cost, kernel.pre[0])
         slack = (chain.shape[0] + 1) * np.linalg.cond(dense_bordered(chain, refs))
         slack *= np.finfo(float).eps
         scale = max(1.0, np.max(np.abs(h)))
@@ -660,8 +660,7 @@ class TestPolicyEvaluation:
         # at p_u = 1 a request always comes while nothing is pushed, so state
         # 0 = (0, 0, 0) has weight 0 in D; it still maps to pre-request row 0
         _, _, _, _, kernel, costs = make_instance(p_u=1.0)
-        column = kernel.request[:, 0]
-        assert column.nnz == 1 and column.indices[0] == 0 and column.data[0] == 0.0
+        assert kernel.pre[0] == 0 and kernel.weight[0] == 0.0
         for policy in policy_iterates(kernel, costs):
             sol, _ = assert_matches_post_decision(policy, kernel, costs)
             assert sol.h[0] == 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from pushmdp.model import (
@@ -21,7 +21,6 @@ from pushmdp.model import (
 from pushmdp.transition import (
     ArrivalPmf,
     KernelReport,
-    TransitionKernel,
     build_kernel,
     content_row,
     energy_row,
@@ -37,6 +36,7 @@ from conftest import (
     make_instance,
     make_scenario,
     reference_energy_spend,
+    request_factor,
     state_at,
 )
 
@@ -216,21 +216,26 @@ def assert_labels_share_rows(kernel):
 
 
 def assert_factors_match_templates(kernel, pre_request_rows):
-    """The templates are rows @ request, sorted, with no stored zero.
+    """The templates are rows @ D, sorted, with no stored zero, and D h is exact.
 
-    The request factor stores one entry per state, zeros kept, in the given
-    row; the product drops entries that are exactly 0 or that underflow.
+    D, built as a CSC matrix from the kernel's per-state arrays, stores one
+    entry per state, zeros kept, in the given row; the product drops entries
+    that are exactly 0 or that underflow.  The bincount the solvers take for
+    D h equals the CSC product bit for bit.
     """
+    assert np.array_equal(kernel.pre, pre_request_rows)
+    request = request_factor(kernel)
     templates = kernel.templates
     assert templates.has_sorted_indices and templates.data.all()
-    product = (kernel.rows @ kernel.request).tocsr()
+    product = (kernel.rows @ request).tocsr()
     product.sort_indices()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(product, name), getattr(templates, name)), name
-    request = kernel.request
-    assert request.format == "csc"
-    assert np.array_equal(request.indptr, np.arange(kernel.num_states + 1))
-    assert np.array_equal(request.indices, pre_request_rows)
+    rng = np.random.default_rng(7)
+    m = kernel.rows.shape[1]
+    for h in rng.standard_normal((3, kernel.num_states)) * [[1.0], [1e-3], [1e6]]:
+        got = np.bincount(kernel.pre, kernel.weight * h, minlength=m)
+        assert np.array_equal(got, request @ h)
 
 
 def pre_request_rows(params):
@@ -289,13 +294,13 @@ class TestArrivalPmf:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ArrivalPmf(probs=(0.5, -0.1), mean=0.5)
+            ArrivalPmf(probs=(0.5, -0.1))
         with pytest.raises(ValueError):
-            ArrivalPmf(probs=(0.9, 0.2), mean=0.5)
+            ArrivalPmf(probs=(0.9, 0.2))
         with pytest.raises(ValueError):
-            ArrivalPmf(probs=(), mean=0.5)
+            ArrivalPmf(probs=())
         with pytest.raises(ValueError):
-            ArrivalPmf((float("nan"),), 0.0)
+            ArrivalPmf((float("nan"),))
 
 
 class TestEnergyRow:
@@ -496,7 +501,9 @@ class TestBuildKernel:
         assert np.unique(kernel.labels).size == kernel.labels.size
 
     @pytest.mark.parametrize(
-        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
+        "overrides",
+        [{}, dict(e_max=30, n_contents=40), dict(e_max=60, n_contents=100)],
+        ids=["default", "large", "xl"],
     )
     def test_factored_form(self, overrides):
         params, _, _, _, kernel, _ = make_instance(**overrides)
@@ -505,7 +512,7 @@ class TestBuildKernel:
         assert_factors_match_templates(kernel, pre_request_rows(params))
         restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
         assert restricted.rows is kernel.rows
-        assert restricted.request is kernel.request
+        assert restricted.pre is kernel.pre and restricted.weight is kernel.weight
         assert restricted.templates is kernel.templates
         # U row (push, b, c) moves the pushed count to c - 1, c or c + 1 only:
         # the policy chains over (E, C) are block tridiagonal in N + 1 levels
@@ -520,17 +527,12 @@ class TestBuildKernel:
         for name in ("indptr", "indices", "data"):
             got, expect = getattr(kernel.templates, name), getattr(kernel.rows, name)
             assert np.array_equal(got, expect), name
-        assert np.array_equal(kernel.request.toarray(), np.eye(2))
+        assert np.array_equal(request_factor(kernel).toarray(), np.eye(2))
         assert_factors_match_templates(kernel, np.arange(2))
         assert kernel.levels == 1
-
-    def test_request_factor_needs_one_entry_per_state(self):
-        zero = csr_matrix((2, 2))
-        kernel = hand_built_kernel([csr_matrix(np.eye(2)), zero, zero])
-        # state 0 weighted in the rows of both pre-request states
-        request = csc_matrix(([1.0, 0.5, 1.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2))
-        with pytest.raises(ValueError, match="one entry per state, state 0 has 2"):
-            TransitionKernel(kernel.rows, kernel.labels, request, levels=1)
+        for table in (kernel.pre, kernel.weight):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     def test_matches_reference_on_default(self):
         kernel, rows = assert_matches_reference()
@@ -629,8 +631,8 @@ class TestValidateKernel:
         _, _, _, _, kernel, _ = make_instance(
             e_max=3, n_contents=3, m_rings=1, p_c=0.5, p_u=1e-323
         )
-        u, d = kernel.rows, kernel.request
-        weights = [d.data[(d.indices == x) & (d.data != 0)] for x in range(u.shape[1])]
+        u, pre, weight = kernel.rows, kernel.pre, kernel.weight
+        weights = [weight[(pre == x) & (weight != 0)] for x in range(u.shape[1])]
         partial = 0
         for j, x in enumerate(u.indices):
             zero = u.data[j] * weights[x] == 0

@@ -16,7 +16,7 @@ from .policies import (
     threshold_profile,
     unicast_priority_table,
 )
-from .sim import SimConfig, SimMetrics, SimulationError, simulate, sweep
+from .sim import SimConfig, SimMetrics, simulate, sweep
 from .solver import (
     ConvergenceError,
     IterationRecord,
@@ -57,7 +57,6 @@ __all__ = [
     "PolicyTable",
     "SimConfig",
     "SimMetrics",
-    "SimulationError",
     "SingularPolicyError",
     "SystemParams",
     "ThresholdProfile",

@@ -30,7 +30,6 @@ from .policies import (
 from .sim import (
     BASELINE_NAMES,
     SimConfig,
-    SimulationError,
     baseline,
     child_seeds,
     simulate,
@@ -40,6 +39,7 @@ from .sim import (
 )
 from .solver import (
     ConvergenceError,
+    SingularPolicyError,
     bellman_residual,
     brute_force_oracle,
     oracle_guard,
@@ -463,14 +463,15 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(settings, args.out, args.seed)
         raise AssertionError(args.command)
+    except (ConvergenceError, SingularPolicyError) as exc:
+        # SingularPolicyError is a ValueError too, so it is caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         # ConfigError, CalibrationError and the model's own input checks are
         # ValueErrors: bad input exits 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

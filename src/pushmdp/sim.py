@@ -14,9 +14,10 @@ integer thresholds on the pushed count (see ``_Draws``): evict iff
 c >= drop_min, hit iff c' >= hit_min, else observe ring miss_q.  Per-state
 tables built once per run give the post-spend battery and the post-push count
 under the policy, so the Python loop is only the recurrence s -> s' on plain
-ints.  The feasibility check, the counts and the recorded states are taken per
-chunk of visited states afterwards.  ``simulate`` runs policy tables only;
-``baseline`` maps the names in ``BASELINE_NAMES`` to tables.
+ints.  The counts and the recorded states are taken per chunk of visited
+states afterwards.  ``simulate`` runs feasible policy tables only, checked by
+``PolicyTable.validate`` before the first draw; ``baseline`` maps the names
+in ``BASELINE_NAMES`` to tables.
 
 Requests generated at the end of period k are observed (and possibly
 handed to the macro cell) in period k+1; counters attribute them to the
@@ -51,7 +52,6 @@ from .transition import ArrivalPmf, TransitionKernel, build_kernel
 __all__ = [
     "SimConfig",
     "SimMetrics",
-    "SimulationError",
     "simulate",
     "simulate_many",
     "simulation_workers",
@@ -71,10 +71,6 @@ _BUCKETS = 1 << 12
 _CHUNK = 1 << 13
 
 BASELINE_NAMES = ("optimal-push", "non-push", "unicast-priority")
-
-
-class SimulationError(RuntimeError):
-    """A policy returned an action infeasible in the visited state."""
 
 
 @dataclass(frozen=True)
@@ -240,11 +236,11 @@ def simulate(
     Deterministic given (config, params, grid, popularity).  Builds no kernel
     and solves nothing.  With ``record=True`` also returns the visited state
     indices over the full horizon, for distribution checks; the actions are
-    ``config.policy.actions[states]``.
+    ``config.policy.actions[states]``.  A table that does not fit the state
+    space, or is infeasible in any state, raises ValueError before any draw.
     """
+    config.policy.validate(feasible_table(params, grid))
     actions = config.policy.actions
-    if len(actions) != params.num_states:
-        raise ValueError("policy table size does not match the state space")
     start = time.perf_counter()
     horizon, warmup = config.horizon, config.warmup
     n_meas = horizon - warmup
@@ -254,15 +250,11 @@ def simulate(
     cap = params.battery_levels
     pop_cum = cumulative_popularity_table(popularity)
 
-    # Per-state tables under the policy.  An infeasible state steps like a
-    # sleep so the loop stays inside the state space; the chunk check raises
-    # at its first visit.
+    # per-state tables under the policy
     e_tab, q_tab, c_tab = state_table(params)
     states = np.arange(params.num_states)
-    feasible = feasible_table(params, grid)[actions, states]
-    spent = np.where(feasible, spend_table(grid)[actions, q_tab], 0)
-    pushed_next = c_tab + (feasible & (actions == Action.PUSH))
-    post_spend = e_tab - spent
+    post_spend = e_tab - spend_table(grid)[actions, q_tab]
+    pushed_next = c_tab + (actions == Action.PUSH)
     macro_tab = stage_cost_table(params)[actions, states].astype(np.uint8)
     # battery terms are pre-scaled by the index stride of E, so the loop forms
     # s' = E'*stride + Q'*(N+1) + C' without multiplying
@@ -303,14 +295,6 @@ def simulate(
                 s = ew + cn if cn >= hmin else ew + cn + mw
             st = np.array(visited)
             k0 = k + lo
-            bad = ~feasible[st]
-            if bad.any():
-                i = int(np.argmax(bad))
-                x = st[i]
-                raise SimulationError(
-                    f"period {k0 + i}: {Action(actions[x]).name.lower()} infeasible "
-                    f"in state ({e_tab[x]},{q_tab[x]},{c_tab[x]})"
-                )
             if record:
                 rec_states[k0 : k0 + len(st)] = st
             # requests drawn in period k are observed in period k + 1

@@ -27,6 +27,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+# after csgraph, which loads it; imported first, it slowed start-up by ~0.05 s
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from .model import NUM_ACTIONS, Action
 from .transition import TransitionKernel
@@ -126,15 +128,17 @@ class PolicyTable:
     def all_sleep(cls, num_states: int) -> "PolicyTable":
         return cls(np.zeros(num_states, dtype=np.int64))
 
-    def validate(self, kernel: TransitionKernel) -> None:
-        """Raise if the table does not fit the kernel or any entry is infeasible."""
-        if len(self.actions) != kernel.num_states:
+    def validate(self, feasible: np.ndarray) -> None:
+        """Raise if the table does not fit ``feasible`` or any entry is infeasible.
+
+        ``feasible`` is a kernel's ``feasible_mask()`` or ``model.feasible_table``.
+        """
+        num_states = feasible.shape[1]
+        if len(self.actions) != num_states:
             raise ValueError(
-                f"policy has {len(self.actions)} entries for "
-                f"{kernel.num_states} states"
+                f"policy has {len(self.actions)} entries for {num_states} states"
             )
-        states = np.arange(kernel.num_states)
-        bad = np.flatnonzero(~kernel.feasible_mask()[self.actions, states])
+        bad = np.flatnonzero(~feasible[self.actions, np.arange(num_states)])
         if bad.size:
             s = int(bad[0])
             raise ValueError(
@@ -174,7 +178,7 @@ def policy_evaluation(
     non-finite values or a residual of the full equations above tolerance
     raise SingularPolicyError.
     """
-    policy.validate(kernel)
+    policy.validate(kernel.feasible_mask())
     n = kernel.num_states
     states = np.arange(n)
     u, pre, weight = kernel.rows, kernel.pre, kernel.weight
@@ -346,12 +350,12 @@ def _solve_levels(
                 into = np.zeros((b, b + 1))
                 for c in order:
                     maps[c, :, b] += into[:, b]
-                    inverse[c] = np.linalg.inv(eye - same[c] - into[:, :b])
+                    inverse[c] = _inverse(eye - same[c] - into[:, :b])
                     maps[c] = inverse[c] @ maps[c]
                     into = back[c + step] @ maps[c]
                 bordered[:b, 0] += into[:, b]
                 bordered[:b, 1:] -= into[:, :b]
-            bordered = np.linalg.inv(bordered)
+            bordered = _inverse(bordered)
             x = substitute(cost)
             x += substitute(cost - free * x[0] - x[1:] + free * (chain @ x[1:]))
             if pinned is not None:
@@ -360,6 +364,16 @@ def _solve_levels(
         raise SingularPolicyError(f"{route}: {exc}") from exc
     _check_residual(x, free * x[0] + x[1:] - free * (chain @ x[1:]) - cost, route)
     return x
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a by LAPACK's LU routines, without np.linalg.inv's overhead."""
+    lu, piv, info = dgetrf(a)
+    if info == 0:
+        inv, info = dgetri(lu, piv)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return inv
 
 
 def _check_residual(x: np.ndarray, residual: np.ndarray, route: str) -> None:

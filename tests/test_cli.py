@@ -217,7 +217,7 @@ class TestSolveCommand:
         sets = ["e_max=0", "n_contents=1", "m_rings=1", "p_c=1e-260", "p_u=0"]
         argv = ["solve", "--out", str(tmp_path)]
         code = main(argv + [arg for s in sets for arg in ("--set", s)])
-        assert code == 2
+        assert code == 1
         err = capsys.readouterr().err
         assert "levels route, 2-state chain: " in err
         assert "Singular matrix" in err

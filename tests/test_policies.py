@@ -78,7 +78,7 @@ class TestUnicastPriority:
 
     def test_never_infeasible(self, default_instance, default_greedy):
         _, _, _, _, kernel, _ = default_instance
-        default_greedy.validate(kernel)
+        default_greedy.validate(kernel.feasible_mask())
 
 
 class TestNonPushOptimal:

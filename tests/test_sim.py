@@ -17,14 +17,13 @@ from pushmdp.sim import (
     _BATCHES,
     SimConfig,
     SimMetrics,
-    SimulationError,
     _batch_se,
     simulate,
     simulate_many,
     simulation_workers,
     sweep,
 )
-from pushmdp.solver import PolicyTable
+from pushmdp.solver import PolicyTable, policy_evaluation
 
 from conftest import (
     PROBABILITY,
@@ -43,8 +42,9 @@ def reference_simulate(config, params, grid, popularity, record=False):
 
     Reference for cross-checks only: it draws the same blocks in the same
     order and steps one period at a time with scalar reads, ``bisect`` and
-    inline feasibility checks.  With ``record=True`` it also returns the
-    visited states and the actions taken.
+    inline feasibility checks of its own, which raise ValueError naming the
+    period.  With ``record=True`` it also returns the visited states and the
+    actions taken.
     """
     actions = config.policy.actions
     horizon, warmup = config.horizon, config.warmup
@@ -96,13 +96,13 @@ def reference_simulate(config, params, grid, popularity, record=False):
             a = actions[(e * m1 + q) * n1 + c]
             if a == unicast:
                 if q < 1 or l_cost[q] > e:
-                    raise SimulationError(
+                    raise ValueError(
                         f"period {kk}: unicast infeasible in state ({e},{q},{c})"
                     )
                 spent = l_cost[q]
             elif a == push:
                 if l_push > e or c >= n_cont:
-                    raise SimulationError(
+                    raise ValueError(
                         f"period {kk}: push infeasible in state ({e},{q},{c})"
                     )
                 spent = l_push
@@ -284,15 +284,6 @@ class TestSimulate:
         assert m.requests_generated <= m.measured_periods
         assert m.macro_ratio == m.macro_handled / m.measured_periods
 
-    def test_infeasible_policy_reports_period(self, default_scenario):
-        params, _, grid, pop = default_scenario
-        table = PolicyTable(np.ones(params.num_states, dtype=np.int64))
-        with pytest.raises(SimulationError, match="period 0"):
-            simulate(
-                SimConfig(policy=table, horizon=1_000, warmup=0),
-                params, grid, pop,
-            )
-
     def test_large_overflow_counted(self):
         # about 40,000 units spill per period, beyond a 16-bit counter
         params, _, grid, pop = make_scenario(a_bar=40_000.0)
@@ -405,8 +396,10 @@ class TestMatchesReferenceLoop:
         )
         assert_matches_reference(config, params, grid, pop)
 
-    def test_same_error_mid_trajectory(self, default_scenario, default_greedy):
-        params, _, grid, pop = default_scenario
+    def test_late_infeasible_state_rejected_before_first_draw(
+        self, default_instance, default_greedy, monkeypatch
+    ):
+        params, _, grid, pop, kernel, costs = default_instance
         _, states = simulate(
             SimConfig(policy=default_greedy, horizon=100_000, seed=4, warmup=0),
             params, grid, pop, record=True,
@@ -423,12 +416,23 @@ class TestMatchesReferenceLoop:
         config = SimConfig(
             policy=PolicyTable(actions), horizon=100_000, seed=4, warmup=0
         )
-        with pytest.raises(SimulationError) as new:
-            simulate(config, params, grid, pop)
-        with pytest.raises(SimulationError) as ref:
+        # the per-period reference meets the state only at that period
+        with pytest.raises(ValueError, match=f"^period {period}: "):
             reference_simulate(config, params, grid, pop)
-        assert str(new.value) == str(ref.value)
-        assert str(new.value).startswith(f"period {period}: ")
+        with pytest.raises(ValueError) as solved:
+            policy_evaluation(config.policy, kernel, costs)
+
+        def no_draw(*args):
+            raise AssertionError("simulate drew before rejecting the table")
+
+        monkeypatch.setattr(sim, "_draw", no_draw)
+        with pytest.raises(ValueError) as simulated:
+            simulate(config, params, grid, pop)
+        assert str(simulated.value) == str(solved.value)
+        assert str(simulated.value) == (
+            f"policy assigns infeasible action {config.policy[state].name} "
+            f"to state {state}"
+        )
 
 
 class TestBucketSearch:
@@ -604,19 +608,20 @@ class TestSimulateMany:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
-    def test_worker_error_reaches_caller(self, default_scenario, monkeypatch):
-        params, _, grid, pop = default_scenario
+    def test_worker_error_reaches_caller(self, default_instance, monkeypatch):
+        params, _, grid, pop, kernel, costs = default_instance
         bad = PolicyTable(np.ones(params.num_states, dtype=np.int64))
         jobs = [
             (SimConfig(policy=policy, horizon=20_000, warmup=0), params, grid, pop)
             for policy in (PolicyTable.all_sleep(params.num_states), bad)
         ]
+        with pytest.raises(ValueError) as solved:
+            policy_evaluation(bad, kernel, costs)
         messages = []
         for cpus in (2, 1):
             monkeypatch.setattr(sim, "_available_cpus", lambda: cpus)
-            with pytest.raises(SimulationError) as raised:
+            with pytest.raises(ValueError) as raised:
                 simulate_many(jobs)
             messages.append(str(raised.value))
             assert multiprocessing.active_children() == []
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("period 0:")
+        assert messages == [str(solved.value)] * 2

@@ -1121,14 +1121,14 @@ class TestPolicyTable:
             PolicyTable([[0, 1]])
 
     def test_validate_against_kernel(self):
-        kernel = dense_kernel({0: TWO_STATE_P})
-        PolicyTable([0, 0]).validate(kernel)
+        feasible = dense_kernel({0: TWO_STATE_P}).feasible_mask()
+        PolicyTable([0, 0]).validate(feasible)
         with pytest.raises(ValueError):
-            PolicyTable([1, 0]).validate(kernel)
+            PolicyTable([1, 0]).validate(feasible)
         with pytest.raises(ValueError, match="PUSH to state 1"):
-            PolicyTable([0, 2, 1]).validate(dense_kernel({0: np.eye(3)}))
+            PolicyTable([0, 2, 1]).validate(dense_kernel({0: np.eye(3)}).feasible_mask())
         with pytest.raises(ValueError, match="entries"):
-            PolicyTable([0]).validate(kernel)
+            PolicyTable([0]).validate(feasible)
 
     def test_all_sleep(self):
         table = PolicyTable.all_sleep(4)

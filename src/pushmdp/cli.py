@@ -272,6 +272,13 @@ def _print_workers(num_runs: int) -> None:
     print(f"simulating {num_runs} runs on {simulation_workers(num_runs)} worker(s)")
 
 
+def _print_throughput(runs) -> None:
+    # stdout only, like the worker count: throughput varies between identical runs
+    rates = [m.periods_per_s for m in runs]
+    print(f"simulated {sum(m.total_periods for m in runs)} periods, "
+          f"{np.median(rates):.4g} periods/s median, {min(rates):.4g} slowest")
+
+
 def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
     params, _, grid, popularity = build_scenario(settings)
     pu_grid = parse_pu_grid(settings["pu_grid"])
@@ -286,6 +293,7 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
         warmup=settings["warmup"],
         seed=seed,
     )
+    _print_throughput([m for r in rows for m in r.runs])
     lines = _header("sweep", settings, seed)
     lines.append("policy p_u p_c a_bar ratio_sim se ratio_solver horizon seed")
     for r in rows:
@@ -371,7 +379,9 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
         for (_, table, _), child in zip(named, seeds)
     ]
     _print_workers(len(jobs))
-    for (name, _, gain), metrics in zip(named, simulate_many(jobs)):
+    runs = simulate_many(jobs)
+    _print_throughput(runs)
+    for (name, _, gain), metrics in zip(named, runs):
         gap = abs(gain - metrics.macro_ratio)
         limit = 3.0 * metrics.macro_ratio_se
         checks.append(

@@ -365,7 +365,17 @@ class TestValidateCommand:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
 class TestSimulationWorkers:
-    """validate and sweep write the same bytes from worker processes and in-process."""
+    """validate and sweep write the same bytes from worker processes and in-process.
+
+    Both print the runs' throughput, which differs between identical runs, to
+    stdout only.
+    """
+
+    THROUGHPUT = re.compile(
+        r"^simulating (\d+) runs .*\nsimulated (\d+) periods, "
+        r"(\S+) periods/s median, (\S+) slowest$",
+        re.M,
+    )
 
     SHORT = ["--set", "horizon=50000", "--set", "warmup=1000"]
 
@@ -387,9 +397,15 @@ class TestSimulationWorkers:
             monkeypatch.setattr(sim, "_available_cpus", lambda: cpus)
             out = tmp_path / str(cpus)
             assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 0
-            assert f" on {cpus} worker(s)" in capsys.readouterr().out
+            printed = capsys.readouterr().out
+            assert f" on {cpus} worker(s)" in printed
+            runs, periods, median, slowest = self.THROUGHPUT.search(printed).groups()
+            horizon = DEFAULTS["horizon"] if argv == ["validate"] else 50_000
+            assert int(periods) == int(runs) * horizon
+            assert float(median) >= float(slowest) > 0
             assert multiprocessing.active_children() == []
             written[cpus] = {name: (out / name).read_bytes() for name in names}
+            assert not any(b"periods/s" in text for text in written[cpus].values())
         assert written[2] == written[1]
 
 

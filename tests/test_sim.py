@@ -2,6 +2,7 @@
 import bisect
 import multiprocessing
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -43,8 +44,9 @@ def reference_simulate(config, params, grid, popularity, record=False):
     Reference for cross-checks only: it draws the same blocks in the same
     order and steps one period at a time with scalar reads, ``bisect`` and
     inline feasibility checks of its own, which raise ValueError naming the
-    period.  With ``record=True`` it also returns the visited states and the
-    actions taken.
+    period.  It counts overflowed energy in Python ints, exact at any size.
+    With ``record=True`` it also returns the visited states and the actions
+    taken.
     """
     actions = config.policy.actions
     horizon, warmup = config.horizon, config.warmup
@@ -68,11 +70,10 @@ def reference_simulate(config, params, grid, popularity, record=False):
     macro_ind = np.zeros(n_meas, dtype=np.uint8)
     req_ind = np.zeros(n_meas, dtype=np.uint8)
     hit_ind = np.zeros(n_meas, dtype=np.uint8)
-    over_ind = np.zeros(n_meas, dtype=np.int16)
     rec_states = np.zeros(horizon, dtype=np.int32)
     rec_actions = np.zeros(horizon, dtype=np.int8)
 
-    e = q = c = 0
+    e = q = c = overflow = 0
     req_flag = hit_flag = False
     unicast, push = int(Action.UNICAST), int(Action.PUSH)
 
@@ -118,7 +119,7 @@ def reference_simulate(config, params, grid, popularity, record=False):
             raw = e - spent + int(arr_blk[i])
             e_next = raw if raw < cap else cap
             if j >= 0:
-                over_ind[j] = raw - e_next
+                overflow += raw - e_next
             if requ_blk[i] < p_u:
                 req_flag = True
                 if hitu_blk[i] < pop_cum[c_next]:
@@ -140,7 +141,7 @@ def reference_simulate(config, params, grid, popularity, record=False):
         requests_generated=int(req_ind.sum()),
         macro_handled=int(macro_ind.sum()),
         cache_hits=int(hit_ind.sum()),
-        energy_overflow_units=int(over_ind.sum()),
+        energy_overflow_units=overflow,
         macro_ratio=float(macro_ind.mean()),
         macro_ratio_se=_batch_se(macro_ind, _BATCHES),
         periods_per_s=float("nan"),
@@ -294,6 +295,22 @@ class TestSimulate:
         )
         assert m.energy_overflow_units / m.measured_periods > 39_000
 
+    def test_step_tables_stay_small(self):
+        # tables over states x draw codes would hold about 1.5G entries here
+        params, _, grid, pop = make_scenario(e_max=60, n_contents=100)
+        assert params.num_states == 30_805
+        config = SimConfig(
+            policy=unicast_priority_table(params, grid), horizon=20_000, warmup=1_000
+        )
+        simulate(config, params, grid, pop)  # the first run pays lazy set-up
+        tracemalloc.start()
+        try:
+            simulate(config, params, grid, pop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_reports_throughput(self, default_scenario, default_greedy):
         params, _, grid, pop = default_scenario
         m = simulate(
@@ -322,8 +339,9 @@ class TestSimulate:
 
 
 # Edge scenarios: boundary probabilities, no catalog, an empty battery, one
-# ring, a scenario large enough for several pushed-count thresholds, and a
-# Zipf catalog whose cumulative shares round above 1 before the last content.
+# ring, a scenario large enough for several pushed-count thresholds, a Zipf
+# catalog whose cumulative shares round above 1 before the last content, and a
+# harvest whose scaled arrivals would pass int64 before the battery cap.
 EDGE_SCENARIOS = [
     dict(p_c=0.0),
     dict(p_c=1.0),
@@ -335,6 +353,7 @@ EDGE_SCENARIOS = [
     dict(e_max=3, n_contents=2, m_rings=1),
     dict(e_max=30, n_contents=40),
     dict(n_contents=86, zipf_skew=7.95),
+    dict(a_bar=4.4e17, e_max=5, n_contents=4),
 ]
 
 
@@ -372,6 +391,15 @@ class TestMatchesReferenceLoop:
                       random_feasible_policy(params, grid, seed=1)):
             config = SimConfig(policy=table, horizon=20_000, seed=6, warmup=300)
             assert_matches_reference(config, params, grid, pop)
+
+    def test_overflow_sum_beyond_int64(self):
+        # about 1e18 units spill per period, so the count passes 2**64
+        params, _, grid, pop = make_scenario(a_bar=1e18, e_max=5, n_contents=4)
+        config = SimConfig(
+            policy=unicast_priority_table(params, grid), horizon=20_000, warmup=1_000
+        )
+        assert_matches_reference(config, params, grid, pop)
+        assert simulate(config, params, grid, pop).energy_overflow_units > 2**64
 
     @given(
         e_max=st.integers(0, 6),

@@ -31,6 +31,7 @@ from .sim import (
     BASELINE_NAMES,
     SimConfig,
     baseline,
+    check_run,
     child_seeds,
     simulate,
     simulate_many,
@@ -247,7 +248,6 @@ def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> i
         "energy_overflow_units",
     ):
         lines.append(f"# {field} = {getattr(metrics, field)}")
-    lines.append(f"# periods_per_s = {metrics.periods_per_s:.4g}")
     lines.append("policy p_u p_c a_bar ratio se K seed")
     lines.append(
         f"{policy_name} {params.request_prob:.17g} {params.content_replace_prob:.17g} "
@@ -255,6 +255,7 @@ def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> i
         f"{metrics.macro_ratio_se:.17g} {metrics.measured_periods} {seed}"
     )
     _write(out_dir, "metrics.txt", lines)
+    _print_throughput([metrics])
     print(
         f"{policy_name}: macro ratio {metrics.macro_ratio:.6f} "
         f"(s.e. {metrics.macro_ratio_se:.2g}) over {metrics.measured_periods} periods"
@@ -462,6 +463,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = load_settings(args.config, args.overrides)
+        if args.command in ("simulate", "sweep", "validate"):
+            # before any kernel is built; its messages name the keys
+            check_run(settings["horizon"], settings["warmup"], args.seed)
         if args.command == "solve":
             return cmd_solve(settings, args.out, args.seed)
         if args.command == "simulate":

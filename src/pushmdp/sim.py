@@ -55,6 +55,7 @@ from .transition import ArrivalPmf, TransitionKernel, build_kernel
 __all__ = [
     "SimConfig",
     "SimMetrics",
+    "check_run",
     "simulate",
     "simulate_many",
     "simulation_workers",
@@ -91,10 +92,17 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.policy, PolicyTable):
             raise TypeError(f"policy must be a PolicyTable, not {self.policy!r}")
-        if self.warmup < 0 or self.horizon <= self.warmup:
-            raise ValueError("need horizon > warmup >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_run(self.horizon, self.warmup, self.seed)
+
+
+def check_run(horizon: int, warmup: int, seed: int) -> None:
+    """Refuse bad run lengths or seed; a message starts with the key at fault."""
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if horizon <= warmup:
+        raise ValueError(f"horizon must be > warmup = {warmup}, got {horizon}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ three independent pieces:
 * pushed count: one-step birth/death driven by content replacement and push,
 * request ring: fresh each period, thinned by cache hits on pushed contents.
 
-Each factor has a small dense row builder.  A kernel row depends on its
+Each factor is one table, built whole.  A kernel row depends on its
 (state, action) only through the post-decision state: the post-spend battery
 level, the pushed count and whether the action pushes.  The request ring is
 drawn last, from the next pushed count alone, so every such row is U D: U
@@ -42,9 +42,9 @@ from .model import (
 __all__ = [
     "poisson_pmf",
     "ArrivalPmf",
-    "energy_row",
-    "content_row",
-    "request_row",
+    "energy_table",
+    "content_table",
+    "request_table",
     "TransitionKernel",
     "build_kernel",
     "KernelReport",
@@ -66,7 +66,7 @@ class ArrivalPmf:
     """Per-period harvested-unit distribution truncated at the battery size.
 
     ``probs[i]`` is the probability of exactly i units for i < capacity; mass
-    at or above ``capacity`` is *not* folded in here (the energy row does the
+    at or above ``capacity`` is *not* folded in here (the energy table does the
     capping), so the entries may sum to less than one.
     """
 
@@ -85,63 +85,55 @@ class ArrivalPmf:
     def poisson(cls, mean: float, capacity: int) -> "ArrivalPmf":
         return cls(tuple(poisson_pmf(mean, i) for i in range(capacity + 1)))
 
-    def prefix(self, count: int) -> float:
-        """Pr(arrivals <= count); -1 gives 0."""
-        return math.fsum(self.probs[: count + 1])
 
+def energy_table(arrival: ArrivalPmf, capacity: int) -> np.ndarray:
+    """Next-battery pmf over 0..capacity, one row per post-spend level b.
 
-def energy_row(base: int, arrival: ArrivalPmf, capacity: int) -> np.ndarray:
-    """Next-battery pmf over 0..capacity from post-spend level ``base``.
-
-    Harvested units are added to ``base`` and the sum is capped at capacity.
+    Harvested units are added to b and the sum is capped at capacity.
     """
-    if not 0 <= base <= capacity:
-        raise ValueError(f"post-spend battery level {base} outside [0, {capacity}]")
-    row = np.zeros(capacity + 1)
-    for nxt in range(base, capacity):
-        row[nxt] = arrival.probs[nxt - base]
-    gap = capacity - base
-    # max() guards against the prefix sum rounding a hair above 1
-    row[capacity] = 1.0 if gap == 0 else max(0.0, 1.0 - arrival.prefix(gap - 1))
-    return row
+    if len(arrival.probs) < capacity:
+        raise ValueError(
+            f"arrival pmf has {len(arrival.probs)} entries; "
+            f"a battery of capacity {capacity} needs at least {capacity}"
+        )
+    table = np.zeros((capacity + 1, capacity + 1))
+    for b in range(capacity + 1):
+        below_cap = arrival.probs[: capacity - b]
+        table[b, b:capacity] = below_cap
+        # max() guards against the sum rounding a hair above 1
+        table[b, capacity] = max(0.0, 1.0 - math.fsum(below_cap))
+    return table
 
 
-def content_row(pushed: int, action: Action, params: SystemParams) -> dict[int, float]:
-    """Next pushed-count pmf as a sparse {count: prob} map.
+def content_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Next pushed count and its probability, both indexed [push, C, slot].
 
     Each period one cached content is replaced in the catalog with probability
-    p_c; a replacement evicts a *pushed* content with chance C/N.  A push then
-    adds one content.  Push on a full cache only backfills the eviction.
-    Only counts of positive probability are listed.
+    p_c; a replacement evicts a *pushed* content with chance C/N (slot 0),
+    else the count is kept (slot 1).  A push then adds one content.  Push on
+    a full cache is infeasible, so both its slots have probability 0.  A slot
+    of probability 0 may hold a count outside 0..N; the kernel drops it.
     """
     n = params.num_contents
-    if not 0 <= pushed <= n:
-        raise ValueError(f"pushed count {pushed} outside [0, {n}]")
-    if action == Action.PUSH and pushed >= n:
-        raise ValueError("push infeasible with every content already pushed")
-    drop = params.content_replace_prob * (pushed / n) if n else 0.0
-    kept = pushed + 1 if action == Action.PUSH else pushed
-    row = {kept: 1.0 - drop, kept - 1: drop}
-    return {nxt: prob for nxt, prob in row.items() if prob}
+    c = np.arange(n + 1)
+    drop = params.content_replace_prob * (c / max(n, 1))
+    prob = np.array([np.column_stack((drop, 1.0 - drop))] * 2)
+    prob[1, n] = 0.0
+    nxt = np.arange(2)[:, None, None] + c[:, None] + np.arange(-1, 1)
+    return nxt, prob
 
 
-def request_row(
-    pushed_next: int,
-    popularity_cum: np.ndarray,
-    grid: DistanceGrid,
-    request_prob: float,
+def request_table(
+    popularity_cum: np.ndarray, grid: DistanceGrid, request_prob: float
 ) -> np.ndarray:
-    """Next request-ring pmf over 0..M given next period's pushed count.
+    """Next request-ring pmf over 0..M, one row per next pushed count C'.
 
     A request arrives with probability p_u and survives (is not already
     cached) with probability 1 - F(C'); a surviving request lands in ring m
     with the ring-area probability.
     """
-    miss = request_prob * (1.0 - popularity_cum[pushed_next])
-    row = np.empty(grid.num_rings + 1)
-    row[0] = 1.0 - miss
-    row[1:] = miss * np.asarray(grid.ring_probs)
-    return row
+    miss = request_prob * (1.0 - popularity_cum)
+    return np.column_stack((1.0 - miss, np.outer(miss, grid.ring_probs)))
 
 
 @dataclass
@@ -256,34 +248,25 @@ def build_kernel(
 
     A row depends on its (state, action) only through the post-spend battery
     level b, the pushed count c and whether the action pushes; each such case
-    is one row of U, the outer product of its battery and content rows over
-    the pre-request states.  D weights each state by its pushed count's
-    request row.  The kernel derives its template rows from the two on request.
+    is one row of U, the outer product of its rows of the energy and content
+    tables over the pre-request states.  D weights each state by the request
+    table's row of its pushed count.  The kernel derives its template rows
+    from the two on request.
     """
     feasible = feasible_table(params, grid)
     e1 = params.battery_levels + 1
     n1 = params.num_contents + 1
-    pop_cum = cumulative_popularity_table(popularity)
-    # energy[b, E'] is the battery row from post-spend level b;
-    # request[C', Q'] is the request row given next period's pushed count.
-    energy = np.stack([energy_row(b, arrival, e1 - 1) for b in range(e1)])
-    request = np.stack(
-        [request_row(c, pop_cum, grid, params.request_prob) for c in range(n1)]
+    energy = energy_table(arrival, params.battery_levels)
+    c_next, p_content = content_table(params)
+    request = request_table(
+        cumulative_popularity_table(popularity), grid, params.request_prob
     )
-    # Content factor per (push, c) in two slots, the lower next count first;
-    # an absent slot has next count -1.  Push on a full cache is infeasible.
-    c_next = np.full((2, n1, 2), -1)
-    p_content = np.zeros((2, n1, 2))
-    for push, action in enumerate((Action.SLEEP, Action.PUSH)):
-        for c in range(n1 - push):
-            for nxt, prob in content_row(c, action, params).items():
-                c_next[push, c, nxt - c + 1 - push] = nxt
-                p_content[push, c, nxt - c + 1 - push] = prob
 
     # Row t = (push*(E+1) + b)*(N+1) + c of U spans axes (push, b, c, E',
     # slot), which in C order run by pre-request index E'*(N+1) + C'.  Its
-    # entries are content*energy, the positive ones kept; the extra last row
-    # is empty and serves infeasible pairs.
+    # entries are content*energy, the positive ones kept, which drops the
+    # content table's zero slots; the extra last row is empty and serves
+    # infeasible pairs.
     num_templates = 2 * e1 * n1
     pe = p_content[:, None, :, None, :] * energy[None, :, None, :, None]
     pre = np.arange(e1)[:, None] * n1 + c_next[:, None, :, None, :]

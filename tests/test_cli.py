@@ -224,7 +224,7 @@ class TestSolveCommand:
 
 
 class TestSimulateCommand:
-    def test_metrics_file(self, tmp_path):
+    def test_metrics_file(self, tmp_path, capsys):
         out = tmp_path / "art"
         code = main(
             ["simulate", "--policy", "unicast-priority", "--out", str(out),
@@ -232,9 +232,13 @@ class TestSimulateCommand:
             + TINY
         )
         assert code == 0
+        # the throughput varies between identical runs, so it goes to stdout
+        stdout = capsys.readouterr().out
+        rate = re.search(r"simulated 20000 periods, (\S+) periods/s", stdout)
+        assert float(rate.group(1)) > 0
         text = (out / "metrics.txt").read_text()
         assert "policy p_u p_c a_bar ratio se K seed" in text
-        assert float(text.split("# periods_per_s = ")[1].split()[0]) > 0
+        assert "periods_per_s" not in text
         row = text.strip().splitlines()[-1].split()
         assert row[0] == "unicast-priority"
         assert row[-1] == "5"
@@ -242,7 +246,7 @@ class TestSimulateCommand:
 
     def test_named_policy_matches_table(self, tmp_path, monkeypatch):
         # metrics.txt of each name is that of a run of the table sim.baseline
-        # gives for it, apart from the timing line
+        # gives for it
         sets = ["horizon=20000", "warmup=1000", "e_max=2", "n_contents=2", "m_rings=1"]
         argv = ["--seed", "5"] + [arg for s in sets for arg in ("--set", s)]
         params, arrival, grid, pop = build_scenario(load_settings(None, sets))
@@ -252,8 +256,7 @@ class TestSimulateCommand:
 
         def metrics(name, out):
             assert main(["simulate", "--policy", name, "--out", str(out)] + argv) == 0
-            lines = (out / "metrics.txt").read_text().splitlines()
-            return [line for line in lines if not line.startswith("# periods_per_s")]
+            return (out / "metrics.txt").read_bytes()
 
         for name in sim.BASELINE_NAMES:
             by_name = metrics(name, tmp_path / name)
@@ -262,6 +265,15 @@ class TestSimulateCommand:
                 patch.setattr(cli, "baseline", lambda *args, **kwargs: (table, 0.0))
                 by_table = metrics(name, tmp_path / f"{name}-table")
             assert by_name == by_table
+
+    def test_identical_runs_write_identical_files(self, tmp_path):
+        argv = ["simulate", "--seed", "5", "--set", "horizon=20000",
+                "--set", "warmup=1000"] + TINY
+        files = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(argv + ["--out", str(out)]) == 0
+            files.append((out / "metrics.txt").read_bytes())
+        assert files[0] == files[1]
 
     def test_greedy_by_name_needs_no_kernel(self, tmp_path, monkeypatch):
         # a push costs M=4 > e_max, so the greedy chain has one closed class
@@ -291,6 +303,32 @@ def test_undrawable_arrival_mean_exits_two(command, tmp_path, capsys, monkeypatc
     assert "config key 'a_bar': mean_arrival must be > 0 and at most" in (
         capsys.readouterr().err
     )
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        (["--set", "warmup=-1"], "error: warmup must be >= 0, got -1"),
+        (["--set", "horizon=500", "--set", "warmup=500"],
+         "error: horizon must be > warmup = 500, got 500"),
+        (["--seed", "-1"], "error: seed must fit in 64 bits, got -1"),
+        (["--seed", str(2**64)], "error: seed must fit in 64 bits"),
+    ],
+    ids=["warmup", "horizon", "negative-seed", "wide-seed"],
+)
+def test_bad_run_settings_exit_two_first(
+    command, bad, named, tmp_path, capsys, monkeypatch
+):
+    # the run lengths and the seed are checked before any kernel is built
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel built before the run settings were checked")
+
+    monkeypatch.setattr(cli, "build_kernel", no_kernel)
+    monkeypatch.setattr(sim, "build_kernel", no_kernel)
+    assert main([command, "--out", str(tmp_path)] + bad + TINY) == 2
+    assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

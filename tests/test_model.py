@@ -22,7 +22,7 @@ from pushmdp.model import (
 from pushmdp.policies import unicast_priority_table
 from pushmdp.sim import SimConfig, simulate
 from pushmdp.solver import PolicyTable
-from pushmdp.transition import ArrivalPmf, build_kernel, energy_row
+from pushmdp.transition import ArrivalPmf, build_kernel, energy_table
 
 from conftest import make_scenario, state_at
 
@@ -319,21 +319,18 @@ class TestFeasibilityAndCost:
 
 
 class TestBatteryUpdate:
-    # energy_row(level - spent) puts the mass of a arrivals at
+    # row level - spent of the energy table puts the mass of a arrivals at
     # min(capacity, level - spent + a)
     arr = ArrivalPmf.poisson(0.8, 15)
 
     def test_cap_and_floor(self):
-        row = energy_row(10 - 4, self.arr, 15)
+        table = energy_table(self.arr, 15)
+        row = table[10 - 4]
         assert row[6] == self.arr.probs[0]
         assert np.all(row[:6] == 0.0)
         # 5 or more arrivals, 100 among them, fill the battery
-        assert energy_row(10 - 0, self.arr, 15)[15] == 1.0 - self.arr.prefix(4)
-        assert energy_row(0 - 0, self.arr, 15)[3] == self.arr.probs[3]
-
-    def test_overspend_rejected(self):
-        with pytest.raises(ValueError):
-            energy_row(2 - 3, self.arr, 15)
+        assert table[10 - 0][15] == 1.0 - math.fsum(self.arr.probs[:5])
+        assert table[0 - 0][3] == self.arr.probs[3]
 
 
 class TestParamsValidation:

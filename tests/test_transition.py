@@ -22,10 +22,10 @@ from pushmdp.transition import (
     ArrivalPmf,
     KernelReport,
     build_kernel,
-    content_row,
-    energy_row,
+    content_table,
+    energy_table,
     poisson_pmf,
-    request_row,
+    request_table,
     validate_kernel,
 )
 
@@ -45,6 +45,51 @@ P0_08 = 0.44932896411722156
 P1_08 = 0.35946317129377725
 
 
+def reference_energy_row(base, arrival, capacity):
+    """Next-battery pmf over 0..capacity from post-spend level base, by loop.
+
+    Reference for cross-checks only: energy_table must equal its row base bit
+    for bit.  Harvested units add to base; the mass from capacity - base
+    units on fills the battery.
+    """
+    row = np.zeros(capacity + 1)
+    for nxt in range(base, capacity):
+        row[nxt] = arrival.probs[nxt - base]
+    gap = capacity - base
+    row[capacity] = 1.0 if gap == 0 else max(0.0, 1.0 - math.fsum(arrival.probs[:gap]))
+    return row
+
+
+def reference_content_row(pushed, action, params):
+    """Next pushed-count pmf as {count: prob}, positive probabilities only.
+
+    Reference for cross-checks only: content_table must list the same
+    outcomes bit for bit.  A replacement (p_c) evicts a pushed content with
+    chance C/N; a push then adds one.
+    """
+    n = params.num_contents
+    drop = params.content_replace_prob * (pushed / n) if n else 0.0
+    kept = pushed + 1 if action == Action.PUSH else pushed
+    row = {kept: 1.0 - drop, kept - 1: drop}
+    return {nxt: prob for nxt, prob in row.items() if prob}
+
+
+def reference_request_row(pushed_next, popularity_cum, grid, request_prob):
+    """Next request-ring pmf over 0..M given the next pushed count, by loop.
+
+    Reference for cross-checks only: request_table must equal its row
+    pushed_next bit for bit.
+    """
+    miss = request_prob * (1.0 - popularity_cum[pushed_next])
+    return np.array([1.0 - miss] + [miss * q for q in grid.ring_probs])
+
+
+def table_outcomes(c_next, p_content, push, pushed):
+    """{count: prob} of the content table's positive slots at (push, pushed)."""
+    pairs = zip(c_next[push, pushed].tolist(), p_content[push, pushed].tolist())
+    return {nxt: prob for nxt, prob in pairs if prob}
+
+
 def reference_rows(params, grid, popularity, arrival):
     """{(s, a): (indices, probs)} from the per-(state, action) loop.
 
@@ -59,16 +104,11 @@ def reference_rows(params, grid, popularity, arrival):
     feasible = feasible_table(params, grid)
     e_all, q_all, c_all = state_table(params)
     request_rows = np.stack(
-        [request_row(c, pop_cum, grid, params.request_prob) for c in range(n1)]
+        [reference_request_row(c, pop_cum, grid, params.request_prob) for c in range(n1)]
     )
-    energy_by_base = {}
-    for base in range(capacity + 1):
-        row = np.zeros(capacity + 1)
-        for nxt in range(base, capacity):
-            row[nxt] = arrival.probs[nxt - base]
-        gap = capacity - base
-        row[capacity] = 1.0 if gap == 0 else max(0.0, 1.0 - arrival.prefix(gap - 1))
-        energy_by_base[base] = row
+    energy_by_base = [
+        reference_energy_row(base, arrival, capacity) for base in range(capacity + 1)
+    ]
 
     rows = {}
     for s in range(params.num_states):
@@ -78,7 +118,7 @@ def reference_rows(params, grid, popularity, arrival):
                 continue
             action = Action(a)
             e_row = energy_by_base[e - reference_energy_spend(action, q, grid)]
-            c_row = content_row(c, action, params)
+            c_row = reference_content_row(c, action, params)
             e_nz = np.flatnonzero(e_row)
             idx_parts = []
             prob_parts = []
@@ -286,12 +326,6 @@ class TestArrivalPmf:
         assert arr.probs[0] == pytest.approx(P0_08, abs=1e-15)
         assert math.fsum(arr.probs) < 1.0
 
-    def test_prefix(self):
-        arr = ArrivalPmf.poisson(0.8, 15)
-        assert arr.prefix(-1) == 0.0
-        assert arr.prefix(0) == pytest.approx(P0_08, abs=1e-15)
-        assert arr.prefix(1) == pytest.approx(P0_08 + P1_08, abs=1e-15)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ArrivalPmf(probs=(0.5, -0.1))
@@ -307,30 +341,26 @@ class TestEnergyRow:
     def setup_method(self):
         _, _, self.grid, _ = make_scenario()
         self.arr = ArrivalPmf.poisson(0.8, 15)
+        self.table = energy_table(self.arr, 15)
 
     def test_full_battery_sleep_stays_full(self):
-        row = energy_row(15, self.arr, 15)
+        row = self.table[15]
         assert row[15] == 1.0
         assert np.all(row[:15] == 0.0)
 
     def test_empty_battery_sleep(self):
-        row = energy_row(0, self.arr, 15)
+        row = self.table[0]
         assert row[0] == pytest.approx(P0_08, abs=1e-15)
         assert row[1] == pytest.approx(P1_08, abs=1e-15)
-        tail = 1.0 - self.arr.prefix(14)
+        tail = 1.0 - math.fsum(self.arr.probs[:15])
         assert row[15] == pytest.approx(tail, abs=1e-15)
         assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_unicast_shifts_support(self):
         # a unicast to ring 2 from battery 5 leaves 3 units
-        row = energy_row(5 - spend_table(self.grid)[Action.UNICAST, 2], self.arr, 15)
+        row = self.table[5 - spend_table(self.grid)[Action.UNICAST, 2]]
         assert np.all(row[:3] == 0.0)
         assert row[3] == pytest.approx(P0_08, abs=1e-15)
-
-    def test_infeasible_spend_rejected(self):
-        # a push from battery 3 would leave -1 units
-        with pytest.raises(ValueError):
-            energy_row(3 - spend_table(self.grid)[Action.PUSH, 0], self.arr, 15)
 
     @given(battery=st.integers(0, 15), ring=st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
@@ -341,49 +371,47 @@ class TestEnergyRow:
                 continue
             if action == Action.PUSH and self.grid.push_cost > battery:
                 continue
-            row = energy_row(battery - spend[action, ring], self.arr, 15)
+            row = self.table[battery - spend[action, ring]]
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
             assert np.all(row >= 0.0)
 
 
 class TestContentRow:
-    def params(self):
-        params, *_ = make_scenario()
-        return params
+    def outcomes(self, push, pushed, **overrides):
+        params, *_ = make_scenario(**overrides)
+        return table_outcomes(*content_table(params), push, pushed)
 
     def test_nothing_cached_nothing_lost(self):
-        assert content_row(0, Action.SLEEP, self.params()) == {0: 1.0}
+        assert self.outcomes(0, 0) == {0: 1.0}
 
     def test_push_from_empty_always_lands(self):
-        assert content_row(0, Action.PUSH, self.params()) == {1: 1.0}
+        assert self.outcomes(1, 0) == {1: 1.0}
 
     def test_decay_rate(self):
-        row = content_row(4, Action.UNICAST, self.params())
+        row = self.outcomes(0, 4)
         assert row[3] == pytest.approx(0.06, abs=1e-15)
         assert row[4] == pytest.approx(0.94, abs=1e-15)
 
     def test_push_with_replacement(self):
-        row = content_row(4, Action.PUSH, self.params())
+        row = self.outcomes(1, 4)
         assert row[5] == pytest.approx(0.94, abs=1e-15)
         assert row[4] == pytest.approx(0.06, abs=1e-15)
 
     def test_push_on_full_cache_rejected(self):
-        with pytest.raises(ValueError):
-            content_row(20, Action.PUSH, self.params())
+        # no outcome, so the kernel's U rows of (push, b, N) are empty
+        assert self.outcomes(1, 20) == {}
+        _, _, _, _, kernel, _ = make_instance()
+        full = np.arange(16) * 21 + 16 * 21 + 20
+        assert not np.diff(kernel.rows.indptr)[full].any()
 
     def test_no_zero_outcome(self):
         # at p_c = 1 a full cache always loses a pushed content
-        params, *_ = make_scenario(p_c=1.0)
-        assert content_row(20, Action.SLEEP, params) == {19: 1.0}
-        assert content_row(20, Action.UNICAST, params) == {19: 1.0}
+        assert self.outcomes(0, 20, p_c=1.0) == {19: 1.0}
 
     def test_rows_normalized(self):
-        params = self.params()
-        for c in range(21):
-            for action in (Action.SLEEP, Action.UNICAST, Action.PUSH):
-                if action == Action.PUSH and c == 20:
-                    continue
-                row = content_row(c, action, params)
+        for push in (0, 1):
+            for c in range(21 - push):
+                row = self.outcomes(push, c)
                 assert math.fsum(row.values()) == pytest.approx(1.0, abs=1e-15)
                 assert all(abs(cn - c) <= 1 for cn in row)
 
@@ -394,24 +422,55 @@ class TestRequestRow:
         self.pop_cum = cumulative_popularity_table(pop)
 
     def test_everything_cached_no_requests(self):
-        row = request_row(20, self.pop_cum, self.grid, 0.7)
+        row = request_table(self.pop_cum, self.grid, 0.7)[20]
         assert row[0] == 1.0
         assert np.all(row[1:] == 0.0)
 
     def test_empty_cache_equal_rings(self):
-        row = request_row(0, self.pop_cum, self.grid, 0.7)
+        row = request_table(self.pop_cum, self.grid, 0.7)[0]
         assert row[0] == pytest.approx(0.3, abs=1e-15)
         assert row[1:] == pytest.approx([0.175] * 4, abs=1e-15)
 
     def test_no_traffic(self):
-        row = request_row(5, self.pop_cum, self.grid, 0.0)
-        assert row[0] == 1.0
+        assert np.all(request_table(self.pop_cum, self.grid, 0.0)[:, 0] == 1.0)
 
     def test_rows_normalized(self):
-        for c in range(21):
-            row = request_row(c, self.pop_cum, self.grid, 0.7)
+        table = request_table(self.pop_cum, self.grid, 0.7)
+        assert table.shape == (21, 5)
+        for row in table:
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
             assert np.all(row >= 0.0)
+
+
+# Battery and catalog sizes, 0 drawn on purpose: an empty battery or catalog
+# leaves a table a single row.
+SIZE = st.one_of(st.just(0), st.integers(0, 20))
+
+
+@given(e_max=SIZE, n=SIZE, m=st.integers(1, 4), p_c=PROBABILITY, p_u=PROBABILITY)
+@settings(max_examples=60, deadline=None)
+@example(e_max=0, n=0, m=1, p_c=1.0, p_u=1.0)
+def test_tables_match_reference_rows(e_max, n, m, p_c, p_u):
+    params, arrival, grid, popularity = make_scenario(
+        e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
+    )
+    energy = energy_table(arrival, e_max)
+    assert energy.shape == (e_max + 1, e_max + 1)
+    for b in range(e_max + 1):
+        assert np.array_equal(energy[b], reference_energy_row(b, arrival, e_max))
+    c_next, p_content = content_table(params)
+    assert table_outcomes(c_next, p_content, 1, n) == {}
+    for c in range(n + 1):
+        for action in Action:
+            if action == Action.PUSH and c == n:
+                continue
+            got = table_outcomes(c_next, p_content, int(action == Action.PUSH), c)
+            assert got == reference_content_row(c, action, params)
+    pop_cum = cumulative_popularity_table(popularity)
+    request = request_table(pop_cum, grid, p_u)
+    assert request.shape == (n + 1, m + 1)
+    for c in range(n + 1):
+        assert np.array_equal(request[c], reference_request_row(c, pop_cum, grid, p_u))
 
 
 class TestBuildKernel:
@@ -445,8 +504,14 @@ class TestBuildKernel:
             for i, p in zip(idx, prob):
                 marginal[i // 105] += p
             spent = reference_energy_spend(action, q, grid)
-            expect = energy_row(e - spent, arr, 15)
+            expect = reference_energy_row(e - spent, arr, 15)
             assert marginal == pytest.approx(expect, abs=1e-12)
+
+    def test_short_arrival_pmf_rejected(self):
+        # the battery rows read harvest probabilities 0..E-1
+        params, _, grid, popularity = make_scenario()
+        with pytest.raises(ValueError, match="has 2 entries.* capacity 15 needs"):
+            build_kernel(params, grid, popularity, ArrivalPmf((0.5, 0.3)))
 
     def test_feasible_actions_exposed(self, default_instance):
         params, _, _, _, kernel, _ = default_instance

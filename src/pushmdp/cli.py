@@ -8,6 +8,7 @@ the same keys can be overridden per run with ``--set KEY=VALUE``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -323,6 +324,18 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
     return 0
 
 
+def _sim_se(gain: float, metrics) -> float:
+    """The run's batch-means s.e., or that of independent trials where it is 0.
+
+    A run with no macro event has equal batch means and s.e. 0.  A positively
+    correlated count has at least the s.e. of independent trials at the
+    solver's gain g, sqrt(g(1 - g)/n) over the n measured periods.
+    """
+    if metrics.macro_ratio_se != 0:
+        return metrics.macro_ratio_se
+    return math.sqrt(max(gain * (1.0 - gain), 0.0) / metrics.measured_periods)
+
+
 def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> int:
     params, grid, popularity, kernel, costs = _build_all(settings)
     checks: list[tuple[str, bool, str]] = []
@@ -384,7 +397,7 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
     _print_throughput(runs)
     for (name, _, gain), metrics in zip(named, runs):
         gap = abs(gain - metrics.macro_ratio)
-        limit = 3.0 * metrics.macro_ratio_se
+        limit = 3.0 * _sim_se(gain, metrics)
         checks.append(
             (
                 f"solver-vs-sim[{name}]",

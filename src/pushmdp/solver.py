@@ -13,9 +13,9 @@ as a row of the level layout.  When the classes differ in gain the policy
 has no single gain and MultichainError is raised.  Q-values, for the
 improvement step, the Bellman residual and value iteration, come from the
 same factors: P h for every pair is U (D h) read back through the labels, so
-no solver derives the kernel's template rows.  Improvement keeps the
-incumbent action on ties within round-off.  A brute-force policy enumerator
-serves as an independent oracle on tiny instances.
+no solver forms the product U D.  Improvement keeps the incumbent action on
+ties within round-off.  A brute-force policy enumerator serves as an
+independent oracle on tiny instances.
 """
 from __future__ import annotations
 
@@ -156,7 +156,7 @@ def policy_evaluation(
 
     The equations are gain + h(s) = g(s, u(s)) + sum_y p(y|s, u(s)) h(y) for
     every state, with h(ref_state) = 0.  The policy's transition matrix
-    factors as P_u = S U D: S maps each state s to its template row t(s), U
+    factors as P_u = S U D: S maps each state s to its row t(s) of U, U
     moves the battery and pushed count to the pre-request state x = (E, C),
     and D draws the request ring.  So w = D h solves the m-state bordered
     system gain*1 + (I - R) w = D g_u, w = 0 at one pinned state, with
@@ -403,10 +403,10 @@ def _class_labels(p: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 def _q_values(kernel, costs, h):
     """Action-value table g + P h with +inf at infeasible pairs.
 
-    A pair's row is its post-decision template U D, so P h is U (D h): the
+    A pair's row is its post-decision row of U D, so P h is U (D h): the
     request ring is averaged out first, then one product of the factor rows
     with that, read back through the labels.  The sums round in another
-    order than the template rows' products with h, so the two can differ in
+    order than the products of U D's rows with h, so the two can differ in
     their last bits.
     """
     u = kernel.rows
@@ -626,7 +626,10 @@ def brute_force_oracle(
     radix = np.array([len(f) for f in feas])
     total = int(np.prod(radix.astype(object)))
 
-    p_all = np.stack([kernel.action_matrix(a).toarray() for a in Action])
+    # every dense row U[r] D holds the single products U[r, x(s')] w(s')
+    d = np.zeros((kernel.rows.shape[1], n))
+    d[kernel.pre, np.arange(n)] = kernel.weight
+    p_all = (kernel.rows @ d)[kernel.labels]
     chunk = max(16, int(5_000_000 // (n * n)))
     best_gain = np.inf
     best_actions = None

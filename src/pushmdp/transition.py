@@ -13,17 +13,16 @@ level, the pushed count and whether the action pushes.  The request ring is
 drawn last, from the next pushed count alone, so every such row is U D: U
 holds the battery and content moves to the pre-request state (E', C'), and D
 draws the ring.  The kernel keeps U, D as two per-state arrays and each
-pair's post-decision label; the solvers and the kernel check's connectivity
-read only these.  The template rows U D are a view, derived on first use for
-the kernel check's row sums and signs, the text dump and the per-action
-matrices.  A kernel row lists only next states of positive probability.
+pair's post-decision label, and nothing else; the solvers and the kernel
+check read only these.  The per-action matrices, and the text dump read
+from them, are gathered from the product U D on first use.  A kernel row
+lists only next states of positive probability.
 """
 from __future__ import annotations
 
 import math
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -83,7 +82,8 @@ class ArrivalPmf:
 
     @classmethod
     def poisson(cls, mean: float, capacity: int) -> "ArrivalPmf":
-        return cls(tuple(poisson_pmf(mean, i) for i in range(capacity + 1)))
+        # the entries energy_table reads, 0..capacity-1, and at least one
+        return cls(tuple(poisson_pmf(mean, i) for i in range(max(capacity, 1))))
 
 
 def energy_table(arrival: ArrivalPmf, capacity: int) -> np.ndarray:
@@ -149,11 +149,8 @@ class TransitionKernel:
     equal labels share one row, in any action, and an infeasible pair's
     label points at an empty row.
 
-    A U row is empty exactly when its template row is, so feasibility is
-    read from U.  ``templates``, U D in CSR with sorted indices (one
-    next-state pmf per post-decision state, positive probabilities only), is
-    derived on first use; the per-action matrices and the text dump are
-    views of it.  ``allowed`` holds the actions a restriction kept.
+    A U row is empty exactly when its row of U D is, so feasibility is read
+    from U.  ``allowed`` holds the actions a restriction kept.
 
     ``levels`` counts the pushed-count levels N+1 of the pre-request states,
     which run x = E'*levels + C'.  Every row of U moves the pushed count by
@@ -172,15 +169,6 @@ class TransitionKernel:
         for table in (self.labels, self.pre, self.weight):
             table.setflags(write=False)
 
-    @cached_property
-    def templates(self) -> csr_matrix:
-        shape = (self.rows.shape[1], self.num_states)
-        request = csc_matrix((self.weight, self.pre, np.arange(shape[1] + 1)), shape)
-        # a product that is exactly 0 is not stored
-        templates = (self.rows @ request).tocsr()
-        templates.sort_indices()
-        return templates
-
     @property
     def num_states(self) -> int:
         return self.pre.size
@@ -196,21 +184,29 @@ class TransitionKernel:
     def action_matrix(self, action: Action) -> csr_matrix:
         """CSR matrix of the action's rows; infeasible rows are all-zero.
 
-        Gathered from the templates on first use and cached; a restriction
-        shares the cache and gives a dropped action an empty matrix.
+        The first call forms U D in CSR with sorted indices (one next-state
+        pmf per post-decision state, positive probabilities only), gathers
+        every action's matrix from it into a cache that restrictions share,
+        and drops the product.  A dropped action's matrix is empty.
         """
         action = Action(action)
         if action not in self.allowed:
             return csr_matrix((self.num_states, self.num_states))
-        if action not in self._matrices:
-            self._matrices[action] = self.templates[self.labels[action]]
+        if not self._matrices:
+            n = self.num_states
+            request = csc_matrix(
+                (self.weight, self.pre, np.arange(n + 1)), (self.rows.shape[1], n)
+            )
+            # a product that is exactly 0 is not stored
+            product = (self.rows @ request).tocsr()
+            product.sort_indices()
+            self._matrices.update((a, product[self.labels[a]]) for a in Action)
         return self._matrices[action]
 
     def restrict(self, allowed: set[Action] | frozenset[Action]) -> "TransitionKernel":
         """Kernel with only the given actions kept (sleep must stay allowed).
 
-        It shares this kernel's factors, labels and gathered matrices, and
-        its templates once they are derived.
+        It shares this kernel's factors, labels and gathered matrices.
         """
         keep = frozenset(Action(a) for a in allowed)
         if Action.SLEEP not in keep:
@@ -227,12 +223,12 @@ class TransitionKernel:
     def to_text(self) -> str:
         """Readable dump of the sparse rows, for debugging and CLI export."""
         lines = []
-        t = self.templates
+        matrices = [self.action_matrix(a) for a in Action]
         states, actions = np.nonzero(self.feasible_mask().T)
-        labels = self.labels[actions, states]
-        for s, a, label in zip(states.tolist(), actions.tolist(), labels.tolist()):
-            span = slice(t.indptr[label], t.indptr[label + 1])
-            idx, p = t.indices[span].tolist(), t.data[span].tolist()
+        for s, a in zip(states.tolist(), actions.tolist()):
+            m = matrices[a]
+            span = slice(m.indptr[s], m.indptr[s + 1])
+            idx, p = m.indices[span].tolist(), m.data[span].tolist()
             entries = " ".join(f"{j}:{pj:.12g}" for j, pj in zip(idx, p))
             lines.append(f"{s} {Action(a).name} {entries}")
         return "\n".join(lines) + "\n"
@@ -250,8 +246,7 @@ def build_kernel(
     level b, the pushed count c and whether the action pushes; each such case
     is one row of U, the outer product of its rows of the energy and content
     tables over the pre-request states.  D weights each state by the request
-    table's row of its pushed count.  The kernel derives its template rows
-    from the two on request.
+    table's row of its pushed count.
     """
     feasible = feasible_table(params, grid)
     e1 = params.battery_levels + 1
@@ -306,16 +301,17 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     ``never_entered`` lists states no other state can reach in one step under
     any feasible action; they are transient decorations of the chain and a
     strong-component count above one is expected whenever they exist.
-    Row sums and negatives are read from the template rows, each weighted by
-    the number of feasible pairs that use it.  Connectivity is read from the
-    factors: each state s' has one weight w(s') in the row of its
-    pre-request state x(s'), so the template entry (r, s') is the single
-    product U[r, x(s')] w(s'), an edge when it is not 0.
+    Every figure is read from the factors.  Each state s' has one weight
+    w(s') in the row of its pre-request state x(s'), so a pair with row r
+    moves to s' with the single product U[r, x(s')] w(s'), an edge when it is
+    not 0.  So each U row that a feasible pair uses, and each pre-request
+    state's weights, must sum to 1; the deviation is the larger of the two.
+    A negative U entry counts once per feasible pair that uses its row, and
+    a negative weight once.
     """
     n = kernel.num_states
     u, pre, weight = kernel.rows, kernel.pre, kernel.weight
     k, m = u.shape
-    t = kernel.templates
     mask = kernel.feasible_mask().T
     states = np.nonzero(mask)[0]
     pair_row = kernel.labels.T[mask]
@@ -325,9 +321,10 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     looped = np.bincount(states[own != 0], minlength=n)
     del own
     # reduceat sums from each start to the next, so every nonempty row starts one
-    nonempty = np.diff(t.indptr) > 0
-    sums = np.add.reduceat(t.data, t.indptr[:-1][nonempty])[users[nonempty] > 0]
-    negative_rows = np.searchsorted(t.indptr, np.flatnonzero(t.data < 0), "right") - 1
+    nonempty = np.diff(u.indptr) > 0
+    sums = np.add.reduceat(u.data, u.indptr[:-1][nonempty])[users[nonempty] > 0]
+    sums = np.concatenate((sums, np.bincount(pre, weight, minlength=m)))
+    negative_rows = np.searchsorted(u.indptr, np.flatnonzero(u.data < 0), "right") - 1
 
     # The states of each x with a nonzero weight.  Rounding is monotone, so a
     # U entry whose product with the least such |w| is nonzero reaches all of
@@ -378,7 +375,7 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
         num_states=n,
         num_rows=int(pair_row.size),
         max_row_sum_deviation=float(np.max(np.abs(sums - 1.0), initial=0.0)),
-        negative_entries=int(users[negative_rows].sum()),
+        negative_entries=int(users[negative_rows].sum() + np.sum(weight < 0)),
         strong_components=np.unique(component[:n]).size,
         never_entered=tuple(int(s) for s in np.flatnonzero(entries == 0)),
     )

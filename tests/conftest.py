@@ -82,6 +82,17 @@ def request_factor(kernel):
     )
 
 
+def template_rows(kernel):
+    """U D in CSR with sorted indices: one next-state pmf per post-decision row.
+
+    Reference for cross-checks only: the kernel cached these rows before it
+    kept its factors alone.  A product that is exactly 0 is not stored.
+    """
+    rows = (kernel.rows @ request_factor(kernel)).tocsr()
+    rows.sort_indices()
+    return rows
+
+
 @pytest.fixture(scope="session")
 def default_scenario():
     return make_scenario()

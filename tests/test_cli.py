@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -392,6 +393,28 @@ class TestValidateCommand:
         report = (out / "validate.txt").read_text()
         assert "PASS kernel-rows" in report
         assert "PASS solver-vs-sim[optimal-push]" in report
+
+    def test_run_without_macro_events_passes(self, tmp_path):
+        # every request is for the one popular content, which stays pushed, so
+        # no run sees a macro event: every batch mean is 0
+        out = tmp_path / "art"
+        argv = ["validate", "--out", str(out), "--set", "zipf_skew=inf",
+                "--set", "horizon=50000", "--set", "warmup=1000"]
+        assert main(argv) == 0
+        report = (out / "validate.txt").read_text()
+        assert "PASS solver-vs-sim[optimal-push]: |0.000000 - 0.000000|" in report
+
+    def test_zero_batch_se_takes_independent_trials(self):
+        none = sim.SimMetrics(
+            total_periods=1_000_000, measured_periods=990_000, requests_generated=0,
+            macro_handled=0, cache_hits=0, energy_overflow_units=0, macro_ratio=0.0,
+            macro_ratio_se=0.0, periods_per_s=1.0,
+        )
+        # 3 sqrt(g (1 - g) / n) is 9.5e-5 at g = 1e-3: no event still refutes it
+        assert 3.0 * cli._sim_se(1e-3, none) == pytest.approx(9.5e-5, rel=1e-2)
+        assert 3.0 * cli._sim_se(6.51e-13, none) > 6.51e-13
+        varied = replace(none, macro_ratio_se=0.01)
+        assert cli._sim_se(0.3, varied) == 0.01
 
     def test_kernel_dump(self, tmp_path):
         out = tmp_path / "art"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.sparse import bmat, csr_matrix, diags, identity
 from scipy.sparse.linalg import splu
 
-from pushmdp.cli import DEFAULTS, parse_pu_grid
+from pushmdp import solver
+from pushmdp.cli import DEFAULTS, main, parse_pu_grid
 from pushmdp.model import NUM_ACTIONS, Action
 from pushmdp.policies import non_push_optimal, unicast_priority_table
 from pushmdp.solver import (
@@ -30,7 +31,13 @@ from pushmdp.solver import (
 )
 from pushmdp.transition import TransitionKernel, validate_kernel
 
-from conftest import PROBABILITY, hand_built_kernel, make_instance, request_factor
+from conftest import (
+    PROBABILITY,
+    hand_built_kernel,
+    make_instance,
+    request_factor,
+    template_rows,
+)
 
 
 def dense_kernel(mats: dict[int, np.ndarray], levels: int = 1) -> TransitionKernel:
@@ -105,7 +112,7 @@ def post_decision_chain(policy, kernel):
     labels, post = np.unique(
         kernel.labels[policy.actions, np.arange(n)], return_inverse=True
     )
-    rows = kernel.templates[labels]
+    rows = template_rows(kernel)[labels]
     to_post = csr_matrix((np.ones(n), (np.arange(n), post)), shape=(n, rows.shape[0]))
     return rows @ to_post, rows, post
 
@@ -307,7 +314,7 @@ def assert_q_values_near_reference(kernel, costs, h, m_rings):
     ref = reference_q_values(kernel, costs, h)
     feasible = kernel.feasible_mask()
     assert np.array_equal(np.isfinite(got), feasible)
-    terms = np.diff(kernel.templates.indptr) + np.diff(kernel.rows.indptr)
+    terms = np.diff(template_rows(kernel).indptr) + np.diff(kernel.rows.indptr)
     scale = np.finfo(float).eps * max(1.0, float(np.max(np.abs(h), initial=0.0)))
     bound = np.where(feasible, (terms[kernel.labels] + m_rings + 3) * scale, 0.0)
     assert np.all(np.abs(got[feasible] - ref[feasible]) <= bound[feasible])
@@ -1047,8 +1054,8 @@ class TestTemplateQValues:
         assert_q_values_match_reference(kernel, costs, h)
         assert_q_values_match_reference(kernel.restrict({Action.SLEEP}), costs, h)
 
-    def test_solvers_gather_no_action_matrix(self, monkeypatch, default_instance,
-                                             default_solution):
+    def test_solvers_gather_no_action_matrix(self, monkeypatch, tmp_path,
+                                             default_instance, default_solution):
         def no_gather(self, action):
             raise AssertionError("action matrix gathered")
 
@@ -1063,6 +1070,13 @@ class TestTemplateQValues:
         relative_value_iteration(small, small_costs, tol=1e-10)
         validate_kernel(kernel)
         validate_kernel(restricted)
+        # the commands end to end: the kernel check and the oracle read the factors
+        validate = ["e_max=4", "n_contents=2", "m_rings=2", "horizon=40000",
+                    "warmup=2000"]
+        oracle = ["e_max=1", "n_contents=1", "m_rings=1"]
+        for command, sets in (("validate", validate), ("oracle", oracle)):
+            argv = [command, "--out", str(tmp_path / command)]
+            assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 0
 
     def test_solvers_derive_no_template_rows(self):
         _, _, _, _, kernel, costs = make_instance(e_max=4, n_contents=3, m_rings=2)
@@ -1071,7 +1085,8 @@ class TestTemplateQValues:
         policy_evaluation(result.policy, kernel, costs)
         bellman_residual(result.values, kernel, costs)
         relative_value_iteration(kernel, costs, tol=1e-10)
-        assert "templates" not in vars(kernel)
+        # no product U D formed, no action matrix gathered
+        assert not hasattr(kernel, "templates") and kernel._matrices == {}
 
 
 # The ranges of test_kernel_matches_reference_on_random_instances in
@@ -1143,6 +1158,30 @@ class TestBruteForceOracle:
         oracle = brute_force_oracle(kernel, costs)
         result = policy_iteration(kernel, costs)
         assert abs(oracle.gain - result.values.gain) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "keep", [set(Action), {Action.SLEEP, Action.UNICAST}], ids=["full", "no-push"]
+    )
+    def test_dense_rows_are_action_matrix_rows(self, monkeypatch, keep):
+        # the oracle forms its rows from the factors; every policy's row of a
+        # state is bit for bit the action matrix row of one feasible action
+        _, _, _, _, kernel, costs = make_instance(e_max=1, n_contents=1, m_rings=1)
+        kernel = kernel.restrict(keep)
+        seen = []
+        stationary = solver._stationary_batch
+
+        def spy(p_sel):
+            seen.append(p_sel.copy())
+            return stationary(p_sel)
+
+        monkeypatch.setattr(solver, "_stationary_batch", spy)
+        brute_force_oracle(kernel, costs)
+        dense = [kernel.action_matrix(a).toarray() for a in Action]
+        mask = kernel.feasible_mask()
+        for s in range(kernel.num_states):
+            got = {row.tobytes() for p_sel in seen for row in p_sel[:, s]}
+            expect = {dense[a][s].tobytes() for a in np.flatnonzero(mask[:, s])}
+            assert got == expect
 
     def test_guards(self, default_instance):
         _, _, _, _, kernel, costs = default_instance

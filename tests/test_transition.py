@@ -1,6 +1,7 @@
 """Per-factor pmfs, kernel assembly, and kernel diagnostics."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pushmdp.model import (
 from pushmdp.transition import (
     ArrivalPmf,
     KernelReport,
+    TransitionKernel,
     build_kernel,
     content_table,
     energy_table,
@@ -38,6 +40,7 @@ from conftest import (
     reference_energy_spend,
     request_factor,
     state_at,
+    template_rows,
 )
 
 # e^{-0.8} and 0.8 e^{-0.8}, evaluated independently
@@ -201,7 +204,7 @@ def reference_validate_kernel(kernel):
 
     Reference for cross-checks only: validate_kernel used to sum rows, count
     negatives and self-loops over every action matrix, and now reads all of
-    it from the template rows, weighted by the pairs that use each.
+    it from the factors U and D.
     """
     n = kernel.num_states
     mask = kernel.feasible_mask()
@@ -211,7 +214,7 @@ def reference_validate_kernel(kernel):
     )
     actions, states = np.nonzero(mask)
     labels, row_of = np.unique(kernel.labels[actions, states], return_inverse=True)
-    rows = kernel.templates[labels]
+    rows = template_rows(kernel)[labels]
     rows.eliminate_zeros()
     k = rows.shape[0]
     to_rows = csr_matrix((np.ones(row_of.size), (states, row_of)), shape=(n, k))
@@ -232,6 +235,18 @@ def reference_validate_kernel(kernel):
         strong_components=np.unique(component[:n]).size,
         never_entered=tuple(int(s) for s in np.flatnonzero(entries == 0)),
     )
+
+
+def assert_report_matches_reference(kernel):
+    """validate_kernel's report is the reference's in every field but the deviation.
+
+    The deviation is read from the sums of the factors' rows, not of the
+    action matrices' rows, so it rounds differently.
+    """
+    report = validate_kernel(kernel)
+    expect = reference_validate_kernel(kernel)
+    assert replace(report, max_row_sum_deviation=expect.max_row_sum_deviation) == expect
+    return report
 
 
 def assert_connectivity_matches_union(kernel):
@@ -255,22 +270,26 @@ def assert_labels_share_rows(kernel):
     return len(first)
 
 
-def assert_factors_match_templates(kernel, pre_request_rows):
-    """The templates are rows @ D, sorted, with no stored zero, and D h is exact.
+def assert_matrices_are_product_rows(kernel):
+    """Each action matrix is rows @ D at the action's labels, bit for bit.
 
     D, built as a CSC matrix from the kernel's per-state arrays, stores one
-    entry per state, zeros kept, in the given row; the product drops entries
-    that are exactly 0 or that underflow.  The bincount the solvers take for
-    D h equals the CSC product bit for bit.
+    entry per state, zeros kept; the product drops entries that are exactly
+    0 or that underflow, so no matrix stores a zero.
     """
+    templates = template_rows(kernel)
+    for action in Action:
+        matrix = kernel.action_matrix(action)
+        assert matrix.has_sorted_indices and matrix.data.all()
+        expect = templates[kernel.labels[action]]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, name), getattr(expect, name)), name
+
+
+def assert_request_factor_exact(kernel, pre_request_rows):
+    """D sits in the given rows, and the solvers' bincount D h is its CSC product."""
     assert np.array_equal(kernel.pre, pre_request_rows)
     request = request_factor(kernel)
-    templates = kernel.templates
-    assert templates.has_sorted_indices and templates.data.all()
-    product = (kernel.rows @ request).tocsr()
-    product.sort_indices()
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(product, name), getattr(templates, name)), name
     rng = np.random.default_rng(7)
     m = kernel.rows.shape[1]
     for h in rng.standard_normal((3, kernel.num_states)) * [[1.0], [1e-3], [1e6]]:
@@ -322,7 +341,7 @@ class TestPoissonPmf:
 class TestArrivalPmf:
     def test_poisson_truncation(self):
         arr = ArrivalPmf.poisson(0.8, 15)
-        assert len(arr.probs) == 16
+        assert len(arr.probs) == 15
         assert arr.probs[0] == pytest.approx(P0_08, abs=1e-15)
         assert math.fsum(arr.probs) < 1.0
 
@@ -573,12 +592,12 @@ class TestBuildKernel:
     def test_factored_form(self, overrides):
         params, _, _, _, kernel, _ = make_instance(**overrides)
         pre_request = (params.battery_levels + 1) * (params.num_contents + 1)
-        assert kernel.rows.shape == (kernel.templates.shape[0], pre_request)
-        assert_factors_match_templates(kernel, pre_request_rows(params))
+        assert kernel.rows.shape == (2 * pre_request + 1, pre_request)
+        assert_request_factor_exact(kernel, pre_request_rows(params))
         restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
         assert restricted.rows is kernel.rows
         assert restricted.pre is kernel.pre and restricted.weight is kernel.weight
-        assert restricted.templates is kernel.templates
+        assert restricted._matrices is kernel._matrices
         # U row (push, b, c) moves the pushed count to c - 1, c or c + 1 only:
         # the policy chains over (E, C) are block tridiagonal in N + 1 levels
         assert kernel.levels == restricted.levels == params.num_contents + 1
@@ -589,11 +608,13 @@ class TestBuildKernel:
     def test_hand_built_factored_form(self):
         zero = csr_matrix((2, 2))
         kernel = hand_built_kernel([csr_matrix([[0.5, 0.5], [0.0, 1.0]]), zero, zero])
+        rows = template_rows(kernel)
         for name in ("indptr", "indices", "data"):
-            got, expect = getattr(kernel.templates, name), getattr(kernel.rows, name)
+            got, expect = getattr(rows, name), getattr(kernel.rows, name)
             assert np.array_equal(got, expect), name
         assert np.array_equal(request_factor(kernel).toarray(), np.eye(2))
-        assert_factors_match_templates(kernel, np.arange(2))
+        assert_request_factor_exact(kernel, np.arange(2))
+        assert_matrices_are_product_rows(kernel)
         assert kernel.levels == 1
         for table in (kernel.pre, kernel.weight):
             with pytest.raises(ValueError):
@@ -655,6 +676,19 @@ class TestValidateKernel:
         bad = tampered(kernel, Action.SLEEP, negate_first)
         assert validate_kernel(bad).negative_entries == 1
 
+    def test_tampered_weight_flagged(self, default_instance):
+        # state 0 = (0, 0, 0) has request weight 1 - p_u = 0.3
+        _, _, _, _, kernel, _ = default_instance
+        for scale, deviation, negatives in ((1.01, 1e-3, 0), (-1.0, 0.5, 1)):
+            weight = kernel.weight.copy()
+            weight[0] *= scale
+            bad = TransitionKernel(
+                kernel.rows, kernel.labels, kernel.pre, weight, kernel.levels
+            )
+            report = validate_kernel(bad)
+            assert report.max_row_sum_deviation > deviation
+            assert report.negative_entries == negatives
+
     def test_self_loop_does_not_count_as_entry(self):
         # state 2 keeps itself by a self-loop but no other state leads to it
         p = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
@@ -673,8 +707,8 @@ class TestValidateKernel:
         params, _, _, _, kernel, _ = make_instance(**overrides)
         restricted = kernel.restrict({Action.SLEEP, Action.UNICAST})
         for k in (kernel, restricted, kernel.restrict({Action.SLEEP})):
-            report = validate_kernel(k)
-            assert report == reference_validate_kernel(k)
+            report = assert_report_matches_reference(k)
+            assert report.max_row_sum_deviation < 1e-12
             assert report.num_states == params.num_states
 
     def test_report_matches_reference_on_tampered_kernels(self, default_instance):
@@ -703,19 +737,18 @@ class TestValidateKernel:
             zero = u.data[j] * weights[x] == 0
             partial += bool(zero.any() and not zero.all())
         assert partial > 0
-        report = validate_kernel(kernel)
-        assert report == reference_validate_kernel(kernel)
+        report = assert_report_matches_reference(kernel)
+        assert report.max_row_sum_deviation < 1e-12
         assert (report.strong_components, report.never_entered) == union_connectivity(
             kernel
         )
 
     def test_transient_memory_below_template_size(self):
         _, _, _, _, kernel, _ = make_instance(e_max=30, n_contents=40)
-        t = kernel.templates
+        t = template_rows(kernel)
         size = t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
-        # the first call may fill the kernel's caches; the second allocates
-        # only its own working arrays
-        validate_kernel(kernel)
+        del t
+        # on a fresh kernel: the check allocates only its own working arrays
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -776,10 +809,10 @@ def test_kernel_matches_reference_on_random_instances(e_max, n, m, p_c, p_u):
     kernel, _ = assert_matches_reference(
         e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
     )
-    assert kernel.templates.data.all()
+    assert all(kernel.action_matrix(a).data.all() for a in Action)
     assert_labels_share_rows(kernel)
     assert_connectivity_matches_union(kernel)
-    assert validate_kernel(kernel) == reference_validate_kernel(kernel)
+    assert assert_report_matches_reference(kernel).max_row_sum_deviation < 1e-12
 
 
 @given(
@@ -796,6 +829,7 @@ def test_factored_form_on_random_instances(e_max, n, m, p_c, p_u):
     params, _, _, _, kernel, _ = make_instance(
         e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
     )
-    assert_factors_match_templates(kernel, pre_request_rows(params))
+    assert_request_factor_exact(kernel, pre_request_rows(params))
+    assert_matrices_are_product_rows(kernel)
     # an absent content slot stores no entry: its next count -1 is no column
     assert kernel.rows.indices.min() >= 0

@@ -10,22 +10,25 @@ the next request.
 Draws come in blocks of ``_BLOCK`` periods, six arrays per block in a fixed
 order (arrivals, replacement, eviction, request, hit, ring), so a seed fixes
 every trajectory.  Each block is first reduced, vectorized, to per-period
-integer thresholds on the pushed count (see ``_Draws``): evict iff
-c >= drop_min, hit iff c' >= hit_min, else observe ring miss_q.  The state
-index E*(M+1)*(N+1) + Q*(N+1) + C is then a battery term plus a
-pushed-count-and-ring term, read from three small tables built once per run:
-battery[b][a] = min(b + a, E)*(M+1)*(N+1) for post-spend level b and harvest
-a capped at E, kept[2C + push][drop_min] = the next pushed count C', and
-ring[C'][hit_min*(M+1) + miss_q] = C' plus the ring part (none on a hit).
-A step takes 0.15-0.2 µs on a 2-vCPU Xeon VM.  The counts and the recorded
-states are taken per chunk of visited states afterwards.  ``simulate`` runs
-feasible policy tables only, checked by ``PolicyTable.validate`` before the
-first draw; ``baseline`` maps the names in ``BASELINE_NAMES`` to tables.
+integers (see ``_Draws``): evict iff c >= drop_min, and a step code
+hit_min*(M+1) + miss_q, where a request is a hit iff c' >= hit_min and
+otherwise leaves ring miss_q.  The state index E*(M+1)*(N+1) + Q*(N+1) + C
+is then a battery term plus a pushed-count-and-ring term, read from three
+small tables built once per run: battery[b][a] = min(b + a, E)*(M+1)*(N+1)
+for post-spend level b and harvest a capped at E, kept[2C + push][drop_min]
+= the next pushed count C', and ring[C'][code] = C' plus the ring part
+(none on a hit).  A step takes 0.15-0.2 µs on a 2-vCPU Xeon VM.
 
-Requests generated at the end of period k are observed (and possibly
-handed to the macro cell) in period k+1; counters attribute them to the
-observation period so that macro_handled <= requests_generated holds within
-any measurement window.
+The counts are taken per chunk of ``_CHUNK`` periods.  A request drawn in
+period j is observed (and possibly handed to the macro cell) in period j+1,
+so the measured periods warmup..horizon-1 count the request draws of
+warmup-1..horizon-2, and macro_handled <= requests_generated holds in any
+window.  A miss always leaves a ring and Q > 0 only follows a request, so
+the cache hits are the requests less the measured periods with Q > 0.
+Each chunk's positive energy spills are summed as Python ints, which no
+total overflows.  ``simulate`` runs feasible policy tables only, checked by
+``PolicyTable.validate`` before the first draw; ``baseline`` maps the names
+in ``BASELINE_NAMES`` to tables.
 """
 from __future__ import annotations
 
@@ -171,18 +174,18 @@ def child_seeds(master: np.random.SeedSequence, count: int) -> list[int]:
 
 
 class _Draws(NamedTuple):
-    """One run of periods reduced to integer thresholds on the pushed count.
+    """One run of periods reduced to what a step reads.
 
-    A pushed content is evicted iff the current count c >= ``drop_min``; a
-    request is a cache hit iff next period's count c' >= ``hit_min``;
-    ``miss_q`` is the ring observed on a miss (0 when nothing is requested).
+    A pushed content is evicted iff the current count c >= ``drop_min``.
+    ``code`` is hit_min*(M+1) + miss_q: a request is a cache hit iff next
+    period's count c' >= hit_min, and miss_q is the ring observed on a miss
+    (0 when nothing is requested).
     """
 
     arrivals: np.ndarray
     requested: np.ndarray
     drop_min: np.ndarray
-    hit_min: np.ndarray
-    miss_q: np.ndarray
+    code: np.ndarray
 
 
 class _BucketSearch:
@@ -211,7 +214,7 @@ class _BucketSearch:
 
 
 def _draw(rng, count: int, params: SystemParams, grid: DistanceGrid, pop_cum) -> _Draws:
-    """Take ``count`` periods of draws, in the fixed order, as thresholds.
+    """Take ``count`` periods of draws, in the fixed order, as ``_Draws``.
 
     The eviction table c/N is nondecreasing.  The popularity table is too up
     to its first share that rounds to 1 or above, and every later entry is at
@@ -232,7 +235,9 @@ def _draw(rng, count: int, params: SystemParams, grid: DistanceGrid, pop_cum) ->
     np.minimum(miss_q, grid.num_rings - 1, out=miss_q)
     miss_q += 1
     miss_q[~requested] = 0
-    return _Draws(arr, requested, drop_min, hit_min, miss_q)
+    hit_min *= params.num_rings + 1
+    hit_min += miss_q
+    return _Draws(arr, requested, drop_min, hit_min)
 
 
 def simulate(
@@ -279,12 +284,11 @@ def simulate(
 
     # per period only for the batch means of its standard error
     macro_ind = np.zeros(n_meas, dtype=np.uint8)
-    requests = hits = overflow = 0
+    requests = misses = overflow = 0
     if record:
         rec_states = np.zeros(horizon, dtype=np.int32)
 
     s = 0
-    req_prev = False
     for k in range(0, horizon, _BLOCK):
         blk = min(_BLOCK, horizon - k)
         d = _draw(rng, blk, params, grid, pop_cum)
@@ -295,7 +299,7 @@ def simulate(
             for a, drop_min, code in zip(
                 np.minimum(d.arrivals[lo:hi], cap).tolist(),
                 d.drop_min[lo:hi].tolist(),
-                (d.hit_min[lo:hi] * m1 + d.miss_q[lo:hi]).tolist(),
+                d.code[lo:hi].tolist(),
             ):
                 visit(s)
                 s = battery_of[s][a] + ring[kept_of[s][drop_min]][code]
@@ -303,23 +307,17 @@ def simulate(
             k0 = k + lo
             if record:
                 rec_states[k0 : k0 + len(st)] = st
-            # requests drawn in period k are observed in period k + 1
-            req_obs = np.concatenate(([req_prev], d.requested[lo : hi - 1]))
-            req_prev = bool(d.requested[hi - 1])
+            # the request draws of periods warmup - 1 .. horizon - 2
+            req = d.requested[max(lo, warmup - 1 - k) : min(hi, horizon - 1 - k)]
+            requests += int(np.count_nonzero(req))
             skip = max(warmup - k0, 0)
             if skip < len(st):
-                j = slice(k0 + skip - warmup, k0 + len(st) - warmup)
                 st_m = st[skip:]
-                req_m = req_obs[skip:]
-                macro_ind[j] = macro_tab[st_m]
-                requests += int(np.count_nonzero(req_m))
-                # a miss always leaves a request ring, so Q = 0 means a hit
-                hits += int(np.count_nonzero(req_m & (q_tab[st_m] == 0)))
-                # post_spend - cap <= 0 keeps each spill in int64, but a chunk's
-                # sum may pass it, so its 32-bit halves are summed apart
-                spill = np.maximum(post_spend[st_m] - cap + d.arrivals[lo + skip : hi], 0)
-                overflow += int((spill >> 32).sum()) << 32
-                overflow += int((spill & 0xFFFFFFFF).sum())
+                macro_ind[k0 + skip - warmup : k0 + len(st) - warmup] = macro_tab[st_m]
+                misses += int(np.count_nonzero(q_tab[st_m]))
+                # post_spend - cap <= 0 keeps each spill in int64
+                spill = post_spend[st_m] - cap + d.arrivals[lo + skip : hi]
+                overflow += sum(spill[spill > 0].tolist())
         del d  # free this block's draws before the next block is taken
 
     metrics = SimMetrics(
@@ -327,7 +325,7 @@ def simulate(
         measured_periods=n_meas,
         requests_generated=requests,
         macro_handled=int(macro_ind.sum()),
-        cache_hits=hits,
+        cache_hits=requests - misses,
         energy_overflow_units=overflow,
         macro_ratio=float(macro_ind.mean()),
         macro_ratio_se=_batch_se(macro_ind, _BATCHES),

@@ -47,7 +47,6 @@ __all__ = [
     "relative_value_iteration",
     "bellman_residual",
     "brute_force_oracle",
-    "oracle_guard",
     "OracleResult",
 ]
 
@@ -473,15 +472,14 @@ def policy_iteration(
     kernel: TransitionKernel,
     costs: np.ndarray,
     init_policy: PolicyTable | None = None,
-    ref_state: int = 0,
     max_iter: int = 1000,
 ) -> PolicyIterationResult:
     """Howard policy iteration from the all-sleep policy.
 
-    Alternates evaluation and improvement until the policy repeats, and
-    raises ConvergenceError if it has not after ``max_iter`` steps.  A policy
-    whose closed classes differ in gain stops the iteration with
-    MultichainError from its evaluation.
+    Alternates evaluation (h pinned at state 0) and improvement until the
+    policy repeats, and raises ConvergenceError if it has not after
+    ``max_iter`` steps.  A policy whose closed classes differ in gain stops
+    the iteration with MultichainError from its evaluation.
     """
     if init_policy is None:
         init_policy = PolicyTable.all_sleep(kernel.num_states)
@@ -490,7 +488,7 @@ def policy_iteration(
     records: list[IterationRecord] = []
     for _ in range(max_iter):
         start = time.perf_counter()
-        sol = policy_evaluation(policy, kernel, costs, ref_state)
+        sol = policy_evaluation(policy, kernel, costs)
         evaluated = time.perf_counter()
         improved = policy_improvement(sol, kernel, costs, incumbent=policy)
         records.append(
@@ -591,26 +589,8 @@ def _stationary_batch(p_sel: np.ndarray) -> np.ndarray:
     return pi
 
 
-def oracle_guard(
-    kernel: TransitionKernel, max_states: int = 64, max_policies: int = 1_000_000
-) -> list[np.ndarray]:
-    """Each state's feasible actions; ValueError if there are too many to enumerate."""
-    n = kernel.num_states
-    if n > max_states:
-        raise ValueError(f"{n} states exceed the oracle guard of {max_states}")
-    mask = kernel.feasible_mask()
-    feas = [np.flatnonzero(mask[:, s]) for s in range(n)]
-    total = int(np.prod(np.array([len(f) for f in feas], dtype=object)))
-    if total > max_policies:
-        raise ValueError(f"{total} policies exceed the oracle guard of {max_policies}")
-    return feas
-
-
 def brute_force_oracle(
-    kernel: TransitionKernel,
-    costs: np.ndarray,
-    max_states: int = 64,
-    max_policies: int = 1_000_000,
+    kernel: TransitionKernel, costs: np.ndarray, max_policies: int = 1_000_000
 ) -> OracleResult:
     """Minimum gain over every feasible deterministic stationary policy.
 
@@ -618,13 +598,18 @@ def brute_force_oracle(
     lists, computes each policy's stationary distribution and takes the
     expected stage cost under it.  Every policy's chain must have a unique
     stationary distribution: the first policy whose does not, in enumeration
-    order, raises SingularPolicyError.  Guarded to tiny instances by
-    ``oracle_guard``.
+    order, raises SingularPolicyError.  Guarded to tiny instances: more than
+    64 states or ``max_policies`` policies raise ValueError before any solve.
     """
-    feas = oracle_guard(kernel, max_states, max_policies)
     n = kernel.num_states
+    if n > 64:
+        raise ValueError(f"{n} states exceed the oracle guard of 64")
+    mask = kernel.feasible_mask()
+    feas = [np.flatnonzero(mask[:, s]) for s in range(n)]
     radix = np.array([len(f) for f in feas])
     total = int(np.prod(radix.astype(object)))
+    if total > max_policies:
+        raise ValueError(f"{total} policies exceed the oracle guard of {max_policies}")
 
     # every dense row U[r] D holds the single products U[r, x(s')] w(s')
     d = np.zeros((kernel.rows.shape[1], n))

@@ -163,7 +163,7 @@ class TransitionKernel:
     weight: np.ndarray
     levels: int
     allowed: frozenset[Action] = frozenset(Action)
-    _matrices: dict = field(default_factory=dict, repr=False)
+    _matrices: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for table in (self.labels, self.pre, self.weight):

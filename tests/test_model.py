@@ -198,6 +198,21 @@ class TestDistanceGrid:
                 ring_probs=(0.7, 0.7),
             )
 
+    @pytest.mark.parametrize(
+        "distances, unicast_costs, ring_probs, match",
+        [((), (0,), (), "at least one ring"),
+         ((30.0, 50.0), (0, 1, 2), (1.0,), "inconsistent grid lengths"),
+         ((30.0, 50.0), (0, 1), (0.5, 0.5), "inconsistent grid lengths"),
+         ((30.0, 50.0), (1, 2, 3), (0.5, 0.5), r"unicast_costs\[0\] must be 0"),
+         ((30.0, 50.0), (0, 2, 2), (0.5, 0.5), "unicast_costs must be strictly"),
+         ((30.0, 50.0), (0, 1, 2), (-0.5, 1.5), "must be non-negative")],
+        ids=["no-rings", "probs-length", "costs-length", "costs-start",
+             "costs-flat", "negative-prob"],
+    )
+    def test_rejects_bad_grid(self, distances, unicast_costs, ring_probs, match):
+        with pytest.raises(ValueError, match=match):
+            DistanceGrid(distances, unicast_costs, ring_probs)
+
     def test_push_cost_is_edge_cost(self):
         _, _, grid, _ = make_scenario()
         assert grid.push_cost == 4

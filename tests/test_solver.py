@@ -836,6 +836,18 @@ class TestRelativeValueIteration:
             policy_evaluation(policy, kernel, costs)
 
 
+class TestValueSolution:
+    @pytest.mark.parametrize(
+        "h, ref_state, match",
+        [(np.zeros(2), 2, "outside the state space"),
+         (np.zeros(2), -1, "outside the state space"),
+         (np.array([0.0, 1.0]), 1, "vanish at the reference state")],
+    )
+    def test_rejects_bad_reference(self, h, ref_state, match):
+        with pytest.raises(ValueError, match=match):
+            ValueSolution(gain=0.0, h=h, ref_state=ref_state)
+
+
 class TestBellmanResidual:
     def test_exact_solution_zero_cost(self):
         kernel = dense_kernel({0: TWO_STATE_P})

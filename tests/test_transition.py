@@ -566,6 +566,18 @@ class TestBuildKernel:
         assert sub.action_matrix(Action.PUSH).shape == (1680, 1680)
         assert sub.labels is kernel.labels
 
+    def test_replace_starts_an_empty_cache(self):
+        # a copy with other factors must not hand out this kernel's matrices
+        *_, kernel, _ = make_instance(e_max=3, n_contents=2, m_rings=1)
+        assert kernel.action_matrix(Action.SLEEP)[0].sum() == pytest.approx(1.0)
+        weight = kernel.weight.copy()
+        weight[0] *= 2
+        doubled = replace(kernel, weight=weight)
+        assert doubled._matrices == {}
+        row = doubled.action_matrix(Action.SLEEP)[0]
+        assert row.sum() == pytest.approx(1.1348, abs=1e-4)
+        assert kernel.action_matrix(Action.SLEEP)[0].sum() == pytest.approx(1.0)
+
     @pytest.mark.parametrize(
         "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
     )

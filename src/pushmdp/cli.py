@@ -29,6 +29,7 @@ from .policies import (
     unicast_priority_table,
 )
 from .sim import (
+    _BATCHES,
     BASELINE_NAMES,
     SimConfig,
     baseline,
@@ -167,7 +168,7 @@ def _build_all(settings: dict):
     params, arrival, grid, popularity = build_scenario(settings)
     kernel = build_kernel(params, grid, popularity, arrival)
     costs = stage_cost_table(params)
-    return params, grid, popularity, kernel, costs
+    return params, grid, kernel, costs
 
 
 def _header(command: str, settings: dict, seed: int) -> list[str]:
@@ -186,7 +187,7 @@ def _write(out_dir: str, name: str, lines: list[str]) -> str:
 
 
 def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
-    params, grid, _, kernel, costs = _build_all(settings)
+    params, grid, kernel, costs = _build_all(settings)
     result = policy_iteration(kernel, costs)
     lines = _header("solve", settings, seed)
     lines.append("E Q C action h")
@@ -237,7 +238,7 @@ def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> i
         seed=seed,
         warmup=settings["warmup"],
     )
-    metrics = simulate(config, params, grid, popularity)
+    metrics = simulate(config, params, grid)
     lines = _header("simulate", settings, seed)
     for field in (
         "total_periods",
@@ -281,13 +282,12 @@ def _print_throughput(runs) -> None:
 
 
 def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
-    params, _, grid, popularity = build_scenario(settings)
+    params, _, grid, _ = build_scenario(settings)
     pu_grid = parse_pu_grid(settings["pu_grid"])
     _print_workers(len(pu_grid) * len(BASELINE_NAMES) * settings["replications"])
     rows = sweep(
         params,
         grid,
-        popularity,
         pu_grid,
         replications=settings["replications"],
         horizon=settings["horizon"],
@@ -336,7 +336,11 @@ def _sim_se(gain: float, metrics) -> float:
 
 
 def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> int:
-    params, grid, popularity, kernel, costs = _build_all(settings)
+    horizon, warmup = settings["horizon"], settings["warmup"]
+    if horizon - warmup < _BATCHES:  # no batch-means s.e., so no check could pass
+        raise ConfigError(f"config keys 'horizon', 'warmup': validate needs horizon - "
+                          f"warmup >= {_BATCHES} measured periods, got {horizon - warmup}")
+    params, grid, kernel, costs = _build_all(settings)
     checks: list[tuple[str, bool, str]] = []
 
     report = validate_kernel(kernel)
@@ -385,10 +389,8 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
         ("unicast-priority", greedy, greedy_gain),
     ]
     seeds = child_seeds(np.random.SeedSequence(seed), len(named))
-    horizon, warmup = settings["horizon"], settings["warmup"]
     jobs = [
-        (SimConfig(policy=table, horizon=horizon, seed=child, warmup=warmup),
-         params, grid, popularity)
+        (SimConfig(policy=table, horizon=horizon, seed=child, warmup=warmup), params, grid)
         for (_, table, _), child in zip(named, seeds)
     ]
     _print_workers(len(jobs))
@@ -420,7 +422,7 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
 
 
 def cmd_oracle(settings: dict, out_dir: str, seed: int) -> int:
-    params, grid, popularity, kernel, costs = _build_all(settings)
+    _, _, kernel, costs = _build_all(settings)
     # an instance too large to enumerate is refused (exit 2) before any solve
     oracle = brute_force_oracle(kernel, costs)
     result = policy_iteration(kernel, costs)

@@ -19,16 +19,16 @@ for post-spend level b and harvest a capped at E, kept[2C + push][drop_min]
 = the next pushed count C', and ring[C'][code] = C' plus the ring part
 (none on a hit).  A step takes 0.15-0.2 µs on a 2-vCPU Xeon VM.
 
-The counts are taken per chunk of ``_CHUNK`` periods.  A request drawn in
-period j is observed (and possibly handed to the macro cell) in period j+1,
-so the measured periods warmup..horizon-1 count the request draws of
-warmup-1..horizon-2, and macro_handled <= requests_generated holds in any
-window.  A miss always leaves a ring and Q > 0 only follows a request, so
-the cache hits are the requests less the measured periods with Q > 0.
-Each chunk's positive energy spills are summed as Python ints, which no
-total overflows.  ``simulate`` runs feasible policy tables only, checked by
-``PolicyTable.validate`` before the first draw; ``baseline`` maps the names
-in ``BASELINE_NAMES`` to tables.
+Requests are counted once per draw block and the other counts once per
+``_CHUNK`` periods, so no state grows with the horizon.  A request drawn in
+period j is observed (maybe by the macro cell) in period j+1, so the measured
+periods warmup..horizon-1 count the request draws of warmup-1..horizon-2,
+and macro_handled <= requests_generated holds in any window.  A miss always
+leaves a ring and Q > 0 only follows a request, so the cache hits are the
+requests less the measured periods with Q > 0.  The macro events are summed
+per batch of the s.e., and the energy spills as Python ints, which no total
+overflows.  ``simulate`` checks a table with ``PolicyTable.validate`` before
+the first draw; ``baseline`` maps ``BASELINE_NAMES`` to tables.
 """
 from __future__ import annotations
 
@@ -50,6 +50,7 @@ from .model import (
     spend_table,
     stage_cost_table,
     state_table,
+    zipf_pmf,
 )
 from .policies import non_push_optimal, unicast_priority_table
 from .solver import PolicyTable, policy_evaluation, policy_iteration
@@ -113,8 +114,8 @@ class SimMetrics:
     """Counts over the post-warmup measurement window, and the macro ratio.
 
     ``macro_ratio`` is macro_handled per measured period, the figure the
-    solver's gain predicts; its standard error comes from batch means, which
-    absorb the serial correlation of the underlying chain.
+    solver's gain predicts; its s.e. comes from batch means, which absorb the
+    chain's serial correlation, and is nan below ``_BATCHES`` measured periods.
     ``periods_per_s`` is the run's simulated periods per wall-clock second;
     it varies between identical runs, so equality ignores it.
     """
@@ -128,14 +129,6 @@ class SimMetrics:
     macro_ratio: float
     macro_ratio_se: float
     periods_per_s: float = field(compare=False)
-
-
-def _batch_se(series: np.ndarray, batches: int) -> float:
-    size = len(series) // batches
-    if size < 1 or batches < 2:
-        return float("nan")
-    means = series[: batches * size].reshape(batches, size).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(batches))
 
 
 def baseline(
@@ -244,14 +237,14 @@ def simulate(
     config: SimConfig,
     params: SystemParams,
     grid: DistanceGrid,
-    popularity: np.ndarray,
     record: bool = False,
 ):
     """Run ``config.policy`` on one seeded trajectory from state (0, 0, 0).
 
-    Deterministic given (config, params, grid, popularity).  Builds no kernel
-    and solves nothing.  With ``record=True`` also returns the visited state
-    indices over the full horizon, for distribution checks; the actions are
+    Deterministic given (config, params, grid); the popularity is
+    ``zipf_pmf(params)``.  Builds no kernel and solves nothing.  With
+    ``record=True`` also returns the visited state indices over the full
+    horizon, for distribution checks; the actions are
     ``config.policy.actions[states]``.  A table that does not fit the state
     space, or is infeasible in any state, raises ValueError before any draw.
     """
@@ -264,12 +257,12 @@ def simulate(
     m1 = params.num_rings + 1
     n1 = params.num_contents + 1
     cap = params.battery_levels
-    pop_cum = cumulative_popularity_table(popularity)
+    pop_cum = cumulative_popularity_table(zipf_pmf(params))
 
     e_tab, q_tab, c_tab = state_table(params)
     states = np.arange(params.num_states)
     post_spend = e_tab - spend_table(grid)[actions, q_tab]
-    macro_tab = stage_cost_table(params)[actions, states].astype(np.uint8)
+    macro_tab = stage_cost_table(params)[actions, states].astype(bool)
     # the module docstring's step tables; thresholds run over 0..N+1
     level, thresh = np.arange(cap + 1), np.arange(n1 + 1)
     count = np.arange(n1)[:, None, None]
@@ -282,8 +275,9 @@ def simulate(
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
 
-    # per period only for the batch means of its standard error
-    macro_ind = np.zeros(n_meas, dtype=np.uint8)
+    # macro events per batch, the n_meas % _BATCHES leftover periods in the last
+    size = max(n_meas // _BATCHES, 1)
+    macro_bins = np.zeros(_BATCHES + 1, dtype=np.int64)
     requests = misses = overflow = 0
     if record:
         rec_states = np.zeros(horizon, dtype=np.int32)
@@ -292,6 +286,8 @@ def simulate(
     for k in range(0, horizon, _BLOCK):
         blk = min(_BLOCK, horizon - k)
         d = _draw(rng, blk, params, grid, pop_cum)
+        # the request draws of periods warmup - 1 .. horizon - 2
+        requests += int(d.requested[max(warmup - 1 - k, 0) : horizon - 1 - k].sum())
         for lo in range(0, blk, _CHUNK):
             hi = min(lo + _CHUNK, blk)
             visited = []
@@ -307,28 +303,31 @@ def simulate(
             k0 = k + lo
             if record:
                 rec_states[k0 : k0 + len(st)] = st
-            # the request draws of periods warmup - 1 .. horizon - 2
-            req = d.requested[max(lo, warmup - 1 - k) : min(hi, horizon - 1 - k)]
-            requests += int(np.count_nonzero(req))
             skip = max(warmup - k0, 0)
             if skip < len(st):
                 st_m = st[skip:]
-                macro_ind[k0 + skip - warmup : k0 + len(st) - warmup] = macro_tab[st_m]
+                j = np.flatnonzero(macro_tab[st_m]) + (k0 + skip - warmup)
+                batch = np.minimum(j // size, _BATCHES)  # the leftover may exceed a batch
+                macro_bins += np.bincount(batch, minlength=_BATCHES + 1)
                 misses += int(np.count_nonzero(q_tab[st_m]))
                 # post_spend - cap <= 0 keeps each spill in int64
                 spill = post_spend[st_m] - cap + d.arrivals[lo + skip : hi]
                 overflow += sum(spill[spill > 0].tolist())
         del d  # free this block's draws before the next block is taken
 
+    handled = int(macro_bins.sum())
+    se = float("nan")
+    if n_meas >= _BATCHES:
+        se = float((macro_bins[:-1] / size).std(ddof=1) / np.sqrt(_BATCHES))
     metrics = SimMetrics(
         total_periods=horizon,
         measured_periods=n_meas,
         requests_generated=requests,
-        macro_handled=int(macro_ind.sum()),
+        macro_handled=handled,
         cache_hits=requests - misses,
         energy_overflow_units=overflow,
-        macro_ratio=float(macro_ind.mean()),
-        macro_ratio_se=_batch_se(macro_ind, _BATCHES),
+        macro_ratio=handled / n_meas,
+        macro_ratio_se=se,
         periods_per_s=horizon / (time.perf_counter() - start),
     )
     if record:
@@ -350,7 +349,7 @@ def simulation_workers(num_jobs: int) -> int:
 
 
 def simulate_many(jobs) -> list[SimMetrics]:
-    """``simulate(*job)`` for each (config, params, grid, popularity) job, in order.
+    """``simulate(*job)`` for each (config, params, grid) job, in order.
 
     Each job is fixed by its own seed, so the runs are independent and are
     spread over ``simulation_workers(len(jobs))`` forked worker processes;
@@ -391,7 +390,6 @@ class SweepRow:
 def sweep(
     params: SystemParams,
     grid: DistanceGrid,
-    popularity: np.ndarray,
     pu_grid,
     replications: int = 1,
     horizon: int = 1_000_000,
@@ -420,14 +418,13 @@ def sweep(
     for p_u in pu_grid:
         pp = replace(params, request_prob=float(p_u))
         arrival = ArrivalPmf.poisson(pp.mean_arrival, pp.battery_levels)
-        kernel = build_kernel(pp, grid, popularity, arrival)
+        kernel = build_kernel(pp, grid, zipf_pmf(pp), arrival)
         for name in BASELINE_NAMES:
             table, gain = baseline(name, pp, grid, lambda: kernel)
             seeds = child_seeds(master, replications)
             points.append((pp, name, gain, seeds))
             jobs += [
-                (SimConfig(policy=table, horizon=horizon, warmup=warmup, seed=s),
-                 pp, grid, popularity)
+                (SimConfig(policy=table, horizon=horizon, warmup=warmup, seed=s), pp, grid)
                 for s in seeds
             ]
     runs = iter(simulate_many(jobs))

@@ -106,9 +106,6 @@ class PolicyTable:
         # unpickling __slots__ would go through the blocking __setattr__
         return PolicyTable, (self.actions,)
 
-    def __len__(self):
-        return len(self.actions)
-
     def __getitem__(self, state: int) -> Action:
         return Action(int(self.actions[state]))
 

@@ -246,7 +246,10 @@ def build_kernel(
     level b, the pushed count c and whether the action pushes; each such case
     is one row of U, the outer product of its rows of the energy and content
     tables over the pre-request states.  D weights each state by the request
-    table's row of its pushed count.
+    table's row of its pushed count.  ``popularity`` and ``arrival`` must be
+    ``zipf_pmf(params)`` and ``ArrivalPmf.poisson(params.mean_arrival,
+    params.battery_levels)``: the simulator derives both from ``params``, so
+    any other pair gives the solver and the simulator different models.
     """
     feasible = feasible_table(params, grid)
     e1 = params.battery_levels + 1

@@ -126,7 +126,7 @@ def test_criterion_4_threshold_structure(capsys, default_instance, default_solut
 def test_criterion_5_solver_simulator_agreement(
     capsys, default_instance, default_solution, default_nonpush, default_greedy
 ):
-    params, _, grid, popularity, kernel, costs = default_instance
+    params, _, grid, _, kernel, costs = default_instance
     named = [
         ("optimal-push", default_solution.policy, default_solution.values.gain),
         ("non-push", default_nonpush.policy, default_nonpush.values.gain),
@@ -140,7 +140,7 @@ def test_criterion_5_solver_simulator_agreement(
     ok = True
     for name, table, gain in named:
         config = SimConfig(policy=table, horizon=1_000_000, seed=42, warmup=10_000)
-        metrics = simulate(config, params, grid, popularity)
+        metrics = simulate(config, params, grid)
         gap = abs(gain - metrics.macro_ratio)
         se = metrics.macro_ratio_se
         z = gap / se if se > 0 else float("inf") if gap > 0 else 0.0

@@ -404,6 +404,25 @@ class TestValidateCommand:
         report = (out / "validate.txt").read_text()
         assert "PASS solver-vs-sim[optimal-push]: |0.000000 - 0.000000|" in report
 
+    @pytest.mark.parametrize(
+        "horizon, warmup", [(150, 100), (20_000, 19_901)], ids=["50", "99"]
+    )
+    def test_too_few_measured_periods_exits_two(
+        self, horizon, warmup, tmp_path, capsys, monkeypatch
+    ):
+        # below 100 measured periods the batch-means s.e. is nan, so every
+        # solver-vs-sim check would fail a correct solver
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel built for a run too short to check")
+
+        monkeypatch.setattr(cli, "build_kernel", no_kernel)
+        argv = ["validate", "--out", str(tmp_path),
+                "--set", f"horizon={horizon}", "--set", f"warmup={warmup}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'horizon', 'warmup'" in err and "horizon - warmup >= 100" in err
+        assert not list(tmp_path.iterdir())
+
     def test_zero_batch_se_takes_independent_trials(self):
         none = sim.SimMetrics(
             total_periods=1_000_000, measured_periods=990_000, requests_generated=0,

@@ -326,7 +326,7 @@ class TestFeasibilityAndCost:
         for call in (
             lambda: feasible_table(params, grid),
             lambda: build_kernel(params, grid, popularity, arrival),
-            lambda: simulate(config, params, grid, popularity),
+            lambda: simulate(config, params, grid),
             lambda: unicast_priority_table(params, grid),
         ):
             with pytest.raises(ValueError, match=message):

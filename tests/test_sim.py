@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pushmdp import sim
-from pushmdp.model import Action, cumulative_popularity_table, feasible_table
+from pushmdp.model import Action, cumulative_popularity_table, feasible_table, zipf_pmf
 from pushmdp.policies import unicast_priority_table
 from pushmdp.sim import (
     _BATCHES,
     SimConfig,
     SimMetrics,
-    _batch_se,
     simulate,
     simulate_many,
     simulation_workers,
@@ -38,7 +37,16 @@ from conftest import (
 REFERENCE_BLOCK = 1 << 18
 
 
-def reference_simulate(config, params, grid, popularity, record=False):
+def reference_batch_se(series: np.ndarray, batches: int) -> float:
+    """Batch-means s.e. of a per-period series, its leftover periods dropped."""
+    size = len(series) // batches
+    if size < 1 or batches < 2:
+        return float("nan")
+    means = series[: batches * size].reshape(batches, size).mean(axis=1)
+    return float(means.std(ddof=1) / np.sqrt(batches))
+
+
+def reference_simulate(config, params, grid, record=False):
     """The per-period loop that the table-driven simulator replaced.
 
     Reference for cross-checks only: it draws the same blocks in the same
@@ -60,7 +68,7 @@ def reference_simulate(config, params, grid, popularity, record=False):
     p_u = params.request_prob
     l_cost = grid.unicast_costs
     l_push = grid.push_cost
-    pop_cum = cumulative_popularity_table(popularity)
+    pop_cum = cumulative_popularity_table(zipf_pmf(params))
     ring_cum = np.cumsum(grid.ring_probs).tolist()
     m_rings = grid.num_rings
     evict_thresh = [c / n_cont if n_cont else 0.0 for c in range(n_cont + 1)]
@@ -143,7 +151,7 @@ def reference_simulate(config, params, grid, popularity, record=False):
         cache_hits=int(hit_ind.sum()),
         energy_overflow_units=overflow,
         macro_ratio=float(macro_ind.mean()),
-        macro_ratio_se=_batch_se(macro_ind, _BATCHES),
+        macro_ratio_se=reference_batch_se(macro_ind, _BATCHES),
         periods_per_s=float("nan"),
     )
     if record:
@@ -196,11 +204,11 @@ def random_feasible_policy(params, grid, seed) -> PolicyTable:
     )
 
 
-def assert_matches_reference(config, params, grid, pop):
-    metrics, states = simulate(config, params, grid, pop, record=True)
+def assert_matches_reference(config, params, grid):
+    metrics, states = simulate(config, params, grid, record=True)
     actions = config.policy.actions[states]
     ref, (ref_states, ref_actions) = reference_simulate(
-        config, params, grid, pop, record=True
+        config, params, grid, record=True
     )
     # repr tells apart 0.0 and -0.0, and Python from numpy scalars
     for f in fields(SimMetrics):
@@ -231,41 +239,41 @@ class TestSimConfigValidation:
 
 class TestSimulate:
     def test_deterministic(self, default_scenario, default_greedy):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         cfg = SimConfig(policy=default_greedy, horizon=30_000, seed=9, warmup=1_000)
-        m1 = simulate(cfg, params, grid, pop)
-        m2 = simulate(cfg, params, grid, pop)
+        m1 = simulate(cfg, params, grid)
+        m2 = simulate(cfg, params, grid)
         assert m1 == m2
 
     def test_seed_matters(self, default_scenario, default_greedy):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         a = simulate(
             SimConfig(policy=default_greedy, horizon=30_000, seed=1, warmup=1_000),
-            params, grid, pop,
+            params, grid,
         )
         b = simulate(
             SimConfig(policy=default_greedy, horizon=30_000, seed=2, warmup=1_000),
-            params, grid, pop,
+            params, grid,
         )
         assert a.macro_ratio != b.macro_ratio
 
     def test_no_traffic_no_requests(self):
-        params, _, grid, pop = make_scenario(p_u=0.0)
+        params, _, grid, _ = make_scenario(p_u=0.0)
         table = unicast_priority_table(params, grid)
         m = simulate(
             SimConfig(policy=table, horizon=20_000, seed=4, warmup=500),
-            params, grid, pop,
+            params, grid,
         )
         assert m.requests_generated == 0
         assert m.macro_handled == 0
         assert m.macro_ratio == 0.0
 
     def test_all_sleep_misses_every_request(self, default_scenario):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         table = PolicyTable.all_sleep(params.num_states)
         m = simulate(
             SimConfig(policy=table, horizon=300_000, seed=11, warmup=5_000),
-            params, grid, pop,
+            params, grid,
         )
         # the cache stays empty, so the miss ratio approaches p_u
         assert m.cache_hits == 0
@@ -276,10 +284,10 @@ class TestSimulate:
         assert abs(m.requests_generated / n - p_u) <= 3 * binomial_se
 
     def test_counter_identities(self, default_scenario, default_greedy):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         m = simulate(
             SimConfig(policy=default_greedy, horizon=50_000, seed=21, warmup=2_000),
-            params, grid, pop,
+            params, grid,
         )
         assert m.macro_handled + m.cache_hits <= m.requests_generated
         assert m.requests_generated <= m.measured_periods
@@ -287,35 +295,54 @@ class TestSimulate:
 
     def test_large_overflow_counted(self):
         # about 40,000 units spill per period, beyond a 16-bit counter
-        params, _, grid, pop = make_scenario(a_bar=40_000.0)
+        params, _, grid, _ = make_scenario(a_bar=40_000.0)
         table = unicast_priority_table(params, grid)
         m = simulate(
             SimConfig(policy=table, horizon=2_000, warmup=10),
-            params, grid, pop,
+            params, grid,
         )
         assert m.energy_overflow_units / m.measured_periods > 39_000
 
     def test_step_tables_stay_small(self):
         # tables over states x draw codes would hold about 1.5G entries here
-        params, _, grid, pop = make_scenario(e_max=60, n_contents=100)
+        params, _, grid, _ = make_scenario(e_max=60, n_contents=100)
         assert params.num_states == 30_805
         config = SimConfig(
             policy=unicast_priority_table(params, grid), horizon=20_000, warmup=1_000
         )
-        simulate(config, params, grid, pop)  # the first run pays lazy set-up
+        simulate(config, params, grid)  # the first run pays lazy set-up
         tracemalloc.start()
         try:
-            simulate(config, params, grid, pop)
+            simulate(config, params, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_memory_does_not_grow_with_measured_periods(
+        self, default_scenario, default_greedy
+    ):
+        # one byte per measured period would add 272 KiB at warmup 0; the
+        # first draw block, full in both runs, sets the peak
+        params, _, grid, _ = default_scenario
+        horizon = (1 << 18) + (1 << 14)
+        simulate(SimConfig(policy=default_greedy, horizon=1_000, warmup=0), params, grid)
+        peaks = []
+        for warmup in (0, horizon - 100):
+            config = SimConfig(policy=default_greedy, horizon=horizon, warmup=warmup)
+            tracemalloc.start()
+            try:
+                simulate(config, params, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) < 16 * 2**10
+
     def test_reports_throughput(self, default_scenario, default_greedy):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         m = simulate(
             SimConfig(policy=default_greedy, horizon=20_000, warmup=500),
-            params, grid, pop,
+            params, grid,
         )
         assert np.isfinite(m.periods_per_s) and m.periods_per_s > 0
 
@@ -329,10 +356,10 @@ class TestSimulate:
             sim.baseline("round-robin", params, grid, no_kernel)
 
     def test_record_shapes(self, default_scenario, default_greedy):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         m, states = simulate(
             SimConfig(policy=default_greedy, horizon=2_000, warmup=100),
-            params, grid, pop, record=True,
+            params, grid, record=True,
         )
         assert len(states) == 2_000
         assert states.min() >= 0 and states.max() < params.num_states
@@ -360,13 +387,15 @@ EDGE_SCENARIOS = [
 class TestMatchesReferenceLoop:
     def test_default_policies(self, default_scenario, default_solution,
                               default_nonpush, default_greedy):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         for table in (default_solution.policy, default_nonpush.policy,
                       default_greedy):
             config = SimConfig(policy=table, horizon=70_000, seed=3, warmup=0)
-            assert_matches_reference(config, params, grid, pop)
+            assert_matches_reference(config, params, grid)
 
-    # horizons and warm-ups on and next to the draw-block boundary (2^18)
+    # horizons and warm-ups on and next to the draw-block boundary (2^18); a
+    # leftover of 12 periods after 100 batches of 11, longer than a batch; and
+    # fewer measured periods than batches (nan s.e.)
     @pytest.mark.parametrize(
         "horizon, warmup",
         [
@@ -374,32 +403,34 @@ class TestMatchesReferenceLoop:
             (600_000, 1),
             (300_000, 262_144),
             (524_289, 262_145),
+            (1_112, 0),
+            (150, 100),
         ],
     )
     def test_block_boundaries(self, default_scenario, default_solution,
                               horizon, warmup):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         config = SimConfig(
             policy=default_solution.policy, horizon=horizon, seed=8, warmup=warmup
         )
-        assert_matches_reference(config, params, grid, pop)
+        assert_matches_reference(config, params, grid)
 
     @pytest.mark.parametrize("overrides", EDGE_SCENARIOS)
     def test_edge_scenarios(self, overrides):
-        params, _, grid, pop = make_scenario(**overrides)
+        params, _, grid, _ = make_scenario(**overrides)
         for table in (unicast_priority_table(params, grid),
                       random_feasible_policy(params, grid, seed=1)):
             config = SimConfig(policy=table, horizon=20_000, seed=6, warmup=300)
-            assert_matches_reference(config, params, grid, pop)
+            assert_matches_reference(config, params, grid)
 
     def test_overflow_sum_beyond_int64(self):
         # about 1e18 units spill per period, so the count passes 2**64
-        params, _, grid, pop = make_scenario(a_bar=1e18, e_max=5, n_contents=4)
+        params, _, grid, _ = make_scenario(a_bar=1e18, e_max=5, n_contents=4)
         config = SimConfig(
             policy=unicast_priority_table(params, grid), horizon=20_000, warmup=1_000
         )
-        assert_matches_reference(config, params, grid, pop)
-        assert simulate(config, params, grid, pop).energy_overflow_units > 2**64
+        assert_matches_reference(config, params, grid)
+        assert simulate(config, params, grid).energy_overflow_units > 2**64
 
     @given(
         e_max=st.integers(0, 6),
@@ -413,7 +444,7 @@ class TestMatchesReferenceLoop:
     )
     @settings(max_examples=25, deadline=None)
     def test_random_instances(self, e_max, n, m, p_c, p_u, seed, horizon, warmup):
-        params, _, grid, pop = make_scenario(
+        params, _, grid, _ = make_scenario(
             e_max=e_max, n_contents=n, m_rings=m, p_c=p_c, p_u=p_u
         )
         config = SimConfig(
@@ -422,15 +453,15 @@ class TestMatchesReferenceLoop:
             seed=seed,
             warmup=warmup,
         )
-        assert_matches_reference(config, params, grid, pop)
+        assert_matches_reference(config, params, grid)
 
     def test_late_infeasible_state_rejected_before_first_draw(
         self, default_instance, default_greedy, monkeypatch
     ):
-        params, _, grid, pop, kernel, costs = default_instance
+        params, _, grid, _, kernel, costs = default_instance
         _, states = simulate(
             SimConfig(policy=default_greedy, horizon=100_000, seed=4, warmup=0),
-            params, grid, pop, record=True,
+            params, grid, record=True,
         )
         # the first state first visited after period 50,000 that has an
         # infeasible action gets that action
@@ -446,7 +477,7 @@ class TestMatchesReferenceLoop:
         )
         # the per-period reference meets the state only at that period
         with pytest.raises(ValueError, match=f"^period {period}: "):
-            reference_simulate(config, params, grid, pop)
+            reference_simulate(config, params, grid)
         with pytest.raises(ValueError) as solved:
             policy_evaluation(config.policy, kernel, costs)
 
@@ -455,7 +486,7 @@ class TestMatchesReferenceLoop:
 
         monkeypatch.setattr(sim, "_draw", no_draw)
         with pytest.raises(ValueError) as simulated:
-            simulate(config, params, grid, pop)
+            simulate(config, params, grid)
         assert str(simulated.value) == str(solved.value)
         assert str(simulated.value) == (
             f"policy assigns infeasible action {config.policy[state].name} "
@@ -513,11 +544,11 @@ class TestAgreementWithKernel:
             assert np.all(np.abs(freq - prob) <= band + 1e-9)
 
     def test_trajectory_frequencies_chi_square(self, default_instance, default_solution):
-        params, _, grid, pop, kernel, _ = default_instance
+        params, _, grid, _, kernel, _ = default_instance
         _, states = simulate(
             SimConfig(policy=default_solution.policy, horizon=300_000, seed=13,
                       warmup=0),
-            params, grid, pop, record=True,
+            params, grid, record=True,
         )
         actions = default_solution.policy.actions[states]
         pair_codes = states[:-1] * 3 + actions[:-1]
@@ -550,9 +581,9 @@ class TestAgreementWithKernel:
 
 class TestSweep:
     def test_shape_and_ordering(self, default_scenario):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         rows = sweep(
-            params, grid, pop,
+            params, grid,
             pu_grid=(0.3, 0.7),
             horizon=120_000,
             warmup=5_000,
@@ -572,9 +603,9 @@ class TestSweep:
 
     def test_single_point_single_policy(self, default_scenario):
         # one grid point gives one row per baseline, each policy once
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         rows = sweep(
-            params, grid, pop,
+            params, grid,
             pu_grid=(0.7,),
             horizon=60_000,
             warmup=2_000,
@@ -585,9 +616,9 @@ class TestSweep:
         assert all(r.p_c == params.content_replace_prob for r in rows)
 
     def test_replications_aggregate_into_one_row(self, default_scenario):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         rows = sweep(
-            params, grid, pop,
+            params, grid,
             pu_grid=(0.7,),
             replications=3,
             horizon=40_000,
@@ -605,11 +636,11 @@ class TestSweep:
         assert seeds == [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
     def test_bad_inputs_rejected(self, default_scenario):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         with pytest.raises(ValueError):
-            sweep(params, grid, pop, pu_grid=(0.0,), horizon=2_000, warmup=100)
+            sweep(params, grid, pu_grid=(0.0,), horizon=2_000, warmup=100)
         with pytest.raises(ValueError):
-            sweep(params, grid, pop, pu_grid=(0.5,), replications=0)
+            sweep(params, grid, pu_grid=(0.5,), replications=0)
 
 
 class TestSimulateMany:
@@ -622,9 +653,9 @@ class TestSimulateMany:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
     def test_workers_match_in_process(self, default_scenario, default_greedy, monkeypatch):
-        params, _, grid, pop = default_scenario
+        params, _, grid, _ = default_scenario
         jobs = [
-            (SimConfig(policy=policy, horizon=30_000, seed=seed, warmup=1_000), params, grid, pop)
+            (SimConfig(policy=policy, horizon=30_000, seed=seed, warmup=1_000), params, grid)
             for policy, seed in (
                 (default_greedy, 3),
                 (PolicyTable.all_sleep(params.num_states), 4),
@@ -637,10 +668,10 @@ class TestSimulateMany:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
     def test_worker_error_reaches_caller(self, default_instance, monkeypatch):
-        params, _, grid, pop, kernel, costs = default_instance
+        params, _, grid, _, kernel, costs = default_instance
         bad = PolicyTable(np.ones(params.num_states, dtype=np.int64))
         jobs = [
-            (SimConfig(policy=policy, horizon=20_000, warmup=0), params, grid, pop)
+            (SimConfig(policy=policy, horizon=20_000, warmup=0), params, grid)
             for policy in (PolicyTable.all_sleep(params.num_states), bad)
         ]
         with pytest.raises(ValueError) as solved:

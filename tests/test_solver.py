@@ -691,12 +691,12 @@ class TestPolicyEvaluation:
         # evaluation gain equals the long-run ratio the simulator measures
         from pushmdp.sim import SimConfig, simulate
 
-        params, _, grid, pop, kernel, costs = default_instance
+        params, _, grid, _, kernel, costs = default_instance
         sol = policy_evaluation(default_nonpush.policy, kernel, costs)
         metrics = simulate(
             SimConfig(policy=default_nonpush.policy, horizon=200_000, seed=3,
                       warmup=5_000),
-            params, grid, pop,
+            params, grid,
         )
         assert abs(sol.gain - metrics.macro_ratio) <= 3 * metrics.macro_ratio_se
 
@@ -818,6 +818,12 @@ class TestRelativeValueIteration:
         result = policy_iteration(kernel, costs)
         sol = relative_value_iteration(kernel, costs, tol=1e-10)
         assert sol.gain == pytest.approx(result.values.gain, abs=1e-8)
+
+    def test_iteration_cap(self):
+        _, _, _, _, kernel, costs = make_instance(e_max=3, n_contents=2, m_rings=1)
+        message = "^span above 1e-09 after 1 iterations$"
+        with pytest.raises(ConvergenceError, match=message):
+            relative_value_iteration(kernel, costs, max_iter=1)
 
     def test_equal_gain_reducible_chain_converges(self):
         kernel = dense_kernel({0: np.eye(2)})
@@ -1126,6 +1132,12 @@ class TestPolicyTable:
         c = PolicyTable([0, 1, 1])
         assert a == b and hash(a) == hash(b)
         assert a != c
+        # a non-table is left to the other operand's comparison
+        assert a.__eq__([0, 1, 2]) is NotImplemented
+        assert a != [0, 1, 2] and a != "PolicyTable([0, 1, 2])"
+
+    def test_repr(self):
+        assert repr(PolicyTable([0, 1, 2])) == "PolicyTable([0, 1, 2])"
 
     def test_immutable(self):
         table = PolicyTable([0, 1])

@@ -344,6 +344,8 @@ class TestArrivalPmf:
         assert len(arr.probs) == 15
         assert arr.probs[0] == pytest.approx(P0_08, abs=1e-15)
         assert math.fsum(arr.probs) < 1.0
+        # no harvest: every period brings nothing
+        assert ArrivalPmf.poisson(0.0, 3).probs == (1.0, 0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -34,6 +34,7 @@ from .sim import (
     SimConfig,
     baseline,
     check_run,
+    check_sweep,
     child_seeds,
     simulate,
     simulate_many,
@@ -297,11 +298,12 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
     _print_throughput([m for r in rows for m in r.runs])
     lines = _header("sweep", settings, seed)
     lines.append("policy p_u p_c a_bar ratio_sim se ratio_solver horizon seed")
+    scenario = f"{params.content_replace_prob:.17g} {params.mean_arrival:.17g}"
     for r in rows:
         lines.append(
-            f"{r.policy} {r.p_u:.17g} {r.p_c:.17g} {r.a_bar:.17g} "
+            f"{r.policy} {r.p_u:.17g} {scenario} "
             f"{r.ratio_sim:.17g} {r.se:.17g} {r.ratio_solver:.17g} "
-            f"{r.horizon} {r.seed}"
+            f"{settings['horizon']} {r.seed}"
         )
     _write(out_dir, "sweep.txt", lines)
 
@@ -477,8 +479,11 @@ def main(argv=None) -> int:
     try:
         settings = load_settings(args.config, args.overrides)
         if args.command in ("simulate", "sweep", "validate"):
-            # before any kernel is built; its messages name the keys
+            # before any kernel is built or worker line printed; the messages
+            # name the keys
             check_run(settings["horizon"], settings["warmup"], args.seed)
+        if args.command == "sweep":
+            check_sweep(parse_pu_grid(settings["pu_grid"]), settings["replications"])
         if args.command == "solve":
             return cmd_solve(settings, args.out, args.seed)
         if args.command == "simulate":

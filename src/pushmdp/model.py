@@ -103,31 +103,25 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DistanceGrid:
-    """Calibrated ring boundaries, unicast costs and ring probabilities.
+    """Calibrated ring boundaries and ring probabilities.
 
     ``distances[m-1]`` is the outer radius of ring m (1-based, the last one
-    equals the cell radius); ``unicast_costs[i]`` is the energy in units for
-    serving ring i, with ``unicast_costs[0] == 0``; ``ring_probs[m-1]`` is the
-    probability that a uniformly placed user falls in ring m (ring area over
-    cell area).
+    equals the cell radius); ``ring_probs[m-1]`` is the probability that a
+    uniformly placed user falls in ring m (ring area over cell area).  The
+    costs follow from the ring count: serving ring i takes i units.
     """
 
     distances: tuple[float, ...]
-    unicast_costs: tuple[int, ...]
     ring_probs: tuple[float, ...]
 
     def __post_init__(self):
         m = len(self.distances)
         if m < 1:
             raise ValueError("at least one ring required")
-        if len(self.ring_probs) != m or len(self.unicast_costs) != m + 1:
+        if len(self.ring_probs) != m:
             raise ValueError("inconsistent grid lengths")
-        if self.unicast_costs[0] != 0:
-            raise ValueError("unicast_costs[0] must be 0")
         if any(b <= a for a, b in zip(self.distances, self.distances[1:])):
             raise ValueError("distances must be strictly increasing")
-        if any(b <= a for a, b in zip(self.unicast_costs, self.unicast_costs[1:])):
-            raise ValueError("unicast_costs must be strictly increasing")
         if any(q < 0 for q in self.ring_probs):
             raise ValueError("ring_probs must be non-negative")
         if abs(math.fsum(self.ring_probs) - 1.0) > 1e-12:
@@ -138,9 +132,14 @@ class DistanceGrid:
         return len(self.distances)
 
     @property
+    def unicast_costs(self) -> tuple[int, ...]:
+        """Units spent serving ring i, 0..M, with 0 for no request."""
+        return tuple(range(self.num_rings + 1))
+
+    @property
     def push_cost(self) -> int:
-        """Units spent by a push, i.e. the edge-ring unicast cost."""
-        return self.unicast_costs[-1]
+        """Units spent by a push, i.e. the edge-ring unicast cost M."""
+        return self.num_rings
 
 
 def zipf_pmf(params: SystemParams) -> np.ndarray:
@@ -202,11 +201,7 @@ def calibrate_radio(
     for d in distances:
         ring_probs.append((d * d - prev * prev) / area)
         prev = d
-    return DistanceGrid(
-        distances=tuple(distances),
-        unicast_costs=tuple(range(m + 1)),
-        ring_probs=tuple(ring_probs),
-    )
+    return DistanceGrid(distances=tuple(distances), ring_probs=tuple(ring_probs))
 
 
 def state_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,7 @@ __all__ = [
     "SimConfig",
     "SimMetrics",
     "check_run",
+    "check_sweep",
     "simulate",
     "simulate_many",
     "simulation_workers",
@@ -85,13 +86,16 @@ BASELINE_NAMES = ("optimal-push", "non-push", "unicast-priority")
 class SimConfig:
     """Policy table, horizon, seeding and measurement settings for one run.
 
-    ``policy`` is a PolicyTable; ``baseline`` gives the table of a name.
+    ``policy`` is a PolicyTable; ``baseline`` gives the table of a name.  The
+    run settings are keyword-only and have no defaults here: the default run
+    is ``cli.DEFAULTS`` with the CLI's ``--seed``.
     """
 
     policy: PolicyTable
-    horizon: int = 1_000_000
-    seed: int = 0
-    warmup: int = 10_000
+    _: KW_ONLY
+    horizon: int
+    seed: int
+    warmup: int
 
     def __post_init__(self):
         if not isinstance(self.policy, PolicyTable):
@@ -109,12 +113,20 @@ def check_run(horizon: int, warmup: int, seed: int) -> None:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
+def check_sweep(pu_grid: tuple[float, ...], replications: int) -> None:
+    """Refuse a request probability outside (0, 1] or fewer than one replication."""
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    for p_u in pu_grid:
+        if not 0.0 < p_u <= 1.0:
+            raise ValueError(f"p_u grid point {p_u} outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class SimMetrics:
-    """Counts over the post-warmup measurement window, and the macro ratio.
+    """Counts over the post-warmup measurement window, and the macro ratio's s.e.
 
-    ``macro_ratio`` is macro_handled per measured period, the figure the
-    solver's gain predicts; its s.e. comes from batch means, which absorb the
+    The s.e. of ``macro_ratio`` comes from batch means, which absorb the
     chain's serial correlation, and is nan below ``_BATCHES`` measured periods.
     ``periods_per_s`` is the run's simulated periods per wall-clock second;
     it varies between identical runs, so equality ignores it.
@@ -126,9 +138,13 @@ class SimMetrics:
     macro_handled: int
     cache_hits: int
     energy_overflow_units: int
-    macro_ratio: float
     macro_ratio_se: float
     periods_per_s: float = field(compare=False)
+
+    @property
+    def macro_ratio(self) -> float:
+        """macro_handled per measured period, the figure the solver's gain predicts."""
+        return self.macro_handled / self.measured_periods
 
 
 def baseline(
@@ -326,7 +342,6 @@ def simulate(
         macro_handled=handled,
         cache_hits=requests - misses,
         energy_overflow_units=overflow,
-        macro_ratio=handled / n_meas,
         macro_ratio_se=se,
         periods_per_s=horizon / (time.perf_counter() - start),
     )
@@ -373,16 +388,17 @@ def simulate_many(jobs) -> list[SimMetrics]:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (policy, request-probability) point of the performance curve, and its runs."""
+    """One (policy, request-probability) point of the performance curve, and its runs.
+
+    ``seed`` is the first run's.  p_c, a_bar and the horizon are the sweep's
+    own, so a row does not repeat them.
+    """
 
     policy: str
     p_u: float
-    p_c: float
-    a_bar: float
     ratio_sim: float
     se: float
     ratio_solver: float
-    horizon: int
     seed: int
     runs: tuple[SimMetrics, ...] = field(compare=False)
 
@@ -391,10 +407,11 @@ def sweep(
     params: SystemParams,
     grid: DistanceGrid,
     pu_grid,
-    replications: int = 1,
-    horizon: int = 1_000_000,
-    warmup: int = 10_000,
-    seed: int = 0,
+    *,
+    replications: int,
+    horizon: int,
+    warmup: int,
+    seed: int,
 ) -> list[SweepRow]:
     """Solve and simulate each of ``BASELINE_NAMES`` at each request probability.
 
@@ -404,14 +421,11 @@ def sweep(
     ``child_seeds`` of the master seed, in row order; rows report both the
     solver gain and the simulated ratio so their agreement can be checked
     downstream.  Every point is solved first, then all the runs go through
-    ``simulate_many`` at once.
+    ``simulate_many`` at once.  The run settings are required keywords,
+    like ``SimConfig``'s.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
     pu_grid = tuple(pu_grid)
-    for p_u in pu_grid:
-        if not 0.0 < p_u <= 1.0:
-            raise ValueError(f"p_u grid point {p_u} outside (0, 1]")
+    check_sweep(pu_grid, replications)
     master = np.random.SeedSequence(seed)
     points = []  # (params, policy name, solver gain, child seeds), in row order
     jobs = []
@@ -438,17 +452,6 @@ def sweep(
             ratio = float(np.mean(ratios))
             se = float(np.std(ratios, ddof=1) / np.sqrt(replications))
         rows.append(
-            SweepRow(
-                policy=name,
-                p_u=pp.request_prob,
-                p_c=pp.content_replace_prob,
-                a_bar=pp.mean_arrival,
-                ratio_sim=ratio,
-                se=se,
-                ratio_solver=gain,
-                horizon=horizon,
-                seed=seeds[0],
-                runs=tuple(metrics),
-            )
+            SweepRow(name, pp.request_prob, ratio, se, gain, seeds[0], tuple(metrics))
         )
     return rows

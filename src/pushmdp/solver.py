@@ -106,9 +106,6 @@ class PolicyTable:
         # unpickling __slots__ would go through the blocking __setattr__
         return PolicyTable, (self.actions,)
 
-    def __getitem__(self, state: int) -> Action:
-        return Action(int(self.actions[state]))
-
     def __eq__(self, other):
         if not isinstance(other, PolicyTable):
             return NotImplemented
@@ -137,9 +134,8 @@ class PolicyTable:
         bad = np.flatnonzero(~feasible[self.actions, np.arange(num_states)])
         if bad.size:
             s = int(bad[0])
-            raise ValueError(
-                f"policy assigns infeasible action {self[s].name} to state {s}"
-            )
+            action = Action(self.actions[s]).name
+            raise ValueError(f"policy assigns infeasible action {action} to state {s}")
 
 
 def policy_evaluation(

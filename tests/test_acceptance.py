@@ -109,7 +109,7 @@ def test_criterion_4_threshold_structure(capsys, default_instance, default_solut
     ring1_bad = 0
     _, q_tab, _ = state_table(params)
     for s in range(params.num_states):
-        act = policy[s]
+        act = policy.actions[s]
         if q_tab[s] == 1 and act != Action.SLEEP and act != Action.UNICAST:
             ring1_bad += 1
     ok = profile.all_clean and ring1_bad == 0

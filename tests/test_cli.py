@@ -350,6 +350,45 @@ class TestSweepCommand:
         summary = (out / "summary.txt").read_text()
         assert "reduction_solver" in summary
 
+    def test_rows_carry_the_scenario(self, tmp_path):
+        # p_c, a_bar and horizon are the sweep's own, written into every row
+        out = tmp_path / "art"
+        code = main(
+            ["sweep", "--out", str(out), "--set", "p_c=0.2", "--set", "a_bar=1.1",
+             "--set", "pu_grid=0.4", "--set", "horizon=20000", "--set", "warmup=100"]
+        )
+        assert code == 0
+        lines = [
+            l.split() for l in (out / "sweep.txt").read_text().splitlines()
+            if l and not l.startswith("#")
+        ]
+        header, rows = lines[0], lines[1:]
+        assert len(rows) == len(sim.BASELINE_NAMES)
+        for row in rows:
+            named = dict(zip(header, row))
+            scenario = [float(named[key]) for key in ("p_u", "p_c", "a_bar")]
+            assert scenario == [0.4, 0.2, 1.1]
+            assert named["horizon"] == "20000"
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [("pu_grid=1.5", "error: p_u grid point 1.5 outside (0, 1]"),
+         ("replications=0", "error: replications must be >= 1")],
+        ids=["pu-grid", "replications"],
+    )
+    def test_bad_inputs_exit_two_before_the_worker_line(
+        self, item, message, tmp_path, capsys, monkeypatch
+    ):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel built before the sweep inputs were checked")
+
+        monkeypatch.setattr(sim, "build_kernel", no_kernel)
+        assert main(["sweep", "--out", str(tmp_path), "--set", item] + TINY) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "simulating" not in captured.out
+        assert not list(tmp_path.iterdir())
+
     def test_repeated_point_keeps_its_own_rows(self, tmp_path):
         out = tmp_path / "art"
         code = main(
@@ -426,8 +465,8 @@ class TestValidateCommand:
     def test_zero_batch_se_takes_independent_trials(self):
         none = sim.SimMetrics(
             total_periods=1_000_000, measured_periods=990_000, requests_generated=0,
-            macro_handled=0, cache_hits=0, energy_overflow_units=0, macro_ratio=0.0,
-            macro_ratio_se=0.0, periods_per_s=1.0,
+            macro_handled=0, cache_hits=0, energy_overflow_units=0, macro_ratio_se=0.0,
+            periods_per_s=1.0,
         )
         # 3 sqrt(g (1 - g) / n) is 9.5e-5 at g = 1e-3: no event still refutes it
         assert 3.0 * cli._sim_se(1e-3, none) == pytest.approx(9.5e-5, rel=1e-2)

@@ -1,5 +1,6 @@
 """Popularity, calibration, state layout and feasibility checks."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -184,38 +185,33 @@ class TestCalibration:
 class TestDistanceGrid:
     def test_rejects_unsorted_distances(self):
         with pytest.raises(ValueError):
-            DistanceGrid(
-                distances=(30.0, 20.0),
-                unicast_costs=(0, 1, 2),
-                ring_probs=(0.5, 0.5),
-            )
+            DistanceGrid(distances=(30.0, 20.0), ring_probs=(0.5, 0.5))
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
-            DistanceGrid(
-                distances=(30.0, 50.0),
-                unicast_costs=(0, 1, 2),
-                ring_probs=(0.7, 0.7),
-            )
+            DistanceGrid(distances=(30.0, 50.0), ring_probs=(0.7, 0.7))
 
     @pytest.mark.parametrize(
-        "distances, unicast_costs, ring_probs, match",
-        [((), (0,), (), "at least one ring"),
-         ((30.0, 50.0), (0, 1, 2), (1.0,), "inconsistent grid lengths"),
-         ((30.0, 50.0), (0, 1), (0.5, 0.5), "inconsistent grid lengths"),
-         ((30.0, 50.0), (1, 2, 3), (0.5, 0.5), r"unicast_costs\[0\] must be 0"),
-         ((30.0, 50.0), (0, 2, 2), (0.5, 0.5), "unicast_costs must be strictly"),
-         ((30.0, 50.0), (0, 1, 2), (-0.5, 1.5), "must be non-negative")],
-        ids=["no-rings", "probs-length", "costs-length", "costs-start",
-             "costs-flat", "negative-prob"],
+        "distances, ring_probs, match",
+        [((), (), "at least one ring"),
+         ((30.0, 50.0), (1.0,), "inconsistent grid lengths"),
+         ((30.0, 50.0), (-0.5, 1.5), "must be non-negative")],
+        ids=["no-rings", "probs-length", "negative-prob"],
     )
-    def test_rejects_bad_grid(self, distances, unicast_costs, ring_probs, match):
+    def test_rejects_bad_grid(self, distances, ring_probs, match):
         with pytest.raises(ValueError, match=match):
-            DistanceGrid(distances, unicast_costs, ring_probs)
+            DistanceGrid(distances, ring_probs)
 
     def test_push_cost_is_edge_cost(self):
         _, _, grid, _ = make_scenario()
         assert grid.push_cost == 4
+
+    def test_costs_follow_the_ring_count(self):
+        # the costs are derived, not stored: a grid holds only its geometry
+        grid = DistanceGrid(distances=(30.0, 40.0, 50.0), ring_probs=(0.36, 0.28, 0.36))
+        assert grid.unicast_costs == (0, 1, 2, 3)
+        assert grid.push_cost == 3
+        assert [f.name for f in fields(DistanceGrid)] == ["distances", "ring_probs"]
 
 
 class TestStateCodec:
@@ -321,7 +317,7 @@ class TestFeasibilityAndCost:
         params, arrival, _, popularity = make_scenario(e_max=4, n_contents=3, m_rings=2)
         grid = calibrate_radio(grid_rings, 2.0, 50.0)
         policy = PolicyTable.all_sleep(params.num_states)
-        config = SimConfig(policy, horizon=10, warmup=0)
+        config = SimConfig(policy, horizon=10, seed=0, warmup=0)
         message = f"num_rings is 2 but the grid has {grid_rings} rings"
         for call in (
             lambda: feasible_table(params, grid),

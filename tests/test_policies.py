@@ -34,7 +34,7 @@ def reference_threshold_profile(policy, params):
     clean = np.ones(shape, dtype=bool)
     for q, c in np.ndindex(shape):
         acts = [
-            policy[state_at(params, e, q, c)] != Action.SLEEP
+            policy.actions[state_at(params, e, q, c)] != Action.SLEEP
             for e in range(params.battery_levels + 1)
         ]
         if any(acts):
@@ -45,7 +45,7 @@ def reference_threshold_profile(policy, params):
 
 def greedy_at(table, params):
     """Look up a policy table by (battery, request, pushed)."""
-    return lambda e, q, c: table[state_at(params, e, q, c)]
+    return lambda e, q, c: table.actions[state_at(params, e, q, c)]
 
 
 class TestUnicastPriority:
@@ -70,11 +70,11 @@ class TestUnicastPriority:
         params, _, grid, _ = default_scenario
         for s, (e, q, c) in enumerate(zip(*state_table(params))):
             expect = reference_unicast_priority(e, q, c, grid, params)
-            assert default_greedy[s] == expect
+            assert default_greedy.actions[s] == expect
         params, _, grid, _ = make_scenario(e_max=30, n_contents=40)
         table = unicast_priority_table(params, grid)
         for s, (e, q, c) in enumerate(zip(*state_table(params))):
-            assert table[s] == reference_unicast_priority(e, q, c, grid, params)
+            assert table.actions[s] == reference_unicast_priority(e, q, c, grid, params)
 
     def test_never_infeasible(self, default_instance, default_greedy):
         _, _, _, _, kernel, _ = default_instance
@@ -103,7 +103,7 @@ class TestNonPushOptimal:
     def test_cache_only_decays(self, default_instance, default_nonpush):
         params, _, _, _, kernel, _ = default_instance
         for s in range(params.num_states):
-            idx, _ = kernel_row(kernel, s, default_nonpush.policy[s])
+            idx, _ = kernel_row(kernel, s, default_nonpush.policy.actions[s])
             c_here = s % (params.num_contents + 1)
             assert all(i % (params.num_contents + 1) <= c_here for i in idx)
 
@@ -203,5 +203,5 @@ class TestThresholdGrid:
         for e, line in enumerate(lines):
             cells = line.split()[1:]
             for q, cell in enumerate(cells):
-                act = default_solution.policy[state_at(params, e, q, 5)]
+                act = Action(default_solution.policy.actions[state_at(params, e, q, 5)])
                 assert cell == act.name[0]

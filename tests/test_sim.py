@@ -150,7 +150,6 @@ def reference_simulate(config, params, grid, record=False):
         macro_handled=int(macro_ind.sum()),
         cache_hits=int(hit_ind.sum()),
         energy_overflow_units=overflow,
-        macro_ratio=float(macro_ind.mean()),
         macro_ratio_se=reference_batch_se(macro_ind, _BATCHES),
         periods_per_s=float("nan"),
     )
@@ -223,18 +222,26 @@ class TestSimConfigValidation:
     def test_warmup_bounds(self):
         table = PolicyTable.all_sleep(4)
         with pytest.raises(ValueError):
-            SimConfig(policy=table, horizon=100, warmup=100)
+            SimConfig(policy=table, horizon=100, seed=0, warmup=100)
         with pytest.raises(ValueError):
-            SimConfig(policy=table, warmup=-1)
+            SimConfig(policy=table, horizon=100, seed=0, warmup=-1)
 
     def test_seed_bounds(self):
         with pytest.raises(ValueError):
-            SimConfig(policy=PolicyTable.all_sleep(4), seed=2**64)
+            SimConfig(policy=PolicyTable.all_sleep(4), horizon=100, seed=2**64, warmup=0)
 
     def test_policy_name_rejected(self):
         # names are resolved to tables by sim.baseline, not by the simulator
         with pytest.raises(TypeError, match="PolicyTable"):
-            SimConfig(policy="optimal-push")
+            SimConfig(policy="optimal-push", horizon=100, seed=0, warmup=0)
+
+    def test_run_settings_required(self):
+        # the default run is declared once, in cli.DEFAULTS and --seed
+        table = PolicyTable.all_sleep(4)
+        with pytest.raises(TypeError, match="horizon"):
+            SimConfig(policy=table, seed=0, warmup=0)
+        with pytest.raises(TypeError, match="positional"):
+            SimConfig(table, 100, 0, 0)
 
 
 class TestSimulate:
@@ -298,7 +305,7 @@ class TestSimulate:
         params, _, grid, _ = make_scenario(a_bar=40_000.0)
         table = unicast_priority_table(params, grid)
         m = simulate(
-            SimConfig(policy=table, horizon=2_000, warmup=10),
+            SimConfig(policy=table, horizon=2_000, seed=0, warmup=10),
             params, grid,
         )
         assert m.energy_overflow_units / m.measured_periods > 39_000
@@ -308,7 +315,8 @@ class TestSimulate:
         params, _, grid, _ = make_scenario(e_max=60, n_contents=100)
         assert params.num_states == 30_805
         config = SimConfig(
-            policy=unicast_priority_table(params, grid), horizon=20_000, warmup=1_000
+            policy=unicast_priority_table(params, grid), horizon=20_000, seed=0,
+            warmup=1_000,
         )
         simulate(config, params, grid)  # the first run pays lazy set-up
         tracemalloc.start()
@@ -326,10 +334,11 @@ class TestSimulate:
         # first draw block, full in both runs, sets the peak
         params, _, grid, _ = default_scenario
         horizon = (1 << 18) + (1 << 14)
-        simulate(SimConfig(policy=default_greedy, horizon=1_000, warmup=0), params, grid)
+        warm = SimConfig(policy=default_greedy, horizon=1_000, seed=0, warmup=0)
+        simulate(warm, params, grid)
         peaks = []
         for warmup in (0, horizon - 100):
-            config = SimConfig(policy=default_greedy, horizon=horizon, warmup=warmup)
+            config = SimConfig(policy=default_greedy, horizon=horizon, seed=0, warmup=warmup)
             tracemalloc.start()
             try:
                 simulate(config, params, grid)
@@ -341,7 +350,7 @@ class TestSimulate:
     def test_reports_throughput(self, default_scenario, default_greedy):
         params, _, grid, _ = default_scenario
         m = simulate(
-            SimConfig(policy=default_greedy, horizon=20_000, warmup=500),
+            SimConfig(policy=default_greedy, horizon=20_000, seed=0, warmup=500),
             params, grid,
         )
         assert np.isfinite(m.periods_per_s) and m.periods_per_s > 0
@@ -358,7 +367,7 @@ class TestSimulate:
     def test_record_shapes(self, default_scenario, default_greedy):
         params, _, grid, _ = default_scenario
         m, states = simulate(
-            SimConfig(policy=default_greedy, horizon=2_000, warmup=100),
+            SimConfig(policy=default_greedy, horizon=2_000, seed=0, warmup=100),
             params, grid, record=True,
         )
         assert len(states) == 2_000
@@ -427,7 +436,8 @@ class TestMatchesReferenceLoop:
         # about 1e18 units spill per period, so the count passes 2**64
         params, _, grid, _ = make_scenario(a_bar=1e18, e_max=5, n_contents=4)
         config = SimConfig(
-            policy=unicast_priority_table(params, grid), horizon=20_000, warmup=1_000
+            policy=unicast_priority_table(params, grid), horizon=20_000, seed=0,
+            warmup=1_000,
         )
         assert_matches_reference(config, params, grid)
         assert simulate(config, params, grid).energy_overflow_units > 2**64
@@ -489,7 +499,7 @@ class TestMatchesReferenceLoop:
             simulate(config, params, grid)
         assert str(simulated.value) == str(solved.value)
         assert str(simulated.value) == (
-            f"policy assigns infeasible action {config.policy[state].name} "
+            f"policy assigns infeasible action {Action(config.policy.actions[state]).name} "
             f"to state {state}"
         )
 
@@ -585,6 +595,7 @@ class TestSweep:
         rows = sweep(
             params, grid,
             pu_grid=(0.3, 0.7),
+            replications=1,
             horizon=120_000,
             warmup=5_000,
             seed=17,
@@ -607,13 +618,13 @@ class TestSweep:
         rows = sweep(
             params, grid,
             pu_grid=(0.7,),
+            replications=1,
             horizon=60_000,
             warmup=2_000,
             seed=23,
         )
         assert [r.policy for r in rows] == list(sim.BASELINE_NAMES)
         assert all(r.p_u == 0.7 for r in rows)
-        assert all(r.p_c == params.content_replace_prob for r in rows)
 
     def test_replications_aggregate_into_one_row(self, default_scenario):
         params, _, grid, _ = default_scenario
@@ -637,10 +648,19 @@ class TestSweep:
 
     def test_bad_inputs_rejected(self, default_scenario):
         params, _, grid, _ = default_scenario
-        with pytest.raises(ValueError):
-            sweep(params, grid, pu_grid=(0.0,), horizon=2_000, warmup=100)
-        with pytest.raises(ValueError):
-            sweep(params, grid, pu_grid=(0.5,), replications=0)
+        run = dict(horizon=2_000, warmup=100, seed=0)
+        with pytest.raises(ValueError, match="p_u grid point 0.0 outside"):
+            sweep(params, grid, pu_grid=(0.0,), replications=1, **run)
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            sweep(params, grid, pu_grid=(0.5,), replications=0, **run)
+        with pytest.raises(ValueError, match="p_u grid point 1.5 outside"):
+            sim.check_sweep((0.5, 1.5), 1)
+        sim.check_sweep((1e-9, 1.0), 1)
+
+    def test_run_settings_required(self, default_scenario):
+        params, _, grid, _ = default_scenario
+        with pytest.raises(TypeError, match="replications"):
+            sweep(params, grid, (0.5,), horizon=2_000, warmup=100, seed=0)
 
 
 class TestSimulateMany:
@@ -671,7 +691,7 @@ class TestSimulateMany:
         params, _, grid, _, kernel, costs = default_instance
         bad = PolicyTable(np.ones(params.num_states, dtype=np.int64))
         jobs = [
-            (SimConfig(policy=policy, horizon=20_000, warmup=0), params, grid)
+            (SimConfig(policy=policy, horizon=20_000, seed=0, warmup=0), params, grid)
             for policy in (PolicyTable.all_sleep(params.num_states), bad)
         ]
         with pytest.raises(ValueError) as solved:

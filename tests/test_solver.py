@@ -881,21 +881,21 @@ class TestPolicyImprovement:
         kernel = dense_kernel({0: np.array([[1.0]])})
         costs = costs_for(1, {0: np.array([5.0])})
         sol = ValueSolution(gain=0.0, h=np.zeros(1), ref_state=0)
-        assert policy_improvement(sol, kernel, costs)[0] == Action.SLEEP
+        assert policy_improvement(sol, kernel, costs).actions[0] == Action.SLEEP
 
     def test_exact_tie_takes_lowest_action(self):
         p = np.array([[1.0]])
         kernel = dense_kernel({1: p, 2: p})
         costs = costs_for(1, {1: np.array([0.5]), 2: np.array([0.5])})
         sol = ValueSolution(gain=0.0, h=np.zeros(1), ref_state=0)
-        assert policy_improvement(sol, kernel, costs)[0] == Action.UNICAST
+        assert policy_improvement(sol, kernel, costs).actions[0] == Action.UNICAST
 
     def test_cheaper_action_wins(self):
         p = np.array([[1.0]])
         kernel = dense_kernel({0: p, 2: p})
         costs = costs_for(1, {0: np.array([0.5]), 2: np.array([0.1])})
         sol = ValueSolution(gain=0.0, h=np.zeros(1), ref_state=0)
-        assert policy_improvement(sol, kernel, costs)[0] == Action.PUSH
+        assert policy_improvement(sol, kernel, costs).actions[0] == Action.PUSH
 
     @pytest.mark.parametrize("gap, kept", [(0.0, True), (1e-15, True), (1e-12, False)])
     def test_incumbent_kept_on_near_tie(self, gap, kept):
@@ -906,9 +906,9 @@ class TestPolicyImprovement:
         costs = costs_for(1, {1: np.array([0.5]), 2: np.array([0.5 + gap])})
         sol = ValueSolution(gain=0.0, h=np.zeros(1), ref_state=0)
         improved = policy_improvement(sol, kernel, costs, incumbent=PolicyTable([2]))
-        assert improved[0] == (Action.PUSH if kept else Action.UNICAST)
+        assert improved.actions[0] == (Action.PUSH if kept else Action.UNICAST)
         # without an incumbent the argmin takes the lowest code, as before
-        assert policy_improvement(sol, kernel, costs)[0] == Action.UNICAST
+        assert policy_improvement(sol, kernel, costs).actions[0] == Action.UNICAST
 
     def test_tolerance_scales_with_h(self):
         # the same gap of 1e-12 is a tie once |h| reaches 1e3
@@ -1047,7 +1047,7 @@ class TestPolicyIteration:
         with pytest.raises(ConvergenceError):
             policy_iteration(kernel, costs, max_iter=1)
         result = policy_iteration(kernel, costs, max_iter=3)
-        assert result.policy[0] == Action.UNICAST
+        assert result.policy.actions[0] == Action.UNICAST
         assert result.values.gain == pytest.approx(0.0, abs=1e-12)
 
 

@@ -351,9 +351,7 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
             "kernel-rows",
             report.max_row_sum_deviation < 1e-12 and report.negative_entries == 0,
             f"max row-sum deviation {report.max_row_sum_deviation:.3g}, "
-            f"{report.negative_entries} negative entries, "
-            f"{report.strong_components} strong components, "
-            f"{len(report.never_entered)} never-entered states",
+            f"{report.negative_entries} negative entries",
         )
     )
 

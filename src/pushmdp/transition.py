@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .model import (
     Action,
@@ -288,97 +287,35 @@ def build_kernel(
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Structural health check of a built kernel."""
+    """Row-sum and sign health check of a built kernel."""
 
     num_states: int
     num_rows: int
     max_row_sum_deviation: float
     negative_entries: int
-    strong_components: int
-    never_entered: tuple[int, ...]
 
 
 def validate_kernel(kernel: TransitionKernel) -> KernelReport:
-    """Row-sum, sign and connectivity diagnostics.
+    """Row-sum and sign diagnostics, read from the factors.
 
-    ``never_entered`` lists states no other state can reach in one step under
-    any feasible action; they are transient decorations of the chain and a
-    strong-component count above one is expected whenever they exist.
-    Every figure is read from the factors.  Each state s' has one weight
-    w(s') in the row of its pre-request state x(s'), so a pair with row r
-    moves to s' with the single product U[r, x(s')] w(s'), an edge when it is
-    not 0.  So each U row that a feasible pair uses, and each pre-request
-    state's weights, must sum to 1; the deviation is the larger of the two.
-    A negative U entry counts once per feasible pair that uses its row, and
-    a negative weight once.
+    Each state s' has one weight w(s') in the row of its pre-request state
+    x(s'), so a pair with row r moves to s' with the single product
+    U[r, x(s')] w(s').  So each U row that a feasible pair uses, and each
+    pre-request state's weights, must sum to 1; the deviation is the larger
+    of the two.  A negative U entry counts once per feasible pair that uses
+    its row, and a negative weight once.
     """
-    n = kernel.num_states
     u, pre, weight = kernel.rows, kernel.pre, kernel.weight
-    k, m = u.shape
-    mask = kernel.feasible_mask().T
-    states = np.nonzero(mask)[0]
-    pair_row = kernel.labels.T[mask]
-    users = np.bincount(pair_row, minlength=k)
-    # the pair (s, r) keeps s iff U[r, x(s)] w(s) is not 0
-    own = np.asarray(u[pair_row, pre[states]]).ravel() * weight[states]
-    looped = np.bincount(states[own != 0], minlength=n)
-    del own
+    pair_row = kernel.labels[kernel.feasible_mask()]
+    users = np.bincount(pair_row, minlength=u.shape[0])
     # reduceat sums from each start to the next, so every nonempty row starts one
     nonempty = np.diff(u.indptr) > 0
     sums = np.add.reduceat(u.data, u.indptr[:-1][nonempty])[users[nonempty] > 0]
-    sums = np.concatenate((sums, np.bincount(pre, weight, minlength=m)))
+    sums = np.concatenate((sums, np.bincount(pre, weight, minlength=u.shape[1])))
     negative_rows = np.searchsorted(u.indptr, np.flatnonzero(u.data < 0), "right") - 1
-
-    # The states of each x with a nonzero weight.  Rounding is monotone, so a
-    # U entry whose product with the least such |w| is nonzero reaches all of
-    # them; each other entry, whose products underflow for some, gets a node
-    # of its own with an edge to each state where its product is nonzero.
-    nonzero = np.flatnonzero(weight)
-    dx = csr_matrix((weight[nonzero], (pre[nonzero], nonzero)), shape=(m, n))
-    least = np.full(m, np.inf)
-    spanned = np.diff(dx.indptr) > 0
-    least[spanned] = np.minimum.reduceat(np.abs(dx.data), dx.indptr[:-1][spanned])
-    product = least[u.indices]
-    product *= u.data
-    split = np.flatnonzero(product == 0)
-    del product
-    start = dx.indptr[u.indices[split]]
-    lens = dx.indptr[u.indices[split] + 1] - start
-    slot = np.repeat(start + lens - np.cumsum(lens), lens) + np.arange(lens.sum())
-    hit = np.repeat(u.data[split], lens) * dx.data[slot] != 0
-    owner = np.repeat(np.arange(split.size), lens)[hit]
-    split_sizes = np.bincount(owner, minlength=split.size)
-
-    # s -> s' is feasible iff s reaches s' through the row of one of its
-    # pairs, so the strong components of the union are those of the graph
-    # states -> rows -> (x or split entries) -> states, on its state nodes.
-    pairs = np.bincount(states, minlength=n)
-    sizes = np.concatenate((pairs, np.diff(u.indptr), np.diff(dx.indptr), split_sizes))
-    indptr = np.zeros(sizes.size + 1, dtype=np.int32)
-    np.cumsum(sizes, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    a = pair_row.size
-    b = a + u.nnz
-    c = b + dx.nnz
-    indices[:a] = pair_row + n
-    np.add(u.indices, n + k, out=indices[a:b])
-    indices[a + split] = n + k + m + np.arange(split.size)
-    indices[b:c] = dx.indices
-    indices[c:] = dx.indices[slot[hit]]
-    size = sizes.size
-    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
-    _, component = connected_components(graph, directed=True, connection="strong")
-    # Pairs entering each state, two steps from their rows, less the pairs
-    # whose row holds their own state: a self-loop is not an entry.
-    on_rows = np.zeros(size)
-    on_rows[n : n + k] = users
-    entries = (on_rows @ graph @ graph)[:n]
-    entries -= looped
     return KernelReport(
-        num_states=n,
+        num_states=kernel.num_states,
         num_rows=int(pair_row.size),
         max_row_sum_deviation=float(np.max(np.abs(sums - 1.0), initial=0.0)),
         negative_entries=int(users[negative_rows].sum() + np.sum(weight < 0)),
-        strong_components=np.unique(component[:n]).size,
-        never_entered=tuple(int(s) for s in np.flatnonzero(entries == 0)),
     )

@@ -28,7 +28,7 @@ from pushmdp.cli import (
     parse_config_file,
     parse_pu_grid,
 )
-from pushmdp.transition import ArrivalPmf, build_kernel
+from pushmdp.transition import ArrivalPmf, build_kernel, validate_kernel
 
 TINY = ["--set", "e_max=2", "--set", "n_contents=2", "--set", "m_rings=1"]
 # link-budget keys that reached no output and were removed
@@ -432,6 +432,25 @@ class TestValidateCommand:
         report = (out / "validate.txt").read_text()
         assert "PASS kernel-rows" in report
         assert "PASS solver-vs-sim[optimal-push]" in report
+
+    def test_kernel_rows_reads_the_checked_figures(self, tmp_path, monkeypatch):
+        # the default scenario's kernel, on a shorter run
+        argv = ["validate", "--set", "horizon=20000", "--set", "warmup=1000", "--out"]
+        assert main(argv + [str(tmp_path / "ok")]) == 0
+        report = (tmp_path / "ok" / "validate.txt").read_text()
+        line = re.search(r"^PASS kernel-rows: .*$", report, re.M).group()
+        assert re.fullmatch(
+            r"PASS kernel-rows: max row-sum deviation \S+, 0 negative entries", line
+        )
+        assert "component" not in report
+
+        def one_negative(kernel):
+            return replace(validate_kernel(kernel), negative_entries=1)
+
+        monkeypatch.setattr(cli, "validate_kernel", one_negative)
+        assert main(argv + [str(tmp_path / "bad")]) == 1
+        report = (tmp_path / "bad" / "validate.txt").read_text()
+        assert re.search(r"^FAIL kernel-rows: .*, 1 negative entries$", report, re.M)
 
     def test_run_without_macro_events_passes(self, tmp_path):
         # every request is for the one popular content, which stays pushed, so

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pushmdp import sim
-from pushmdp.model import Action, cumulative_popularity_table, feasible_table, zipf_pmf
+from pushmdp.model import (
+    Action,
+    cumulative_popularity_table,
+    feasible_table,
+    stage_cost_table,
+    state_table,
+    zipf_pmf,
+)
 from pushmdp.policies import unicast_priority_table
 from pushmdp.sim import (
     _BATCHES,
@@ -292,13 +299,20 @@ class TestSimulate:
 
     def test_counter_identities(self, default_scenario, default_greedy):
         params, _, grid, _ = default_scenario
-        m = simulate(
+        m, states = simulate(
             SimConfig(policy=default_greedy, horizon=50_000, seed=21, warmup=2_000),
-            params, grid,
+            params, grid, record=True,
         )
         assert m.macro_handled + m.cache_hits <= m.requests_generated
         assert m.requests_generated <= m.measured_periods
-        assert m.macro_ratio == m.macro_handled / m.measured_periods
+        # counted again from the measured periods' states: a period is
+        # macro-handled where its state has macro cost under the policy, and
+        # holds a request the cache missed where its ring Q is above 0
+        measured = states[2_000:]
+        macro = stage_cost_table(params)[default_greedy.actions[measured], measured]
+        assert m.macro_handled == np.count_nonzero(macro)
+        misses = np.count_nonzero(state_table(params)[1][measured])
+        assert m.cache_hits == m.requests_generated - misses
 
     def test_large_overflow_counted(self):
         # about 40,000 units spill per period, beyond a 16-bit counter

@@ -638,6 +638,46 @@ class TestPolicyEvaluation:
             multichain += full > 1
         assert multichain > 0
 
+    @pytest.mark.parametrize("name", ["all-sleep", "unicast-priority"])
+    def test_underflowing_products_are_no_edges(self, name, monkeypatch):
+        # p_u = 1e-323 leaves request weights near the least subnormal, so
+        # some products w(s) U[t(s), x'] of the policy's chain R = D (S U)
+        # underflow to 0; the closed classes evaluation finds are those of
+        # the nonzero pattern of R formed densely
+        params, _, grid, _, kernel, costs = make_instance(
+            e_max=3, n_contents=3, m_rings=1, p_c=0.5, p_u=1e-323
+        )
+        n = kernel.num_states
+        if name == "all-sleep":
+            policy = PolicyTable.all_sleep(n)
+        else:
+            policy = unicast_priority_table(params, grid)
+        su = kernel.rows.toarray()[kernel.labels[policy.actions, np.arange(n)]]
+        products = kernel.weight[:, None] * su
+        assert np.any((products == 0) & (kernel.weight[:, None] != 0) & (su != 0))
+        found = []
+
+        def spy(chain):
+            found.append(_class_labels(chain))
+            return found[-1]
+
+        monkeypatch.setattr(solver, "_class_labels", spy)
+        policy_evaluation(policy, kernel, costs)
+        label, closed = found[0]
+        got = {frozenset(np.flatnonzero(label == c).tolist()) for c in closed}
+        # reachability of R's pattern by repeated squaring; a closed class is
+        # the set a state reaches when every state it reaches leads back
+        m = label.size
+        reach = (request_factor(kernel).toarray() @ su != 0) | np.eye(m, dtype=bool)
+        for _ in range(m.bit_length()):
+            reach = reach.astype(int) @ reach > 0
+        expect = {
+            frozenset(np.flatnonzero(row).tolist())
+            for row, back in zip(reach, reach.T)
+            if np.array_equal(row, row & back)
+        }
+        assert got == expect
+
     def test_matches_dense_on_default_iterates(self, default_instance):
         _, _, _, _, kernel, costs = default_instance
         iterates = assert_iterates_match_post_decision(kernel, costs)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from pushmdp.model import (
     NUM_ACTIONS,
@@ -186,54 +185,23 @@ def assert_matches_reference(**overrides):
     return kernel, rows
 
 
-def union_connectivity(kernel):
-    """(strong components, never-entered states) from the summed action matrices.
-
-    Reference for cross-checks only: validate_kernel used to read both from
-    the union matrix and now reads them from the post-decision rows.
-    """
-    union = kernel.union_matrix()
-    n_comp, _ = connected_components(union, directed=True, connection="strong")
-    entries = np.bincount(union.indices, minlength=kernel.num_states)
-    entries -= union.diagonal() != 0
-    return n_comp, tuple(int(s) for s in np.flatnonzero(entries == 0))
-
-
 def reference_validate_kernel(kernel):
     """KernelReport read from the per-action matrices.
 
-    Reference for cross-checks only: validate_kernel used to sum rows, count
-    negatives and self-loops over every action matrix, and now reads all of
-    it from the factors U and D.
+    Reference for cross-checks only: validate_kernel used to sum rows and
+    count negatives over every action matrix, and now reads both from the
+    factors U and D.
     """
-    n = kernel.num_states
     mask = kernel.feasible_mask()
     mats = [kernel.action_matrix(a) for a in Action]
     sums = np.concatenate(
         [np.add.reduceat(m.data, m.indptr[:-1][rows]) for m, rows in zip(mats, mask)]
     )
-    actions, states = np.nonzero(mask)
-    labels, row_of = np.unique(kernel.labels[actions, states], return_inverse=True)
-    rows = template_rows(kernel)[labels]
-    rows.eliminate_zeros()
-    k = rows.shape[0]
-    to_rows = csr_matrix((np.ones(row_of.size), (states, row_of)), shape=(n, k))
-    indptr = np.concatenate((to_rows.indptr, to_rows.nnz + rows.indptr[1:]))
-    indices = np.concatenate((n + to_rows.indices, rows.indices))
-    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + k, n + k))
-    _, component = connected_components(graph, directed=True, connection="strong")
-    users = np.bincount(row_of, minlength=k)
-    entries = np.bincount(
-        rows.indices, weights=np.repeat(users, np.diff(rows.indptr)), minlength=n
-    )
-    entries -= sum(m.diagonal() != 0 for m in mats)
     return KernelReport(
-        num_states=n,
+        num_states=kernel.num_states,
         num_rows=int(mask.sum()),
         max_row_sum_deviation=float(np.max(np.abs(sums - 1.0), initial=0.0)),
         negative_entries=sum(int(np.count_nonzero(m.data < 0)) for m in mats),
-        strong_components=np.unique(component[:n]).size,
-        never_entered=tuple(int(s) for s in np.flatnonzero(entries == 0)),
     )
 
 
@@ -247,12 +215,6 @@ def assert_report_matches_reference(kernel):
     expect = reference_validate_kernel(kernel)
     assert replace(report, max_row_sum_deviation=expect.max_row_sum_deviation) == expect
     return report
-
-
-def assert_connectivity_matches_union(kernel):
-    report = validate_kernel(kernel)
-    expect = union_connectivity(kernel)
-    assert (report.strong_components, report.never_entered) == expect
 
 
 def assert_labels_share_rows(kernel):
@@ -663,14 +625,16 @@ class TestBuildKernel:
 
 class TestValidateKernel:
     def test_default_kernel_clean(self, default_instance):
-        _, _, _, _, kernel, _ = default_instance
+        params, _, _, _, kernel, _ = default_instance
         report = validate_kernel(kernel)
         assert report.max_row_sum_deviation < 1e-12
         assert report.negative_entries == 0
-        # states with a pending request and a full cache are never produced:
-        # a fresh request requires an uncached content
-        assert len(report.never_entered) == 64
-        assert report.strong_components == 1 + len(report.never_entered)
+        # D never draws a pending request onto a full cache: a fresh request
+        # requires an uncached content
+        _, q, c = state_table(params)
+        unreached = (q > 0) & (c == params.num_contents)
+        assert np.count_nonzero(unreached) == 64
+        assert np.array_equal(kernel.weight == 0, unreached)
 
     def test_corrupted_row_flagged(self, default_instance):
         _, _, _, _, kernel, _ = default_instance
@@ -704,15 +668,13 @@ class TestValidateKernel:
             assert report.negative_entries == negatives
 
     def test_self_loop_does_not_count_as_entry(self):
-        # state 2 keeps itself by a self-loop but no other state leads to it
+        # state 2 keeps itself by a self-loop but no other state leads to it;
+        # its pair is one row like any other
         p = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
         zero = csr_matrix((3, 3))
         kernel = hand_built_kernel([csr_matrix(p), zero, zero])
-        report = validate_kernel(kernel)
-        assert report.never_entered == (2,)
+        report = assert_report_matches_reference(kernel)
         assert report.num_rows == 3
-        assert report.strong_components == 2
-        assert_connectivity_matches_union(kernel)
 
     @pytest.mark.parametrize(
         "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
@@ -732,7 +694,7 @@ class TestValidateKernel:
             prob[0] *= -1.0
             prob[1] = 0.0
 
-        # an explicit zero is no transition: it may drop an entry or a component
+        # an explicit zero is no transition and no negative entry
         bad = tampered(kernel, Action.SLEEP, negate_and_zero)
         report = validate_kernel(bad)
         assert report == reference_validate_kernel(bad)
@@ -740,7 +702,8 @@ class TestValidateKernel:
 
     def test_underflowing_products_are_no_edges(self):
         # p_u = 1e-323 leaves weights near the least subnormal, so some U
-        # entries have products that underflow for some states of their x only
+        # entries have products that underflow for some states of their x
+        # only; the row sums, read from the factors, still hold
         _, _, _, _, kernel, _ = make_instance(
             e_max=3, n_contents=3, m_rings=1, p_c=0.5, p_u=1e-323
         )
@@ -753,9 +716,6 @@ class TestValidateKernel:
         assert partial > 0
         report = assert_report_matches_reference(kernel)
         assert report.max_row_sum_deviation < 1e-12
-        assert (report.strong_components, report.never_entered) == union_connectivity(
-            kernel
-        )
 
     def test_transient_memory_below_template_size(self):
         _, _, _, _, kernel, _ = make_instance(e_max=30, n_contents=40)
@@ -775,16 +735,6 @@ class TestValidateKernel:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 0.6 * size
-
-    @pytest.mark.parametrize(
-        "overrides", [{}, dict(e_max=30, n_contents=40)], ids=["default", "large"]
-    )
-    def test_connectivity_matches_union(self, overrides):
-        _, _, _, _, kernel, _ = make_instance(**overrides)
-        assert_connectivity_matches_union(kernel)
-        assert_connectivity_matches_union(
-            kernel.restrict({Action.SLEEP, Action.UNICAST})
-        )
 
 
 @given(
@@ -825,7 +775,6 @@ def test_kernel_matches_reference_on_random_instances(e_max, n, m, p_c, p_u):
     )
     assert all(kernel.action_matrix(a).data.all() for a in Action)
     assert_labels_share_rows(kernel)
-    assert_connectivity_matches_union(kernel)
     assert assert_report_matches_reference(kernel).max_row_sum_deviation < 1e-12
 
 

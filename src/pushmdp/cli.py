@@ -22,12 +22,7 @@ from .model import (
     state_table,
     zipf_pmf,
 )
-from .policies import (
-    format_threshold_grid,
-    non_push_optimal,
-    threshold_profile,
-    unicast_priority_table,
-)
+from .policies import format_threshold_grid, threshold_profile
 from .sim import (
     _BATCHES,
     BASELINE_NAMES,
@@ -225,7 +220,7 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
 
 def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> int:
     params, arrival, grid, popularity = build_scenario(settings)
-    # the gain goes unread: unicast-priority is neither evaluated nor given a kernel
+    # the values go unread: unicast-priority is neither evaluated nor given a kernel
     table, _ = baseline(
         policy_name,
         params,
@@ -325,16 +320,20 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _sim_se(gain: float, metrics) -> float:
-    """The run's batch-means s.e., or that of independent trials where it is 0.
+def _sim_se(metrics, table, values, kernel, costs) -> float:
+    """The run's batch-means s.e., or the exact asymptotic s.e. where it is 0.
 
-    A run with no macro event has equal batch means and s.e. 0.  A positively
-    correlated count has at least the s.e. of independent trials at the
-    solver's gain g, sqrt(g(1 - g)/n) over the n measured periods.
+    A run with no macro event has equal batch means and s.e. 0.  The time
+    average of the policy's stage cost f over n periods then has s.e.
+    sqrt(sigma^2 / n), where sigma^2 = pi (2 (f - g) h - (f - g)^2) with the
+    gain g and values h of ``values`` (Asmussen & Glynn 2007, ch. IV): the
+    policy's gain under that cost table.
     """
     if metrics.macro_ratio_se != 0:
         return metrics.macro_ratio_se
-    return math.sqrt(max(gain * (1.0 - gain), 0.0) / metrics.measured_periods)
+    excess = costs - values.gain
+    var = policy_evaluation(table, kernel, 2.0 * excess * values.h - excess**2).gain
+    return math.sqrt(max(var, 0.0) / metrics.measured_periods)
 
 
 def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> int:
@@ -380,13 +379,9 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
         )
     )
 
-    nonpush = non_push_optimal(kernel, costs)
-    greedy = unicast_priority_table(params, grid)
-    greedy_gain = policy_evaluation(greedy, kernel, costs).gain
-    named = [
-        ("optimal-push", result.policy, result.values.gain),
-        ("non-push", nonpush.policy, nonpush.values.gain),
-        ("unicast-priority", greedy, greedy_gain),
+    # optimal-push is BASELINE_NAMES[0], solved above
+    named = [("optimal-push", result.policy, result.values)] + [
+        (name, *baseline(name, params, grid, lambda: kernel)) for name in BASELINE_NAMES[1:]
     ]
     seeds = child_seeds(np.random.SeedSequence(seed), len(named))
     jobs = [
@@ -396,9 +391,10 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
     _print_workers(len(jobs))
     runs = simulate_many(jobs)
     _print_throughput(runs)
-    for (name, _, gain), metrics in zip(named, runs):
+    for (name, table, values), metrics in zip(named, runs):
+        gain = values.gain
         gap = abs(gain - metrics.macro_ratio)
-        limit = 3.0 * _sim_se(gain, metrics)
+        limit = 3.0 * _sim_se(metrics, table, values, kernel, costs)
         checks.append(
             (
                 f"solver-vs-sim[{name}]",

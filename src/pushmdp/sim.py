@@ -28,7 +28,7 @@ leaves a ring and Q > 0 only follows a request, so the cache hits are the
 requests less the measured periods with Q > 0.  The macro events are summed
 per batch of the s.e., and the energy spills as Python ints, which no total
 overflows.  ``simulate`` checks a table with ``PolicyTable.validate`` before
-the first draw; ``baseline`` maps ``BASELINE_NAMES`` to tables.
+the first draw; ``baseline`` maps ``BASELINE_NAMES`` to tables and values.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ from .model import (
     zipf_pmf,
 )
 from .policies import non_push_optimal, unicast_priority_table
-from .solver import PolicyTable, policy_evaluation, policy_iteration
+from .solver import PolicyTable, ValueSolution, policy_evaluation, policy_iteration
 from .transition import ArrivalPmf, TransitionKernel, build_kernel
 
 __all__ = [
@@ -153,14 +153,14 @@ def baseline(
     grid: DistanceGrid,
     kernel: Callable[[], TransitionKernel],
     gain: bool = True,
-) -> tuple[PolicyTable, float]:
-    """Policy table and solver gain of one named baseline.
+) -> tuple[PolicyTable, ValueSolution | None]:
+    """Policy table and solver values (gain and h) of one named baseline.
 
     ``kernel()`` returns the scenario's kernel; it is called only when the
     policy is solved or evaluated on it.  unicast-priority's table needs no
-    kernel, and with ``gain=False`` it is not evaluated and its gain is nan:
-    where its chain has closed classes of different gains (e_max=3, p_c=0)
-    the evaluation would raise.
+    kernel, and with ``gain=False`` it is not evaluated and its values are
+    None: where its chain has closed classes of different gains (e_max=3,
+    p_c=0) the evaluation would raise.
     """
     costs = stage_cost_table(params)
     if name == "optimal-push":
@@ -169,12 +169,10 @@ def baseline(
         res = non_push_optimal(kernel(), costs)
     elif name == "unicast-priority":
         table = unicast_priority_table(params, grid)
-        if not gain:
-            return table, float("nan")
-        return table, policy_evaluation(table, kernel(), costs).gain
+        return table, policy_evaluation(table, kernel(), costs) if gain else None
     else:
         raise ValueError(f"unknown policy name {name!r}; known: {BASELINE_NAMES}")
-    return res.policy, res.values.gain
+    return res.policy, res.values
 
 
 def child_seeds(master: np.random.SeedSequence, count: int) -> list[int]:
@@ -434,9 +432,9 @@ def sweep(
         arrival = ArrivalPmf.poisson(pp.mean_arrival, pp.battery_levels)
         kernel = build_kernel(pp, grid, zipf_pmf(pp), arrival)
         for name in BASELINE_NAMES:
-            table, gain = baseline(name, pp, grid, lambda: kernel)
+            table, values = baseline(name, pp, grid, lambda: kernel)
             seeds = child_seeds(master, replications)
-            points.append((pp, name, gain, seeds))
+            points.append((pp, name, values.gain, seeds))
             jobs += [
                 (SimConfig(policy=table, horizon=horizon, warmup=warmup, seed=s), pp, grid)
                 for s in seeds

@@ -382,9 +382,9 @@ def _check_residual(x: np.ndarray, residual: np.ndarray, route: str) -> None:
 def _class_labels(p: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Strong-component label per state of the chain p, and the closed ones.
 
-    A closed class is a component that no positive entry leaves.
+    A closed class is a component that no positive entry leaves.  p holds
+    no stored zero: scipy's sparse product keeps no zero sum.
     """
-    p.eliminate_zeros()
     n_comp, label = connected_components(p, connection="strong")
     source = np.repeat(label, np.diff(p.indptr))
     leaving = np.zeros(n_comp, dtype=bool)

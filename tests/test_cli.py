@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -28,6 +29,7 @@ from pushmdp.cli import (
     parse_config_file,
     parse_pu_grid,
 )
+from pushmdp.model import Action, stage_cost_table
 from pushmdp.transition import ArrivalPmf, build_kernel, validate_kernel
 
 TINY = ["--set", "e_max=2", "--set", "n_contents=2", "--set", "m_rings=1"]
@@ -263,7 +265,7 @@ class TestSimulateCommand:
             by_name = metrics(name, tmp_path / name)
             table, _ = sim.baseline(name, params, grid, kernel, gain=False)
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "baseline", lambda *args, **kwargs: (table, 0.0))
+                patch.setattr(cli, "baseline", lambda *args, **kwargs: (table, None))
                 by_table = metrics(name, tmp_path / f"{name}-table")
             assert by_name == by_table
 
@@ -481,17 +483,82 @@ class TestValidateCommand:
         assert "'horizon', 'warmup'" in err and "horizon - warmup >= 100" in err
         assert not list(tmp_path.iterdir())
 
-    def test_zero_batch_se_takes_independent_trials(self):
-        none = sim.SimMetrics(
-            total_periods=1_000_000, measured_periods=990_000, requests_generated=0,
-            macro_handled=0, cache_hits=0, energy_overflow_units=0, macro_ratio_se=0.0,
-            periods_per_s=1.0,
+    NO_EVENTS = sim.SimMetrics(
+        total_periods=1_000_000, measured_periods=990_000, requests_generated=0,
+        macro_handled=0, cache_hits=0, energy_overflow_units=0, macro_ratio_se=0.0,
+        periods_per_s=1.0,
+    )
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            {"e_max": 3, "n_contents": 2, "m_rings": 2},
+            {"e_max": 4, "n_contents": 3, "m_rings": 2, "zipf_skew": float("inf"),
+             "p_u": 1.0},
+        ],
+        ids=["36-states", "60-states"],
+    )
+    @pytest.mark.parametrize("name", ["optimal-push", "unicast-priority"])
+    def test_zero_batch_se_is_the_asymptotic_se(self, name, sets):
+        # sigma^2 = 2 pi f Z f - pi f^2 for the centred cost f and the
+        # fundamental matrix Z = (I - P + 1 pi)^-1, formed densely
+        params, arrival, grid, pop = build_scenario(dict(DEFAULTS, **sets))
+        kernel = build_kernel(params, grid, pop, arrival)
+        costs = stage_cost_table(params)
+        table, values = sim.baseline(name, params, grid, lambda: kernel)
+        n = kernel.num_states
+        states = np.arange(n)
+        p = np.zeros((n, n))
+        for a in np.unique(table.actions):
+            rows = states[table.actions == a]
+            p[rows] = kernel.action_matrix(Action(a)).toarray()[rows]
+        balance = np.vstack([(np.eye(n) - p).T, np.ones(n)])
+        pi = np.linalg.lstsq(balance, np.append(np.zeros(n), 1.0), rcond=None)[0]
+        f = costs[table.actions, states] - values.gain
+        z = np.linalg.inv(np.eye(n) - p + np.outer(np.ones(n), pi))
+        expect = 2.0 * pi @ (f * (z @ f)) - pi @ f**2
+        se = cli._sim_se(self.NO_EVENTS, table, values, kernel, costs)
+        assert se**2 * self.NO_EVENTS.measured_periods == pytest.approx(expect, rel=1e-9)
+
+    def test_zero_events_refute_a_gain_too_high(self):
+        # at p_u = 0.1 a run of 990,000 periods without a macro event is
+        # too unlikely for non-push (gain 2.01e-5) and unicast-priority (0.0102)
+        params, arrival, grid, pop = build_scenario(dict(DEFAULTS, p_u=0.1))
+        kernel = build_kernel(params, grid, pop, arrival)
+        costs = stage_cost_table(params)
+        for name, three_se in (("non-push", 1.55e-5), ("unicast-priority", 3.44e-4)):
+            table, values = sim.baseline(name, params, grid, lambda: kernel)
+            limit = 3.0 * cli._sim_se(self.NO_EVENTS, table, values, kernel, costs)
+            assert limit == pytest.approx(three_se, rel=1e-2)
+            assert limit < values.gain
+
+    def test_positive_batch_se_is_kept(self):
+        # nothing is solved: a table, values, kernel or costs of None would raise
+        varied = replace(self.NO_EVENTS, macro_ratio_se=0.01)
+        assert cli._sim_se(varied, None, None, None, None) == 0.01
+
+    def test_validate_and_sweep_share_roster_and_seeds(self, tmp_path):
+        # each solver-vs-sim line carries the gain, simulated ratio and s.e.
+        # of sweep's row for the same name at one point and the same seed
+        sets = TINY[1::2] + ["horizon=20000", "warmup=1000"]
+        argv = ["validate", "--seed", "7", "--out", str(tmp_path)]
+        assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+        report = (tmp_path / "validate.txt").read_text()
+        settings = load_settings(None, sets)
+        params, _, grid, _ = build_scenario(settings)
+        rows = sim.sweep(
+            params, grid, (params.request_prob,), replications=1,
+            horizon=20_000, warmup=1_000, seed=7,
         )
-        # 3 sqrt(g (1 - g) / n) is 9.5e-5 at g = 1e-3: no event still refutes it
-        assert 3.0 * cli._sim_se(1e-3, none) == pytest.approx(9.5e-5, rel=1e-2)
-        assert 3.0 * cli._sim_se(6.51e-13, none) > 6.51e-13
-        varied = replace(none, macro_ratio_se=0.01)
-        assert cli._sim_se(0.3, varied) == 0.01
+        assert [r.policy for r in rows] == list(sim.BASELINE_NAMES)
+        for r in rows:
+            assert r.se > 0
+            line = (
+                f"PASS solver-vs-sim[{r.policy}]: |{r.ratio_solver:.6f} - "
+                f"{r.ratio_sim:.6f}| = {abs(r.ratio_solver - r.ratio_sim):.3g} "
+                f"vs 3 s.e. = {3.0 * r.se:.3g}"
+            )
+            assert line in report.splitlines()
 
     def test_kernel_dump(self, tmp_path):
         out = tmp_path / "art"

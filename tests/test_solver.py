@@ -642,8 +642,8 @@ class TestPolicyEvaluation:
     def test_underflowing_products_are_no_edges(self, name, monkeypatch):
         # p_u = 1e-323 leaves request weights near the least subnormal, so
         # some products w(s) U[t(s), x'] of the policy's chain R = D (S U)
-        # underflow to 0; the closed classes evaluation finds are those of
-        # the nonzero pattern of R formed densely
+        # underflow to 0; R stores none of them, and the closed classes
+        # evaluation finds are those of the nonzero pattern of R formed densely
         params, _, grid, _, kernel, costs = make_instance(
             e_max=3, n_contents=3, m_rings=1, p_c=0.5, p_u=1e-323
         )
@@ -658,12 +658,13 @@ class TestPolicyEvaluation:
         found = []
 
         def spy(chain):
-            found.append(_class_labels(chain))
-            return found[-1]
+            found.append((np.count_nonzero(chain.data == 0), _class_labels(chain)))
+            return found[-1][1]
 
         monkeypatch.setattr(solver, "_class_labels", spy)
         policy_evaluation(policy, kernel, costs)
-        label, closed = found[0]
+        stored_zeros, (label, closed) = found[0]
+        assert stored_zeros == 0
         got = {frozenset(np.flatnonzero(label == c).tolist()) for c in closed}
         # reachability of R's pattern by repeated squaring; a closed class is
         # the set a state reaches when every state it reaches leads back

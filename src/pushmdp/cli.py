@@ -182,7 +182,8 @@ def _write(out_dir: str, name: str, lines: list[str]) -> str:
     return path
 
 
-def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
+def cmd_solve(settings: dict, args) -> int:
+    out_dir, seed = args.out, args.seed
     params, grid, kernel, costs = _build_all(settings)
     result = policy_iteration(kernel, costs)
     lines = _header("solve", settings, seed)
@@ -218,7 +219,10 @@ def cmd_solve(settings: dict, out_dir: str, seed: int) -> int:
     return 0
 
 
-def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> int:
+def cmd_simulate(settings: dict, args) -> int:
+    seed, policy_name = args.seed, args.policy
+    # before any kernel is built or worker line printed; the messages name the keys
+    check_run(settings["horizon"], settings["warmup"], seed)
     params, arrival, grid, popularity = build_scenario(settings)
     # the values go unread: unicast-priority is neither evaluated nor given a kernel
     table, _ = baseline(
@@ -251,7 +255,7 @@ def cmd_simulate(settings: dict, out_dir: str, seed: int, policy_name: str) -> i
         f"{params.mean_arrival:.17g} {metrics.macro_ratio:.17g} "
         f"{metrics.macro_ratio_se:.17g} {metrics.measured_periods} {seed}"
     )
-    _write(out_dir, "metrics.txt", lines)
+    _write(args.out, "metrics.txt", lines)
     _print_throughput([metrics])
     print(
         f"{policy_name}: macro ratio {metrics.macro_ratio:.6f} "
@@ -277,9 +281,11 @@ def _print_throughput(runs) -> None:
           f"{np.median(rates):.4g} periods/s median, {min(rates):.4g} slowest")
 
 
-def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
-    params, _, grid, _ = build_scenario(settings)
+def cmd_sweep(settings: dict, args) -> int:
+    check_run(settings["horizon"], settings["warmup"], args.seed)
     pu_grid = parse_pu_grid(settings["pu_grid"])
+    check_sweep(pu_grid, settings["replications"])
+    params, _, grid, _ = build_scenario(settings)
     _print_workers(len(pu_grid) * len(BASELINE_NAMES) * settings["replications"])
     rows = sweep(
         params,
@@ -288,10 +294,10 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
         replications=settings["replications"],
         horizon=settings["horizon"],
         warmup=settings["warmup"],
-        seed=seed,
+        seed=args.seed,
     )
     _print_throughput([m for r in rows for m in r.runs])
-    lines = _header("sweep", settings, seed)
+    lines = _header("sweep", settings, args.seed)
     lines.append("policy p_u p_c a_bar ratio_sim se ratio_solver horizon seed")
     scenario = f"{params.content_replace_prob:.17g} {params.mean_arrival:.17g}"
     for r in rows:
@@ -300,9 +306,9 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
             f"{r.ratio_sim:.17g} {r.se:.17g} {r.ratio_solver:.17g} "
             f"{settings['horizon']} {r.seed}"
         )
-    _write(out_dir, "sweep.txt", lines)
+    _write(args.out, "sweep.txt", lines)
 
-    summary = _header("sweep", settings, seed)
+    summary = _header("sweep", settings, args.seed)
     summary.append("p_u reduction_solver reduction_sim")
     # one row per policy, point by point: a repeated p_u keeps its own rows
     width = len(BASELINE_NAMES)
@@ -316,7 +322,7 @@ def cmd_sweep(settings: dict, out_dir: str, seed: int) -> int:
             f"p_u {p_u:.2f}: push reduces macro ratio by "
             f"{100 * red_solver:.1f}% (solver) / {100 * red_sim:.1f}% (sim)"
         )
-    _write(out_dir, "summary.txt", summary)
+    _write(args.out, "summary.txt", summary)
     return 0
 
 
@@ -336,8 +342,9 @@ def _sim_se(metrics, table, values, kernel, costs) -> float:
     return math.sqrt(max(var, 0.0) / metrics.measured_periods)
 
 
-def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> int:
-    horizon, warmup = settings["horizon"], settings["warmup"]
+def cmd_validate(settings: dict, args) -> int:
+    horizon, warmup, seed = settings["horizon"], settings["warmup"], args.seed
+    check_run(horizon, warmup, seed)
     if horizon - warmup < _BATCHES:  # no batch-means s.e., so no check could pass
         raise ConfigError(f"config keys 'horizon', 'warmup': validate needs horizon - "
                           f"warmup >= {_BATCHES} measured periods, got {horizon - warmup}")
@@ -411,24 +418,24 @@ def cmd_validate(settings: dict, out_dir: str, seed: int, dump_kernel: bool) -> 
         all_ok &= ok
         lines.append(f"{status} {name}: {detail}")
         print(f"{status} {name}: {detail}")
-    _write(out_dir, "validate.txt", lines)
-    if dump_kernel:
-        _write(out_dir, "kernel.txt", [kernel.to_text().rstrip("\n")])
+    _write(args.out, "validate.txt", lines)
+    if args.dump_kernel:
+        _write(args.out, "kernel.txt", [kernel.to_text().rstrip("\n")])
     return 0 if all_ok else 1
 
 
-def cmd_oracle(settings: dict, out_dir: str, seed: int) -> int:
+def cmd_oracle(settings: dict, args) -> int:
     _, _, kernel, costs = _build_all(settings)
     # an instance too large to enumerate is refused (exit 2) before any solve
     oracle = brute_force_oracle(kernel, costs)
     result = policy_iteration(kernel, costs)
     diff = abs(result.values.gain - oracle.gain)
-    lines = _header("oracle", settings, seed)
+    lines = _header("oracle", settings, args.seed)
     lines.append(f"lambda_policy_iteration {result.values.gain:.17g}")
     lines.append(f"lambda_oracle {oracle.gain:.17g}")
     lines.append(f"difference {diff:.17g}")
     lines.append(f"num_policies {oracle.num_policies}")
-    _write(out_dir, "oracle.txt", lines)
+    _write(args.out, "oracle.txt", lines)
     print(
         f"policy iteration {result.values.gain:.12g} vs oracle {oracle.gain:.12g} "
         f"over {oracle.num_policies} policies (diff {diff:.3g})"
@@ -457,38 +464,25 @@ def main(argv=None) -> int:
         "energy-harvesting small cell that proactively pushes content.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_solve = sub.add_parser("solve", help="solve the decision process, dump policy")
-    p_sim = sub.add_parser("simulate", help="simulate one policy")
-    p_sim.add_argument(
-        "--policy", choices=BASELINE_NAMES, default="optimal-push"
-    )
-    p_sweep = sub.add_parser("sweep", help="ratio curves over a p_u grid")
-    p_val = sub.add_parser("validate", help="run structural and agreement checks")
-    p_val.add_argument("--dump-kernel", action="store_true")
-    p_oracle = sub.add_parser("oracle", help="brute-force check on a tiny instance")
-    for p in (p_solve, p_sim, p_sweep, p_val, p_oracle):
+    # (name, handler, help, own options); built per call, so a rebound cmd_* runs
+    for name, handler, text, options in (
+        ("solve", cmd_solve, "solve the decision process, dump policy", {}),
+        ("simulate", cmd_simulate, "simulate one policy",
+         {"--policy": dict(choices=BASELINE_NAMES, default="optimal-push")}),
+        ("sweep", cmd_sweep, "ratio curves over a p_u grid", {}),
+        ("validate", cmd_validate, "run structural and agreement checks",
+         {"--dump-kernel": dict(action="store_true")}),
+        ("oracle", cmd_oracle, "brute-force check on a tiny instance", {}),
+    ):
+        p = sub.add_parser(name, help=text)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
         _add_common(p)
+        p.set_defaults(handler=handler)
 
     args = parser.parse_args(argv)
     try:
-        settings = load_settings(args.config, args.overrides)
-        if args.command in ("simulate", "sweep", "validate"):
-            # before any kernel is built or worker line printed; the messages
-            # name the keys
-            check_run(settings["horizon"], settings["warmup"], args.seed)
-        if args.command == "sweep":
-            check_sweep(parse_pu_grid(settings["pu_grid"]), settings["replications"])
-        if args.command == "solve":
-            return cmd_solve(settings, args.out, args.seed)
-        if args.command == "simulate":
-            return cmd_simulate(settings, args.out, args.seed, args.policy)
-        if args.command == "sweep":
-            return cmd_sweep(settings, args.out, args.seed)
-        if args.command == "validate":
-            return cmd_validate(settings, args.out, args.seed, args.dump_kernel)
-        if args.command == "oracle":
-            return cmd_oracle(settings, args.out, args.seed)
-        raise AssertionError(args.command)
+        return args.handler(load_settings(args.config, args.overrides), args)
     except (ConvergenceError, SingularPolicyError) as exc:
         # SingularPolicyError is a ValueError too, so it is caught first
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,9 @@ the next request.
 Draws come in blocks of ``_BLOCK`` periods, six arrays per block in a fixed
 order (arrivals, replacement, eviction, request, hit, ring), so a seed fixes
 every trajectory.  Each block is first reduced, vectorized, to per-period
-integers (see ``_Draws``): evict iff c >= drop_min, and a step code
-hit_min*(M+1) + miss_q, where a request is a hit iff c' >= hit_min and
-otherwise leaves ring miss_q.  The state index E*(M+1)*(N+1) + Q*(N+1) + C
+integers: evict iff c >= drop_min, and a step code hit_min*(M+1) + miss_q,
+where a request is a hit iff c' >= hit_min and otherwise leaves ring miss_q
+(0 when nothing is requested).  The state index E*(M+1)*(N+1) + Q*(N+1) + C
 is then a battery term plus a pushed-count-and-ring term, read from three
 small tables built once per run: battery[b][a] = min(b + a, E)*(M+1)*(N+1)
 for post-spend level b and harvest a capped at E, kept[2C + push][drop_min]
@@ -37,7 +37,6 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import KW_ONLY, dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -180,21 +179,6 @@ def child_seeds(master: np.random.SeedSequence, count: int) -> list[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in master.spawn(count)]
 
 
-class _Draws(NamedTuple):
-    """One run of periods reduced to what a step reads.
-
-    A pushed content is evicted iff the current count c >= ``drop_min``.
-    ``code`` is hit_min*(M+1) + miss_q: a request is a cache hit iff next
-    period's count c' >= hit_min, and miss_q is the ring observed on a miss
-    (0 when nothing is requested).
-    """
-
-    arrivals: np.ndarray
-    requested: np.ndarray
-    drop_min: np.ndarray
-    code: np.ndarray
-
-
 class _BucketSearch:
     """``np.searchsorted(table, u, side="right")`` for uniform draws u in [0, 1).
 
@@ -220,8 +204,8 @@ class _BucketSearch:
         return out
 
 
-def _draw(rng, count: int, params: SystemParams, grid: DistanceGrid, pop_cum) -> _Draws:
-    """Take ``count`` periods of draws, in the fixed order, as ``_Draws``.
+def _draw(rng, count: int, params: SystemParams, grid: DistanceGrid, pop_cum):
+    """(arrivals, requested, drop_min, code) of ``count`` periods, in the fixed order.
 
     The eviction table c/N is nondecreasing.  The popularity table is too up
     to its first share that rounds to 1 or above, and every later entry is at
@@ -244,7 +228,7 @@ def _draw(rng, count: int, params: SystemParams, grid: DistanceGrid, pop_cum) ->
     miss_q[~requested] = 0
     hit_min *= params.num_rings + 1
     hit_min += miss_q
-    return _Draws(arr, requested, drop_min, hit_min)
+    return arr, requested, drop_min, hit_min
 
 
 def simulate(
@@ -299,17 +283,17 @@ def simulate(
     s = 0
     for k in range(0, horizon, _BLOCK):
         blk = min(_BLOCK, horizon - k)
-        d = _draw(rng, blk, params, grid, pop_cum)
+        arrivals, requested, drop_mins, codes = _draw(rng, blk, params, grid, pop_cum)
         # the request draws of periods warmup - 1 .. horizon - 2
-        requests += int(d.requested[max(warmup - 1 - k, 0) : horizon - 1 - k].sum())
+        requests += int(requested[max(warmup - 1 - k, 0) : horizon - 1 - k].sum())
         for lo in range(0, blk, _CHUNK):
             hi = min(lo + _CHUNK, blk)
             visited = []
             visit = visited.append
             for a, drop_min, code in zip(
-                np.minimum(d.arrivals[lo:hi], cap).tolist(),
-                d.drop_min[lo:hi].tolist(),
-                d.code[lo:hi].tolist(),
+                np.minimum(arrivals[lo:hi], cap).tolist(),
+                drop_mins[lo:hi].tolist(),
+                codes[lo:hi].tolist(),
             ):
                 visit(s)
                 s = battery_of[s][a] + ring[kept_of[s][drop_min]][code]
@@ -325,9 +309,9 @@ def simulate(
                 macro_bins += np.bincount(batch, minlength=_BATCHES + 1)
                 misses += int(np.count_nonzero(q_tab[st_m]))
                 # post_spend - cap <= 0 keeps each spill in int64
-                spill = post_spend[st_m] - cap + d.arrivals[lo + skip : hi]
+                spill = post_spend[st_m] - cap + arrivals[lo + skip : hi]
                 overflow += sum(spill[spill > 0].tolist())
-        del d  # free this block's draws before the next block is taken
+        del arrivals, requested, drop_mins, codes  # free them before the next block
 
     handled = int(macro_bins.sum())
     se = float("nan")

@@ -271,8 +271,10 @@ def _solve_levels(
     b = k // levels
     free = np.ones(k)
     if pinned is not None:
-        pinned = np.asarray(pinned)
-        free[pinned] = 0.0
+        free[np.asarray(pinned)] = 0.0
+        # zeroed in a copy: the caller checks the full equations with chain
+        data = chain.data * np.repeat(free, np.diff(chain.indptr))
+        chain = csr_matrix((data, chain.indices, chain.indptr), shape=chain.shape)
     cost = free * cost
     # blocks[c, c' - c + 1, e, e'] holds chain[x, x'] for x = e*levels + c and
     # x' = e'*levels + c'; the flat index splits into a row and a column part,
@@ -283,9 +285,6 @@ def _solve_levels(
     flat = np.zeros(levels * 3 * b * b)
     flat[np.repeat(row_part, np.diff(chain.indptr)) + col_part[chain.indices]] = chain.data
     down, same, up = np.moveaxis(flat.reshape(levels, 3, b, b), 1, 0)
-    if pinned is not None:
-        for block in (down, same, up):
-            block[pinned % levels, pinned // levels] = 0.0
 
     # each level's largest probability, over its class states, of moving
     # up and of moving down
@@ -349,12 +348,12 @@ def _solve_levels(
                 bordered[:b, 1:] -= into[:, :b]
             bordered = _inverse(bordered)
             x = substitute(cost)
-            x += substitute(cost - free * x[0] - x[1:] + free * (chain @ x[1:]))
+            x += substitute(cost - free * x[0] - x[1:] + chain @ x[1:])
             if pinned is not None:
                 x[1:] -= x[1 + closed[0]] * substitute(np.zeros(k), 1.0)[1:]
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise SingularPolicyError(f"{route}: {exc}") from exc
-    _check_residual(x, free * x[0] + x[1:] - free * (chain @ x[1:]) - cost, route)
+    _check_residual(x, free * x[0] + x[1:] - chain @ x[1:] - cost, route)
     return x
 
 
@@ -504,7 +503,6 @@ def relative_value_iteration(
     costs: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 500_000,
-    ref_state: int = 0,
 ) -> ValueSolution:
     """Damped successive approximation of the average-cost optimality equations.
 
@@ -512,7 +510,7 @@ def relative_value_iteration(
     one-step differences w - h drops below ``tol``; the gain estimate is the
     midpoint of the span bounds, so the Bellman residual at return is at most
     tol/2.  Damping by one half keeps the iteration convergent on periodic
-    chains.
+    chains.  h vanishes at state 0, the reference of every other solve.
     """
     h = np.zeros(kernel.num_states)
     for _ in range(max_iter):
@@ -520,11 +518,9 @@ def relative_value_iteration(
         delta = w - h
         lo, hi = float(delta.min()), float(delta.max())
         if hi - lo < tol:
-            return ValueSolution(
-                gain=0.5 * (lo + hi), h=w - w[ref_state], ref_state=ref_state
-            )
+            return ValueSolution(gain=0.5 * (lo + hi), h=w - w[0], ref_state=0)
         h = 0.5 * h + 0.5 * w
-        h = h - h[ref_state]
+        h = h - h[0]
     raise ConvergenceError(f"span above {tol} after {max_iter} iterations")
 
 

@@ -642,6 +642,34 @@ class TestOracleCommand:
             assert "oracle guard" in capsys.readouterr().err
 
 
+def test_main_runs_the_handler_bound_at_call_time(tmp_path, monkeypatch):
+    # main builds its command table per call, so a cmd_* rebound in
+    # pushmdp.cli, as a tracer rebinds it, is the one that runs
+    calls = []
+
+    def spy(settings, args):
+        calls.append((settings["e_max"], args.command))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_oracle", spy)
+    assert main(["oracle", "--out", str(tmp_path)] + TINY) == 7
+    assert calls == [(2, "oracle")]
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [("solve", []), ("simulate", ["--policy"]), ("sweep", []),
+     ("validate", ["--dump-kernel"]), ("oracle", [])],
+)
+def test_help_lists_own_then_shared_options(command, own, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # first seen in the usage line, then --help from the option list
+    found = dict.fromkeys(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert list(found) == [*own, "--config", "--out", "--seed", "--set", "--help"]
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

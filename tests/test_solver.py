@@ -638,7 +638,7 @@ class TestPolicyEvaluation:
             multichain += full > 1
         assert multichain > 0
 
-    @pytest.mark.parametrize("name", ["all-sleep", "unicast-priority"])
+    @pytest.mark.parametrize("name", ["unicast-else-sleep", "unicast-priority"])
     def test_underflowing_products_are_no_edges(self, name, monkeypatch):
         # p_u = 1e-323 leaves request weights near the least subnormal, so
         # some products w(s) U[t(s), x'] of the policy's chain R = D (S U)
@@ -648,13 +648,19 @@ class TestPolicyEvaluation:
             e_max=3, n_contents=3, m_rings=1, p_c=0.5, p_u=1e-323
         )
         n = kernel.num_states
-        if name == "all-sleep":
-            policy = PolicyTable.all_sleep(n)
+        if name == "unicast-else-sleep":
+            unicast = kernel.feasible_mask()[Action.UNICAST]
+            policy = PolicyTable(np.where(unicast, Action.UNICAST, Action.SLEEP))
         else:
             policy = unicast_priority_table(params, grid)
         su = kernel.rows.toarray()[kernel.labels[policy.actions, np.arange(n)]]
         products = kernel.weight[:, None] * su
-        assert np.any((products == 0) & (kernel.weight[:, None] != 0) & (su != 0))
+        # some entry of R has all of its products underflow, so a chain that
+        # kept such an entry as a stored 0 fails the check below
+        pairs = (kernel.weight[:, None] != 0) & (su != 0)
+        d = (request_factor(kernel) != 0).astype(int)
+        per_entry = d @ pairs.astype(int)
+        assert np.any((per_entry > 0) & (d @ (pairs & (products == 0)) == per_entry))
         found = []
 
         def spy(chain):
@@ -806,6 +812,19 @@ class TestLevelRoute:
         assert closed_levels(policy, kernel) == {0, 1, 2}
         assert assert_levels_match_superlu(policy, kernel, costs) is not None
         assert policy_iteration(kernel, costs).iterations[0].gain == 0.0
+
+    def test_pinned_rows_leave_the_callers_chain_unchanged(self):
+        # policy_evaluation checks the full equations with the chain it
+        # passed in, so the pinned rows are zeroed in a copy
+        p, g, levels = EQUAL_GAIN_CHAINS["two-levels-each"]
+        chain = csr_matrix(p)
+        data = chain.data.copy()
+        # the class {0, 1} is solved, the other class is pinned at state 4
+        x = solver._solve_levels(chain, g, levels, np.array([0, 1]), [4])
+        assert np.array_equal(chain.data, data)
+        assert x[0] == pytest.approx(1.0, abs=1e-12)
+        assert x[1 + 0] == pytest.approx(0.0, abs=1e-12)
+        assert x[1 + 4] == pytest.approx(0.0, abs=1e-12)
 
 
 # The ranges of test_kernel_matches_reference_on_random_instances in
@@ -992,10 +1011,9 @@ class TestPolicyIteration:
         assert records[0].changed > 0 and records[-1].changed == 0
         assert all(0 < r.post_decision_states < kernel.num_states for r in records)
 
-    def test_reducible_start_records_fallback(self):
+    def test_reducible_start_records_direct_solve(self):
         # the all-sleep start has two closed classes of gain 1, which the
-        # direct solve evaluates where value iteration once stood in; one
-        # step reaches the gain-0 swap policy
+        # direct solve evaluates; one step reaches the gain-0 swap policy
         kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})
         costs = costs_for(2, {0: np.ones(2), 1: np.zeros(2)})
         records = policy_iteration(kernel, costs).iterations
@@ -1003,22 +1021,26 @@ class TestPolicyIteration:
         assert [r.changed for r in records] == [2, 0]
         assert [r.post_decision_states for r in records] == [2, 2]
 
-    def test_reducible_start_falls_back(self):
+    def test_reducible_start_solved_directly(self):
         kernel = dense_kernel({0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])})
         costs = costs_for(2, {0: np.ones(2), 1: np.zeros(2)})
         result = policy_iteration(kernel, costs)
         assert result.values.gain == pytest.approx(0.0, abs=1e-9)
         assert np.all(result.policy.actions == 1)
 
-    def test_default_needs_no_fallback(self, monkeypatch, default_instance,
-                                       default_solution):
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("value-iteration fallback ran")
+    def test_default_evaluates_once_per_iteration(self, monkeypatch, default_instance,
+                                                  default_solution):
+        calls = []
 
-        monkeypatch.setattr("pushmdp.solver.relative_value_iteration", no_fallback)
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return policy_evaluation(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "policy_evaluation", spy)
         _, _, _, _, kernel, costs = default_instance
         result = policy_iteration(kernel, costs)
         assert result.policy == default_solution.policy
+        assert len(calls) == len(result.trace) == 8
 
     def test_records_timing(self, default_solution):
         for r in default_solution.iterations:
